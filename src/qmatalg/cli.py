@@ -42,7 +42,6 @@ from .laurent import Q, QINV
 from .qalgebra import (
     NCElement,
     format_element,
-    graded_basis,
     multiply,
     normal_form,
     parse_element,
@@ -110,6 +109,8 @@ def _emit(report, config):
 
 def cmd_dims(config):
     k, l, r, s = config.params
+    if not any(config.params):
+        raise ValueError("dims needs at least one nonzero size among -k -l -r -s")
     sizes = []
     for size in range(config.max_degree + 1):
         table = emit_dimension_table(k, l, r, s, size)
@@ -387,6 +388,8 @@ def main(argv=None):
         minor_ideal=getattr(args, "minor_ideal", False),
     )
     try:
+        if config.max_degree < 0:
+            raise ValueError(f"-N must be nonnegative, got {config.max_degree}")
         if args.command == "dims":
             return cmd_dims(config)
         if args.command == "nf":

@@ -1,16 +1,30 @@
 """Exact linear algebra over Z[q, q^-1].
 
-Rank, nullspace and span dimensions are computed by fraction-free (Bareiss)
-Gaussian elimination: every division performed is exact in the Laurent ring,
-so results are generic-q ranks with no specialization and no rounding.
-Pivoting is deterministic (first nonzero entry, columns left to right, rows
-top to bottom), which makes kernel bases reproducible for golden tests.
+Rank, nullspace and span dimensions are computed by elimination in two
+phases, and every division performed is exact in the Laurent ring, so
+results are generic-q ranks with no specialization and no rounding.
 
-Kernel vectors are produced by fraction-free back substitution, then
-normalized: divided by the gcd of their integer coefficients and by the
-lowest common power of q, and sign-fixed so the first nonzero entry has a
-positive leading (highest-exponent) coefficient.  No polynomial gcd is
-taken beyond that.
+1. Unit phase: rows are stored sparsely as {col: entry}.  While some row
+   holds a unit +-q^e (one term, coefficient +-1), the shortest such row
+   (earliest on ties) is scaled by the inverse of its leftmost unit, which
+   is again +-q^-e, so the division is exact and entries do not grow.  That
+   column is then cleared from every other row, earlier pivot rows
+   included (Gauss-Jordan).  Every step is an invertible row operation
+   over Z[q, q^-1], so rank and kernel are unchanged.
+2. Residual phase: the rows left over hold no unit; fraction-free (Bareiss)
+   elimination, with the first nonzero entry as pivot, runs on them over
+   the columns that are not unit pivots.
+
+The rank is the number of unit pivots plus the residual rank.  Kernel
+vectors come from fraction-free back substitution on the residual, one per
+free column, lifted through the unit rows (x_p = -sum_{j != p} row_p[j] x_j),
+then normalized: divided by the gcd of their integer coefficients and by
+the lowest common power of q, and sign-fixed so the first nonzero entry has
+a positive leading (highest-exponent) coefficient.  No polynomial gcd is
+taken beyond that.  Pivoting is deterministic, so kernel bases are
+reproducible for golden tests; they span the same space as plain Bareiss
+would, but the pivot columns may differ, so the individual vectors may too
+(when the free columns coincide, each vector agrees up to a Q(q) scalar).
 """
 
 from __future__ import annotations
@@ -183,10 +197,73 @@ def _echelon(rows):
     return rows, pivots
 
 
+def _is_unit(e):
+    """True for the units +-q^k of Z[q, q^-1]."""
+    if len(e.terms) != 1:
+        return False
+    (c,) = e.terms.values()
+    return c == 1 or c == -1
+
+
+def _unit_phase(rows):
+    """Sparse Gauss-Jordan elimination on unit pivots (the module docstring
+    gives the pivot rule).
+
+    Returns (units, residual): units is a list of (pivot column, row) with
+    row[pivot] == 1 and no other pivot column in the row; residual holds
+    the remaining nonzero rows, which contain no unit and no pivot column.
+    """
+    active = [{j: e for j, e in enumerate(r) if e} for r in rows]
+    active = [r for r in active if r]
+    units = []
+    while True:
+        best = None
+        for i, row in enumerate(active):
+            if best is not None and len(row) >= len(active[best[0]]):
+                continue
+            p = min((j for j, e in row.items() if _is_unit(e)), default=None)
+            if p is not None:
+                best = (i, p)
+        if best is None:
+            return units, active
+        i, p = best
+        row = active.pop(i)
+        ((k, c),) = row[p].terms.items()
+        inv = LaurentInt._raw({-k: c})
+        row = {j: inv * e for j, e in row.items()}
+        for other in [r for _, r in units] + active:
+            f = other.pop(p, None)
+            if f is None:
+                continue
+            for j, e in row.items():
+                if j != p:
+                    v = other.get(j, ZERO) - f * e
+                    if v:
+                        other[j] = v
+                    else:
+                        del other[j]
+        active = [r for r in active if r]
+        units.append((p, row))
+
+
+def _eliminate(matrix):
+    """Unit phase, then Bareiss on the residual over the non-pivot columns.
+
+    Returns (units, cols, ech, pivots): the unit rows, the sorted columns
+    that are not unit pivots, and the Bareiss echelon form of the residual
+    restricted to cols with its pivot positions (indices into cols).
+    """
+    units, residual = _unit_phase(matrix.rows)
+    unit_cols = {p for p, _ in units}
+    cols = [c for c in range(matrix.ncols) if c not in unit_cols]
+    ech, pivots = _echelon([[row.get(c, ZERO) for c in cols] for row in residual])
+    return units, cols, ech, pivots
+
+
 def rank(matrix: CoeffMatrix) -> int:
     """Rank over the fraction field Q(q), computed exactly."""
-    _, pivots = _echelon(matrix.rows)
-    return len(pivots)
+    units, _, _, pivots = _eliminate(matrix)
+    return len(units) + len(pivots)
 
 
 def _normalize_kernel_vector(vec):
@@ -207,10 +284,9 @@ def _normalize_kernel_vector(vec):
     ]
 
 
-def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
-    """Exact kernel basis, one vector per free column; M @ v == 0 exactly."""
-    ncols = matrix.ncols
-    ech, pivots = _echelon(matrix.rows)
+def _echelon_kernel(ech, pivots, ncols):
+    """Kernel of an echelon form, one vector per free column, by
+    fraction-free back substitution."""
     pivot_set = set(pivots)
     basis = []
     for free in range(ncols):
@@ -231,6 +307,29 @@ def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
                     t = t + row[j] * vec[j]
             piv = row[p]
             vec = [piv * x for x in vec]
+            vec[p] = -t
+        basis.append(vec)
+    return basis
+
+
+def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
+    """Exact kernel basis, one vector per free column; M @ v == 0 exactly.
+
+    The residual kernel is lifted through the unit rows: each unit row
+    reads x_p + sum_{j != p} row[j] x_j = 0, and every such j is a column
+    of the residual.
+    """
+    units, cols, ech, pivots = _eliminate(matrix)
+    basis = []
+    for res in _echelon_kernel(ech, pivots, len(cols)):
+        vec = [ZERO] * matrix.ncols
+        for c, x in zip(cols, res):
+            vec[c] = x
+        for p, row in units:
+            t = ZERO
+            for j, e in row.items():
+                if j != p and vec[j]:
+                    t = t + e * vec[j]
             vec[p] = -t
         basis.append(CoeffVector(_normalize_kernel_vector(vec)))
     return basis

@@ -24,7 +24,7 @@ from itertools import permutations, product
 
 from .exactla import CoeffMatrix, column_span_dim, nullspace
 from .hookcomb import kernel_dim_prediction
-from .laurent import LaurentInt, Q, QINV, ZERO
+from .laurent import Q_MINUS_QINV, ZERO, LaurentInt
 from .qalgebra import (
     AlgebraPresentation,
     NCElement,
@@ -39,8 +39,6 @@ from .qalgebra import (
     presentation_P,
 )
 from .uqaction import invariant_subspace
-
-Q_MINUS_QINV = Q - QINV
 
 
 @dataclass(frozen=True)
@@ -291,6 +289,8 @@ def fft_check(params, max_degree) -> dict:
     bidegrees; the report also checks that unbalanced components up to total
     degree max_degree + 1 carry no invariants at all.
     """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     p = _params(params)
     ctx = _context(p.astuple())
     degrees = []

@@ -152,6 +152,7 @@ ZERO = _ZERO
 ONE = LaurentInt._raw({0: 1})
 Q = LaurentInt._raw({1: 1})
 QINV = LaurentInt._raw({-1: 1})
+Q_MINUS_QINV = Q - QINV
 
 
 def lau_add(a: LaurentInt, b: LaurentInt) -> LaurentInt:

@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .exactla import CoeffVector
-from .laurent import ONE, Q, QINV, ZERO, LaurentInt, format_laurent, parse_laurent
-
-Q_MINUS_QINV = Q - QINV
+from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, format_laurent, parse_laurent
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,8 @@ antisymmetric squares returned by sym_skew_bases.
 from itertools import product
 
 from .exactla import CoeffMatrix, CoeffVector
-from .laurent import LaurentInt, ONE, Q, QINV, ZERO
+from .laurent import LaurentInt, ONE, Q, QINV, Q_MINUS_QINV, ZERO
 from .qalgebra import NCElement, _index_parity, _sign, normal_form, presentation_M
-
-Q_MINUS_QINV = Q - QINV
 
 
 def _qx(parity, e=1):

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .exactla import CoeffMatrix, CoeffVector, nullspace
 from .laurent import ONE, ZERO, LaurentInt
-from .qalgebra import NCElement, element_to_vector, graded_basis, normal_form
+from .qalgebra import NCElement, _index_parity, _sign, graded_basis, normal_form
 
 K, KINV, ERAISE, ELOWER = "K", "Kinv", "Eraise", "Elower"
 
@@ -38,10 +38,6 @@ class ChevalleyGen:
             ERAISE: f"E[{self.index},{self.index + 1}]",
             ELOWER: f"E[{self.index + 1},{self.index}]",
         }[self.kind]
-
-
-def _col_parity(i, m):
-    return 0 if i <= m else 1
 
 
 def _expected_parity(kind, index, m):
@@ -116,7 +112,7 @@ def pi_matrix(x, m, n):
         for i in range(sz):
             rows[i][i] = ONE
         a = x.index
-        e = 1 if _col_parity(a, m) == 0 else -1
+        e = 1 if _index_parity(a, m) == 0 else -1
         if x.kind == KINV:
             e = -e
         rows[a - 1][a - 1] = LaurentInt.q_power(e)
@@ -141,10 +137,6 @@ def pi_antipode_matrix(x, m, n):
     return acc
 
 
-def _sg(e):
-    return 1 if e % 2 == 0 else -1
-
-
 def _require_P(pres):
     if pres.kind != "P":
         raise ValueError("the action is defined on P presentations only")
@@ -156,7 +148,7 @@ def act_on_generator(x, g, pres):
     k, l, r, s, m, n = _require_P(pres)
     _validate_gen(x, m, n)
     i = g.col
-    ip = _col_parity(i, m)
+    ip = _index_parity(i, m)
     rowp = (g.parity + ip) % 2
     xp = x.parity
     terms = []
@@ -166,18 +158,18 @@ def act_on_generator(x, g, pres):
             entry = mat.rows[c - 1][i - 1]
             if not entry:
                 continue
-            cp = _col_parity(c, m)
+            cp = _index_parity(c, m)
             e = xp * (rowp + ip + xp) + (rowp + cp) * (cp + ip)
-            terms.append(((pres.gen_id("T", g.row, c),), _sg(e) * entry))
+            terms.append(((pres.gen_id("T", g.row, c),), _sign(e) * entry))
     else:
         mat = pi_antipode_matrix(x, m, n)
         for d in range(1, m + n + 1):
             entry = mat.rows[i - 1][d - 1]
             if not entry:
                 continue
-            dp = _col_parity(d, m)
+            dp = _index_parity(d, m)
             e = xp * (rowp + ip + xp) + (rowp + dp) * (dp + ip) + ip * (dp + ip)
-            terms.append(((pres.gen_id("Tb", g.row, d),), _sg(e) * entry))
+            terms.append(((pres.gen_id("Tb", g.row, d),), _sign(e) * entry))
     return NCElement(terms)
 
 
@@ -186,7 +178,7 @@ def _k_exponent(a, asign, gid, pres, m):
     g = pres.generators[gid]
     if g.col != a:
         return 0
-    e = asign if _col_parity(a, m) == 0 else -asign
+    e = asign if _index_parity(a, m) == 0 else -asign
     return e if g.family == "T" else -e
 
 
@@ -218,7 +210,7 @@ def _act_word(x, word, pres, m, n):
         for j, gid in enumerate(word):
             img = act_on_generator(x, gens[gid], pres)
             if img:
-                scal = _sg(x.parity * prefix_parity) * LaurentInt.q_power(suffix_exp[j + 1])
+                scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(suffix_exp[j + 1])
                 for w1, c1 in img.terms.items():
                     nw = word[:j] + w1 + word[j + 1:]
                     c = c1 * scal
@@ -236,7 +228,7 @@ def _act_word(x, word, pres, m, n):
         for j, gid in enumerate(word):
             img = act_on_generator(x, gens[gid], pres)
             if img:
-                scal = _sg(x.parity * prefix_parity) * LaurentInt.q_power(prefix_exp)
+                scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(prefix_exp)
                 for w1, c1 in img.terms.items():
                     nw = word[:j] + w1 + word[j + 1:]
                     c = c1 * scal
@@ -357,18 +349,6 @@ def _action_matrix(x, pres, basis):
     return CoeffMatrix(rows)
 
 
-def _meq(a, b):
-    return all(x == y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb))
-
-
-def _msub(a, b):
-    return CoeffMatrix([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.rows, b.rows)])
-
-
-def _mscale(a, c):
-    return CoeffMatrix([[x * c for x in row] for row in a.rows])
-
-
 def verify_operator_relations(m, n, pres, bidegree):
     """Check the Cartan-sector defining relations as operator identities.
 
@@ -389,15 +369,15 @@ def verify_operator_relations(m, n, pres, bidegree):
     ident = CoeffMatrix.identity(len(basis))
     failures = []
     for a in range(1, sz + 1):
-        if not _meq(kmat(a) @ kinv(a), ident):
+        if kmat(a) @ kinv(a) != ident:
             failures.append(f"R1: K[{a}] K^-1[{a}] != id")
         for b in range(a + 1, sz + 1):
-            if not _meq(kmat(a) @ kmat(b), kmat(b) @ kmat(a)):
+            if kmat(a) @ kmat(b) != kmat(b) @ kmat(a):
                 failures.append(f"R1: K[{a}] and K[{b}] do not commute")
     r1_ok = not failures
 
     def root_sign(a, col):
-        return (1 if _col_parity(a, m) == 0 else -1) * (1 if a == col else 0)
+        return (1 if _index_parity(a, m) == 0 else -1) * (1 if a == col else 0)
 
     for x in chevalley_generators(m, n):
         if x.kind not in (ERAISE, ELOWER):
@@ -407,25 +387,25 @@ def verify_operator_relations(m, n, pres, bidegree):
         for a in range(1, sz + 1):
             e = root_sign(a, lo) - root_sign(a, hi)
             lhs = kmat(a) @ amat[x] @ kinv(a)
-            rhs = _mscale(amat[x], LaurentInt.q_power(e))
-            if not _meq(lhs, rhs):
+            rhs = amat[x].scale(LaurentInt.q_power(e))
+            if lhs != rhs:
                 failures.append(f"R2: K[{a}] {x} K^-1[{a}] != q^{e} {x}")
     r2_ok = not [f for f in failures if f.startswith("R2")]
     for a in range(1, sz):
         ea = ChevalleyGen(ERAISE, a, _expected_parity(ERAISE, a, m))
-        qa_minus = LaurentInt.q_power(1 if _col_parity(a, m) == 0 else -1) - LaurentInt.q_power(
-            -1 if _col_parity(a, m) == 0 else 1
+        qa_minus = LaurentInt.q_power(1 if _index_parity(a, m) == 0 else -1) - LaurentInt.q_power(
+            -1 if _index_parity(a, m) == 0 else 1
         )
         for b in range(1, sz):
             fb = ChevalleyGen(ELOWER, b, _expected_parity(ELOWER, b, m))
-            sign = _sg(ea.parity * fb.parity)
-            bracket = _msub(amat[ea] @ amat[fb], _mscale(amat[fb] @ amat[ea], sign * ONE))
-            lhs = _mscale(bracket, qa_minus)
+            sign = _sign(ea.parity * fb.parity)
+            bracket = amat[ea] @ amat[fb] - (amat[fb] @ amat[ea]).scale(sign)
+            lhs = bracket.scale(qa_minus)
             if a == b:
-                rhs = _msub(kmat(a) @ kinv(a + 1), kinv(a) @ kmat(a + 1))
+                rhs = kmat(a) @ kinv(a + 1) - kinv(a) @ kmat(a + 1)
             else:
                 rhs = CoeffMatrix.zeros(len(basis), len(basis))
-            if not _meq(lhs, rhs):
+            if lhs != rhs:
                 failures.append(f"R3: [E[{a},{a + 1}], E[{b + 1},{b}]] mismatch")
     r3_ok = not [f for f in failures if f.startswith("R3")]
     return {

@@ -154,6 +154,26 @@ def test_invalid_params_exit_2(capsys):
     assert err != ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["dims", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-N", "-1"], "-N"),
+        (["dims", "-N", "2"], "nonzero size"),
+        (["fft", "-k", "1", "-l", "0", "-r", "1", "-s", "0",
+          "-m", "1", "-n", "0", "-N", "-1"], "-N"),
+        (["sft", "-k", "2", "-l", "0", "-r", "2", "-s", "0",
+          "-m", "1", "-n", "0", "-N", "-3", "--minor-ideal"], "-N"),
+    ],
+    ids=["dims-negative-N", "dims-all-sizes-zero", "fft-negative-N", "sft-negative-N"],
+)
+def test_vacuous_request_exits_2(argv, message, capsys):
+    # a check over zero degrees or an empty algebra must not report a pass
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):

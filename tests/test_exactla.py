@@ -3,7 +3,9 @@
 The rank oracle evaluates the matrix at a few scattered rational points:
 rank at any specialization is a lower bound for the generic-q rank, and on
 random non-adversarial matrices the maximum over several points attains it.
-The kernel check M @ v == 0 is exact and unconditional.
+The kernel check M @ v == 0 is exact and unconditional.  The unit-pivot
+elimination is also cross-checked against plain Bareiss elimination
+(``_echelon``) on sparse matrices rich in units +-q^e.
 """
 
 from fractions import Fraction
@@ -11,7 +13,14 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from qmatalg.exactla import CoeffMatrix, CoeffVector, column_span_dim, nullspace, rank
+from qmatalg.exactla import (
+    CoeffMatrix,
+    CoeffVector,
+    _echelon,
+    column_span_dim,
+    nullspace,
+    rank,
+)
 from qmatalg.laurent import ONE, ZERO, LaurentInt, parse_laurent
 
 
@@ -39,6 +48,35 @@ def matrices(max_dim=5):
             ).map(CoeffMatrix)
         )
     )
+
+
+units = st.builds(LaurentInt.q_power, st.integers(-3, 3), st.sampled_from([1, -1]))
+non_units = st.sampled_from(
+    [L("2*q"), L("q + 1"), L("q^2 - q^-2"), L("-3*q^-1"), L("q - q^-1")]
+)
+# mostly zeros, then units, then non-units
+unit_rich_entries = st.sampled_from([0, 0, 0, 1, 1, 2]).flatmap(
+    lambda k: (st.just(ZERO), units, non_units)[k]
+)
+non_unit_entries = st.one_of(st.just(ZERO), non_units)
+
+
+def sparse_matrices(entries, nrows, ncols):
+    return st.tuples(nrows, ncols).flatmap(
+        lambda rc: st.lists(
+            st.lists(entries, min_size=rc[1], max_size=rc[1]),
+            min_size=rc[0],
+            max_size=rc[0],
+        ).map(CoeffMatrix)
+    )
+
+
+unit_rich_matrices = st.one_of(
+    sparse_matrices(unit_rich_entries, st.integers(1, 8), st.integers(1, 8)),
+    sparse_matrices(unit_rich_entries, st.integers(6, 12), st.integers(1, 4)),
+    sparse_matrices(unit_rich_entries, st.integers(1, 4), st.integers(6, 12)),
+    sparse_matrices(non_unit_entries, st.integers(1, 5), st.integers(1, 5)),
+)
 
 
 def eval_rank(matrix, q_value):
@@ -134,3 +172,16 @@ def test_rank_matches_transpose(m):
 def test_rank_against_evaluation_oracle(m):
     lower = max(eval_rank(m, Fraction(p, r)) for p, r in [(7, 3), (13, 5), (101, 17)])
     assert rank(m) == lower
+
+
+@settings(deadline=None, max_examples=200)
+@given(unit_rich_matrices)
+def test_unit_pivoting_agrees_with_bareiss_oracle(m):
+    rk = rank(m)
+    assert rk == len(_echelon(m.rows)[1])
+    ker = nullspace(m)
+    assert rk + len(ker) == m.ncols
+    for v in ker:
+        assert all(not e for e in m @ v)
+    # pivoting is deterministic, so the basis repeats exactly
+    assert nullspace(m) == ker

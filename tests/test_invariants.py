@@ -274,6 +274,11 @@ def test_fft_check_reports():
     assert rep["overall_pass"] is True
 
 
+def test_fft_check_rejects_negative_degree():
+    with pytest.raises(ValueError):
+        fft_check(P22, -1)
+
+
 def test_classical_limit():
     e = NCElement.from_word((0, 1), Q - QINV)
     assert classical_limit(e).is_zero()
