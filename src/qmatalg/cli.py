@@ -12,11 +12,11 @@ Subcommands:
   classical  q = 1 checks: supercommutation, seeded associativity and
              homomorphism trials
 
-Reports are JSON with a top-level "schema": 1, printed to stdout and
-optionally written to --json <path>.  Randomized trials draw from an
-explicit --seed (fixed default), so every run is reproducible; the exit
-status is 0 exactly when all asserted equalities hold, 1 on a failed check,
-2 on bad input.
+Reports are JSON with a top-level "schema": 1, printed to stdout (nf
+prints its normal form as text instead) and optionally written to
+--json <path>.  Randomized trials draw from an explicit --seed (fixed
+default), so every run is reproducible; the exit status is 0 exactly when
+all asserted equalities hold, 1 on a failed check, 2 on bad input.
 """
 
 import argparse
@@ -41,6 +41,7 @@ from .invariants import (
 from .laurent import Q, QINV
 from .qalgebra import (
     NCElement,
+    _check_ranges,
     format_element,
     multiply,
     normal_form,
@@ -98,12 +99,17 @@ def parse_presentation_spec(text):
     return builder(*sizes)
 
 
-def _emit(report, config):
+def _write_report(report, config):
+    """Write the report to --json PATH when one was given; return its text."""
     text = json.dumps(report, indent=2)
     if config.json_path:
         with open(config.json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    print(text)
+    return text
+
+
+def _emit(report, config):
+    print(_write_report(report, config))
     return 0 if report["overall_pass"] else 1
 
 
@@ -111,6 +117,7 @@ def cmd_dims(config):
     k, l, r, s = config.params
     if not any(config.params):
         raise ValueError("dims needs at least one nonzero size among -k -l -r -s")
+    _check_ranges("dims", ("rows -k -l", (k, l)), ("cols -r -s", (r, s)))
     sizes = []
     for size in range(config.max_degree + 1):
         table = emit_dimension_table(k, l, r, s, size)
@@ -138,17 +145,15 @@ def cmd_nf(config, pres_spec, element_text):
     pres = parse_presentation_spec(pres_spec)
     e = parse_element(element_text, pres)
     text = format_element(normal_form(e, pres), pres)
-    if config.json_path:
-        report = {
-            "schema": SCHEMA,
-            "command": "nf",
-            "presentation": pres_spec,
-            "input": element_text,
-            "normal_form": text,
-            "overall_pass": True,
-        }
-        with open(config.json_path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
+    report = {
+        "schema": SCHEMA,
+        "command": "nf",
+        "presentation": pres_spec,
+        "input": element_text,
+        "normal_form": text,
+        "overall_pass": True,
+    }
+    _write_report(report, config)
     print(text)
     return 0
 

@@ -155,22 +155,6 @@ QINV = LaurentInt._raw({-1: 1})
 Q_MINUS_QINV = Q - QINV
 
 
-def lau_add(a: LaurentInt, b: LaurentInt) -> LaurentInt:
-    return a + b
-
-
-def lau_mul(a: LaurentInt, b: LaurentInt) -> LaurentInt:
-    return a * b
-
-
-def lau_bar(a: LaurentInt) -> LaurentInt:
-    return a.bar()
-
-
-def lau_eval_q1(a: LaurentInt) -> int:
-    return a.eval_q1()
-
-
 def lau_div_exact(a: LaurentInt, b: LaurentInt) -> LaurentInt:
     """Exact division in Z[q, q^-1]; raises ExactDivisionError on remainder.
 

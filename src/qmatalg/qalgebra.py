@@ -41,6 +41,16 @@ class GenIndex:
         return f"{self.family}[{self.row},{self.col}]"
 
 
+def _add_term(terms, key, coeff):
+    """terms[key] += coeff in a sparse {key: LaurentInt} dict, dropping a zero sum."""
+    prev = terms.get(key)
+    acc = coeff if prev is None else prev + coeff
+    if acc:
+        terms[key] = acc
+    elif prev is not None:
+        del terms[key]
+
+
 class NCElement:
     """Finite LaurentInt-linear combination of generator words."""
 
@@ -52,18 +62,15 @@ class NCElement:
         for word, coeff in items:
             if not isinstance(coeff, LaurentInt):
                 coeff = LaurentInt.from_int(coeff)
-            if not coeff:
-                continue
-            prev = data.get(word)
-            if prev is None:
-                data[word] = coeff
-            else:
-                acc = prev + coeff
-                if acc:
-                    data[word] = acc
-                else:
-                    del data[word]
+            _add_term(data, word, coeff)
         self.terms = data
+
+    @classmethod
+    def _raw(cls, terms):
+        """Wrap a {word: LaurentInt} dict with no zero coefficients, uncopied."""
+        obj = cls.__new__(cls)
+        obj.terms = terms
+        return obj
 
     @classmethod
     def zero(cls):
@@ -91,15 +98,8 @@ class NCElement:
     def __add__(self, other):
         out = dict(self.terms)
         for word, coeff in other.terms.items():
-            prev = out.get(word)
-            acc = coeff if prev is None else prev + coeff
-            if acc:
-                out[word] = acc
-            elif prev is not None:
-                del out[word]
-        res = NCElement.__new__(NCElement)
-        res.terms = out
-        return res
+            _add_term(out, word, coeff)
+        return NCElement._raw(out)
 
     def __sub__(self, other):
         return self + other.scaled(-1)
@@ -112,9 +112,7 @@ class NCElement:
             c = LaurentInt.from_int(c)
         if not c:
             return NCElement()
-        res = NCElement.__new__(NCElement)
-        res.terms = {w: coeff * c for w, coeff in self.terms.items()}
-        return res
+        return NCElement._raw({w: coeff * c for w, coeff in self.terms.items()})
 
     def degree(self):
         """Max word length, or -1 for the zero element (rules are
@@ -325,12 +323,7 @@ def normal_form_stats(e, pres):
                 pos = p
                 break
         if pos < 0:
-            prev = out.get(word)
-            acc = coeff if prev is None else prev + coeff
-            if acc:
-                out[word] = acc
-            elif prev is not None:
-                del out[word]
+            _add_term(out, word, coeff)
             continue
         steps += 1
         if steps > _STEP_LIMIT:
@@ -338,17 +331,8 @@ def normal_form_stats(e, pres):
         head = word[:pos]
         tail = word[pos + 2:]
         for rc, rw in rhs:
-            nw = head + rw + tail
-            nc = coeff * rc
-            prev = agenda.get(nw)
-            acc = nc if prev is None else prev + nc
-            if acc:
-                agenda[nw] = acc
-            elif prev is not None:
-                del agenda[nw]
-    res = NCElement.__new__(NCElement)
-    res.terms = out
-    return res, steps
+            _add_term(agenda, head + rw + tail, coeff * rc)
+    return NCElement._raw(out), steps
 
 
 def normal_form(e, pres):
@@ -364,17 +348,8 @@ def multiply(a, b, pres):
     prod = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            w = wa + wb
-            c = ca * cb
-            prev = prod.get(w)
-            acc = c if prev is None else prev + c
-            if acc:
-                prod[w] = acc
-            elif prev is not None:
-                del prod[w]
-    raw = NCElement.__new__(NCElement)
-    raw.terms = prod
-    return normal_form(raw, pres)
+            _add_term(prod, wa + wb, ca * cb)
+    return normal_form(NCElement._raw(prod), pres)
 
 
 def _normal_words_in(ids, parities, degree):
@@ -573,14 +548,5 @@ def parse_element(text, pres):
             cursor = match.end()
         if word_text[cursor:].strip():
             raise ValueError(f"trailing junk {word_text[cursor:]!r} near position {base}")
-        w = tuple(word)
-        c = coeff if sign > 0 else -coeff
-        prev = total.get(w)
-        acc = c if prev is None else prev + c
-        if acc:
-            total[w] = acc
-        elif prev is not None:
-            del total[w]
-    res = NCElement.__new__(NCElement)
-    res.terms = total
-    return res
+        _add_term(total, tuple(word), coeff if sign > 0 else -coeff)
+    return NCElement._raw(total)

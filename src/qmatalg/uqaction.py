@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .exactla import CoeffMatrix, CoeffVector, nullspace
 from .laurent import ONE, ZERO, LaurentInt
-from .qalgebra import NCElement, _index_parity, _sign, graded_basis, normal_form
+from .qalgebra import NCElement, _add_term, _index_parity, _sign, graded_basis, normal_form
 
 K, KINV, ERAISE, ELOWER = "K", "Kinv", "Eraise", "Elower"
 
@@ -192,54 +192,26 @@ def _act_word(x, word, pres, m, n):
         asign = 1 if x.kind == K else -1
         e = _word_k_exponent(x.index, asign, word, pres, m)
         return {word: LaurentInt.q_power(e)}
-    if not word:
-        return {}
+    # Delta(E_{u,u+1}) = E (x) K_u K_{u+1}^{-1} + 1 (x) E: the letters after
+    # the hit one scale it.  Delta(E_{u+1,u}) = E (x) 1 + K_u^{-1} K_{u+1} (x) E:
+    # the letters before it do.  Both use K_u^s K_{u+1}^-s, s = +1 or -1.
     u = x.index
+    s = 1 if x.kind == ERAISE else -1
     gens = pres.generators
+    exps = [_k_exponent(u, s, gid, pres, m) + _k_exponent(u + 1, -s, gid, pres, m) for gid in word]
+    total_exp = sum(exps)
     out = {}
-    if x.kind == ERAISE:
-        # Delta(E) = E (x) K_u K_{u+1}^{-1} + 1 (x) E
-        suffix_exp = [0] * (len(word) + 1)
-        for j in range(len(word) - 1, -1, -1):
-            suffix_exp[j] = (
-                suffix_exp[j + 1]
-                + _k_exponent(u, 1, word[j], pres, m)
-                + _k_exponent(u + 1, -1, word[j], pres, m)
-            )
-        prefix_parity = 0
-        for j, gid in enumerate(word):
-            img = act_on_generator(x, gens[gid], pres)
-            if img:
-                scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(suffix_exp[j + 1])
-                for w1, c1 in img.terms.items():
-                    nw = word[:j] + w1 + word[j + 1:]
-                    c = c1 * scal
-                    prev = out.get(nw)
-                    acc = c if prev is None else prev + c
-                    if acc:
-                        out[nw] = acc
-                    elif prev is not None:
-                        del out[nw]
-            prefix_parity = (prefix_parity + gens[gid].parity) % 2
-    else:
-        # Delta(E) = E (x) 1 + K_u^{-1} K_{u+1} (x) E
-        prefix_parity = 0
-        prefix_exp = 0
-        for j, gid in enumerate(word):
-            img = act_on_generator(x, gens[gid], pres)
-            if img:
-                scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(prefix_exp)
-                for w1, c1 in img.terms.items():
-                    nw = word[:j] + w1 + word[j + 1:]
-                    c = c1 * scal
-                    prev = out.get(nw)
-                    acc = c if prev is None else prev + c
-                    if acc:
-                        out[nw] = acc
-                    elif prev is not None:
-                        del out[nw]
-            prefix_parity = (prefix_parity + gens[gid].parity) % 2
-            prefix_exp += _k_exponent(u, -1, gid, pres, m) + _k_exponent(u + 1, 1, gid, pres, m)
+    prefix_parity = 0
+    prefix_exp = 0
+    for j, gid in enumerate(word):
+        img = act_on_generator(x, gens[gid], pres)
+        if img:
+            e = total_exp - prefix_exp - exps[j] if s > 0 else prefix_exp
+            scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(e)
+            for w1, c1 in img.terms.items():
+                _add_term(out, word[:j] + w1 + word[j + 1:], c1 * scal)
+        prefix_parity = (prefix_parity + gens[gid].parity) % 2
+        prefix_exp += exps[j]
     return out
 
 
@@ -250,16 +222,8 @@ def act(x, e, pres):
     total = {}
     for word, coeff in e.terms.items():
         for w1, c1 in _act_word(x, word, pres, m, n).items():
-            c = coeff * c1
-            prev = total.get(w1)
-            acc = c if prev is None else prev + c
-            if acc:
-                total[w1] = acc
-            elif prev is not None:
-                del total[w1]
-    raw = NCElement.__new__(NCElement)
-    raw.terms = total
-    return normal_form(raw, pres)
+            _add_term(total, w1, coeff * c1)
+    return normal_form(NCElement._raw(total), pres)
 
 
 def is_invariant(e, pres):

@@ -163,8 +163,12 @@ def test_invalid_params_exit_2(capsys):
           "-m", "1", "-n", "0", "-N", "-1"], "-N"),
         (["sft", "-k", "2", "-l", "0", "-r", "2", "-s", "0",
           "-m", "1", "-n", "0", "-N", "-3", "--minor-ideal"], "-N"),
+        (["dims", "-k", "-1", "-r", "1", "-N", "1"], "index range rows"),
+        (["dims", "-k", "1", "-N", "2"], "index range cols"),
+        (["dims", "-r", "1", "-N", "1"], "index range rows"),
     ],
-    ids=["dims-negative-N", "dims-all-sizes-zero", "fft-negative-N", "sft-negative-N"],
+    ids=["dims-negative-N", "dims-all-sizes-zero", "fft-negative-N", "sft-negative-N",
+         "dims-negative-size", "dims-no-columns", "dims-no-rows"],
 )
 def test_vacuous_request_exits_2(argv, message, capsys):
     # a check over zero degrees or an empty algebra must not report a pass
