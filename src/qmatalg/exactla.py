@@ -92,6 +92,27 @@ class CoeffMatrix:
     def zeros(cls, nrows, ncols):
         return cls([[ZERO] * ncols for _ in range(nrows)])
 
+    @classmethod
+    def from_columns(cls, columns, keys):
+        """Matrix whose column j holds the sparse mapping columns[j].
+
+        Each column maps keys to LaurentInt entries (an NCElement's terms,
+        say); there is one row per key, in the order of keys, and a key a
+        column omits is ZERO.  A key outside keys raises ValueError.
+        """
+        row_of = {key: i for i, key in enumerate(keys)}
+        dense = []
+        for col in columns:
+            entries = [ZERO] * len(row_of)
+            for key, e in col.items():
+                i = row_of.get(key)
+                if i is None:
+                    raise ValueError(f"key {key} outside the given keys")
+                entries[i] = e
+            dense.append(entries)
+        # zip yields the rows as tuples, which CoeffMatrix keeps uncopied
+        return cls(zip(*dense) if dense else [()] * len(row_of))
+
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
@@ -102,12 +123,18 @@ class CoeffMatrix:
     def __hash__(self):
         return hash(self.rows)
 
+    def _check_same_shape(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+
     def __add__(self, other):
+        self._check_same_shape(other)
         return CoeffMatrix(
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
 
     def __sub__(self, other):
+        self._check_same_shape(other)
         return CoeffMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
@@ -336,10 +363,7 @@ def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
 
 
 def column_span_dim(vectors) -> int:
-    """Dimension of the span of the given CoeffVectors."""
-    vectors = list(vectors)
-    if not vectors:
-        return 0
-    cols = [list(v) for v in vectors]
-    matrix = CoeffMatrix(list(zip(*cols)))
-    return rank(matrix)
+    """Dimension of the span of the given CoeffVectors, which must all have
+    the same length (ValueError otherwise)."""
+    # the vectors go in as rows: rank is invariant under transposition
+    return rank(CoeffMatrix(vectors))

@@ -22,15 +22,15 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .exactla import CoeffMatrix, column_span_dim, nullspace
+from .exactla import CoeffMatrix, nullspace, rank
 from .hookcomb import kernel_dim_prediction
-from .laurent import Q_MINUS_QINV, ZERO, LaurentInt
+from .laurent import Q_MINUS_QINV, LaurentInt
 from .qalgebra import (
     AlgebraPresentation,
     NCElement,
     _index_parity,
+    _q_power_of_index,
     _sign,
-    element_to_vector,
     graded_basis,
     multiply,
     normal_form,
@@ -216,19 +216,13 @@ def verify_X_relations(params) -> bool:
     def pi(i):
         return _index_parity(i, m)
 
-    def qrow1(a, e):
-        return LaurentInt.q_power(e if pa(a) == 0 else -e)
-
-    def qrow2(b, e):
-        return LaurentInt.q_power(e if pb(b) == 0 else -e)
-
     for a in rows1:
         for c in rows2:
             xac = X(a, c)
             for i in cols:
                 tai = pres.generator("T", a, i)
                 # same first row: X_ac T_ai = +- q_a^{-1} T_ai X_ac
-                coeff = qrow1(a, -1) * _sign((pa(a) + pi(i)) * (pa(a) + pb(c)))
+                coeff = _q_power_of_index(pa(a), -1) * _sign((pa(a) + pi(i)) * (pa(a) + pb(c)))
                 if mul(xac, tai) != mul(tai, xac).scaled(coeff):
                     return False
                 for b in rows1:
@@ -254,7 +248,7 @@ def verify_X_relations(params) -> bool:
             for i in cols:
                 tbbi = pres.generator("Tb", b, i)
                 # same second row: X_ab T~_bi = +- q_b T~_bi X_ab
-                coeff = qrow2(b, 1) * _sign((pa(a) + pb(b)) * (pb(b) + pi(i)))
+                coeff = _q_power_of_index(pb(b), 1) * _sign((pa(a) + pb(b)) * (pb(b) + pi(i)))
                 if mul(xab, tbbi) != mul(tbbi, xab).scaled(coeff):
                     return False
                 for c in rows2:
@@ -274,6 +268,11 @@ def verify_X_relations(params) -> bool:
                     if lhs != rhs:
                         return False
     return True
+
+
+def _span_dim(columns, keys):
+    """Rank of the sparse columns over the keys; no elimination for none."""
+    return rank(CoeffMatrix.from_columns(columns, keys)) if columns else 0
 
 
 def fft_check(params, max_degree) -> dict:
@@ -297,11 +296,11 @@ def fft_check(params, max_degree) -> dict:
     for N in range(max_degree + 1):
         dom = graded_basis(ctx.mt, N)
         tgt = graded_basis(ctx.p, (N, N))
-        img_cols = [element_to_vector(ctx.word_image(w), tgt) for w in dom]
-        inv = invariant_subspace(ctx.p, (N, N))
+        images = [ctx.word_image(w).terms for w in dom]
+        inv = [{w: e for w, e in zip(tgt, v) if e} for v in invariant_subspace(ctx.p, (N, N))]
         dim_inv = len(inv)
-        dim_img = column_span_dim(img_cols)
-        contained = column_span_dim(img_cols + inv) == dim_inv
+        dim_img = _span_dim(images, tgt)
+        contained = _span_dim(images + inv, tgt) == dim_inv
         dim_ker = len(dom) - dim_img
         dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
         degrees.append(
@@ -350,12 +349,8 @@ def kernel_psi_basis(params, degree) -> list:
     ctx = _context(p.astuple())
     dom = graded_basis(ctx.mt, degree)
     tgt = graded_basis(ctx.p, (degree, degree))
-    pos = {w: i for i, w in enumerate(tgt)}
-    rows = [[ZERO] * len(dom) for _ in tgt]
-    for j, w in enumerate(dom):
-        for w1, c in ctx.word_image(w).terms.items():
-            rows[pos[w1]][j] = c
-    return nullspace(CoeffMatrix(rows))
+    images = [ctx.word_image(w).terms for w in dom]
+    return nullspace(CoeffMatrix.from_columns(images, tgt))
 
 
 def quantum_minor(rows, cols, target, params) -> NCElement:
@@ -422,8 +417,8 @@ def ideal_degree_component(generators, pres, degree) -> int:
                 ug = multiply(NCElement.from_word(u), g, pres)
                 for v in graded_basis(pres, dv):
                     ugv = multiply(ug, NCElement.from_word(v), pres)
-                    cols.append(element_to_vector(ugv, basis))
-    return column_span_dim(cols)
+                    cols.append(ugv.terms)
+    return _span_dim(cols, basis)
 
 
 def classical_limit(e: NCElement) -> NCElement:

@@ -65,6 +65,11 @@ class LaurentInt:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its int (zero equals 0), so it must hash as one
+        if not self.terms:
+            return 0
+        if len(self.terms) == 1 and 0 in self.terms:
+            return hash(self.terms[0])
         return hash(tuple(sorted(self.terms.items())))
 
     def __neg__(self):

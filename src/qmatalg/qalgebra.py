@@ -26,8 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .exactla import CoeffVector
-from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, format_laurent, parse_laurent
+from .laurent import ONE, Q_MINUS_QINV, LaurentInt, format_laurent, parse_laurent
 
 
 @dataclass(frozen=True)
@@ -379,17 +378,6 @@ def graded_basis(pres, degree):
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return _normal_words_in(range(pres.ngens), parities, degree)
-
-
-def element_to_vector(e, basis):
-    index = {w: i for i, w in enumerate(basis)}
-    entries = [ZERO] * len(basis)
-    for word, coeff in e.terms.items():
-        pos = index.get(word)
-        if pos is None:
-            raise ValueError(f"word {word} outside the given basis")
-        entries[pos] = coeff
-    return CoeffVector(entries)
 
 
 def verify_presentation_flatness(pres, max_degree):

@@ -14,12 +14,14 @@ from itertools import product
 
 from .exactla import CoeffMatrix, CoeffVector
 from .laurent import LaurentInt, ONE, Q, QINV, Q_MINUS_QINV, ZERO
-from .qalgebra import NCElement, _index_parity, _sign, normal_form, presentation_M
-
-
-def _qx(parity, e=1):
-    # q_a = q for an even letter, q^{-1} for an odd one
-    return LaurentInt.q_power(e if parity == 0 else -e)
+from .qalgebra import (
+    NCElement,
+    _index_parity,
+    _q_power_of_index,
+    _sign,
+    normal_form,
+    presentation_M,
+)
 
 
 def tensor_index(letters, dim):
@@ -45,7 +47,7 @@ def r_matrix(m, n) -> CoeffMatrix:
     rows = [[ZERO] * (d * d) for _ in range(d * d)]
     for a in range(1, d + 1):
         pa = _index_parity(a, m)
-        rows[tensor_index((a, a), d)][tensor_index((a, a), d)] = _qx(pa)
+        rows[tensor_index((a, a), d)][tensor_index((a, a), d)] = _q_power_of_index(pa, 1)
         for b in range(a + 1, d + 1):
             pb = _index_parity(b, m)
             rows[tensor_index((a, b), d)][tensor_index((a, b), d)] = ONE
@@ -58,20 +60,8 @@ def r_matrix(m, n) -> CoeffMatrix:
 
 
 def r_inverse_matrix(m, n) -> CoeffMatrix:
-    _check_sizes(m, n)
-    d = m + n
-    rows = [[ZERO] * (d * d) for _ in range(d * d)]
-    for a in range(1, d + 1):
-        pa = _index_parity(a, m)
-        rows[tensor_index((a, a), d)][tensor_index((a, a), d)] = _qx(pa, -1)
-        for b in range(a + 1, d + 1):
-            pb = _index_parity(b, m)
-            rows[tensor_index((a, b), d)][tensor_index((a, b), d)] = ONE
-            rows[tensor_index((b, a), d)][tensor_index((b, a), d)] = ONE
-            rows[tensor_index((a, b), d)][tensor_index((b, a), d)] = (
-                Q_MINUS_QINV * (-_sign(pb))
-            )
-    return CoeffMatrix(rows)
+    """Inverse of r_matrix, which is its bar (q -> q^-1) taken entrywise."""
+    return CoeffMatrix([[e.bar() for e in row] for row in r_matrix(m, n).rows])
 
 
 def rcheck_operator(k, l) -> CoeffMatrix:
@@ -91,7 +81,7 @@ def rcheck_operator(k, l) -> CoeffMatrix:
             pj = _index_parity(j, k)
             col = tensor_index((i, j), d)
             if i == j:
-                rows[col][col] = _qx(pi) * _sign(pi)
+                rows[col][col] = _q_power_of_index(pi, 1) * _sign(pi)
             else:
                 rows[tensor_index((j, i), d)][col] = LaurentInt.from_int(_sign(pi * pj))
                 if i > j:
@@ -142,7 +132,7 @@ def hecke_act(word, vec, k, l, r) -> CoeffVector:
             x, y = t[i - 1], t[i]
             px, py = _index_parity(x, k), _index_parity(y, k)
             if x == y:
-                out[pos] = out[pos] + c * (_qx(px) * _sign(px))
+                out[pos] = out[pos] + c * (_q_power_of_index(px, 1) * _sign(px))
             else:
                 swapped = tensor_index(t[: i - 1] + (y, x) + t[i + 1 :], d)
                 out[swapped] = out[swapped] + c * _sign(px * py)

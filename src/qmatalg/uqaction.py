@@ -20,7 +20,15 @@ from functools import lru_cache
 
 from .exactla import CoeffMatrix, CoeffVector, nullspace
 from .laurent import ONE, ZERO, LaurentInt
-from .qalgebra import NCElement, _add_term, _index_parity, _sign, graded_basis, normal_form
+from .qalgebra import (
+    NCElement,
+    _add_term,
+    _index_parity,
+    _q_power_of_index,
+    _sign,
+    graded_basis,
+    normal_form,
+)
 
 K, KINV, ERAISE, ELOWER = "K", "Kinv", "Eraise", "Elower"
 
@@ -112,10 +120,7 @@ def pi_matrix(x, m, n):
         for i in range(sz):
             rows[i][i] = ONE
         a = x.index
-        e = 1 if _index_parity(a, m) == 0 else -1
-        if x.kind == KINV:
-            e = -e
-        rows[a - 1][a - 1] = LaurentInt.q_power(e)
+        rows[a - 1][a - 1] = _q_power_of_index(_index_parity(a, m), -1 if x.kind == KINV else 1)
     elif x.kind == ERAISE:
         rows[x.index - 1][x.index] = ONE
     else:
@@ -275,42 +280,32 @@ def invariant_subspace(pres, bidegree):
         domain = [w for w in words if _word_weight(w, pres, m, n) == zero_wt]
         if not domain:
             continue
-        if not egens:
-            for w in domain:
-                entries = [ZERO] * len(basis)
-                entries[position[w]] = ONE
-                out.append(CoeffVector(entries))
-            continue
-        rows = []
-        for x in egens:
-            block = {}
-            for j, w in enumerate(domain):
-                img = act(x, NCElement.from_word(w), pres)
-                for w1, c in img.terms.items():
-                    row = block.get(w1)
-                    if row is None:
-                        row = block[w1] = [ZERO] * len(domain)
-                    row[j] = c
-            # only words actually hit by the action contribute constraints
-            rows.extend(block[t] for t in sorted(block))
-        if not rows:
-            rows = [[ZERO] * len(domain)]
-        for vec in nullspace(CoeffMatrix(rows)):
+        # column j stacks the E-images of domain[j], keyed (E index, word);
+        # only words actually hit by the action contribute constraint rows,
+        # and a sector with none (no E's, or nothing hit) is all invariant
+        cols = []
+        for w in domain:
+            col = {}
+            for e, x in enumerate(egens):
+                for w1, c in act(x, NCElement.from_word(w), pres).terms.items():
+                    col[e, w1] = c
+            cols.append(col)
+        keys = sorted(set().union(*cols))
+        if keys:
+            kernel = nullspace(CoeffMatrix.from_columns(cols, keys))
+        else:
+            kernel = CoeffMatrix.identity(len(domain)).rows
+        for vec in kernel:
             entries = [ZERO] * len(basis)
             for j, w in enumerate(domain):
-                entries[position[w]] = vec.entries[j]
+                entries[position[w]] = vec[j]
             out.append(CoeffVector(entries))
     return out
 
 
 def _action_matrix(x, pres, basis):
-    position = {w: i for i, w in enumerate(basis)}
-    rows = [[ZERO] * len(basis) for _ in basis]
-    for j, w in enumerate(basis):
-        img = act(x, NCElement.from_word(w), pres)
-        for w1, c in img.terms.items():
-            rows[position[w1]][j] = c
-    return CoeffMatrix(rows)
+    images = [act(x, NCElement.from_word(w), pres).terms for w in basis]
+    return CoeffMatrix.from_columns(images, basis)
 
 
 def verify_operator_relations(m, n, pres, bidegree):
@@ -357,9 +352,8 @@ def verify_operator_relations(m, n, pres, bidegree):
     r2_ok = not [f for f in failures if f.startswith("R2")]
     for a in range(1, sz):
         ea = ChevalleyGen(ERAISE, a, _expected_parity(ERAISE, a, m))
-        qa_minus = LaurentInt.q_power(1 if _index_parity(a, m) == 0 else -1) - LaurentInt.q_power(
-            -1 if _index_parity(a, m) == 0 else 1
-        )
+        pa = _index_parity(a, m)
+        qa_minus = _q_power_of_index(pa, 1) - _q_power_of_index(pa, -1)
         for b in range(1, sz):
             fb = ChevalleyGen(ELOWER, b, _expected_parity(ELOWER, b, m))
             sign = _sign(ea.parity * fb.parity)

@@ -11,6 +11,7 @@ elimination is also cross-checked against plain Bareiss elimination
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from qmatalg.exactla import (
@@ -21,7 +22,7 @@ from qmatalg.exactla import (
     nullspace,
     rank,
 )
-from qmatalg.laurent import ONE, ZERO, LaurentInt, parse_laurent
+from qmatalg.laurent import ONE, Q, ZERO, LaurentInt, parse_laurent
 
 
 def L(text):
@@ -136,6 +137,34 @@ def test_column_span_dim():
     assert column_span_dim([v1, v2]) == 1
     assert column_span_dim([v1, v3]) == 2
     assert column_span_dim([]) == 0
+
+
+def test_column_span_dim_rejects_mismatched_lengths():
+    with pytest.raises(ValueError):
+        column_span_dim([CoeffVector([ONE, ZERO]), CoeffVector([Q])])
+    with pytest.raises(ValueError):
+        column_span_dim([CoeffVector([ONE]), CoeffVector([ZERO, ONE])])
+
+
+def test_add_and_sub_reject_shape_mismatch():
+    wide, narrow = M([["1", "1"]]), M([["1"]])
+    for a, b in [(wide, narrow), (narrow, wide), (wide, M([["1", "1"], ["1", "1"]]))]:
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+    assert wide + wide == M([["2", "2"]]) and (wide - wide).is_zero()
+
+
+def test_from_columns():
+    keys = ["a", "b", "c"]
+    m = CoeffMatrix.from_columns([{"a": Q, "c": ONE}, {}, {"b": L("q^-2")}], keys)
+    # column j holds columns[j], rows follow keys, omitted keys read ZERO
+    assert m == M([["q", "0", "0"], ["0", "0", "q^-2"], ["1", "0", "0"]])
+    assert CoeffMatrix.from_columns([{"a": Q}], ["c", "a"]) == M([["0"], ["q"]])
+    with pytest.raises(ValueError):
+        CoeffMatrix.from_columns([{"a": ONE, "d": ONE}], keys)
+    assert rank(CoeffMatrix.from_columns([], keys)) == 0
 
 
 def test_matmul_and_kron():

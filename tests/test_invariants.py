@@ -13,7 +13,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmatalg.exactla import column_span_dim
+from qmatalg.exactla import CoeffMatrix, rank
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
     InvariantParams,
@@ -32,7 +32,6 @@ from qmatalg.invariants import (
 from qmatalg.laurent import ONE, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
-    element_to_vector,
     format_element,
     graded_basis,
     multiply,
@@ -205,9 +204,9 @@ def test_kernel_psi_basis_frozen():
     assert len(basis) == 1
     mt, _ = pres_pair(PM1)
     dom = graded_basis(mt, 2)
-    minor_vec = element_to_vector(quantum_minor((1, 2), (2, 1), "Mtilde", PM1), dom)
+    minor = quantum_minor((1, 2), (2, 1), "Mtilde", PM1)
     # the kernel is spanned by the quantum minor relation
-    assert column_span_dim([basis[0], minor_vec]) == 1
+    assert rank(CoeffMatrix.from_columns([dict(zip(dom, basis[0])), minor.terms], dom)) == 1
     with pytest.raises(ValueError):
         kernel_psi_basis(PM1, -1)
 

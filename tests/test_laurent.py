@@ -62,6 +62,14 @@ def test_q_constants():
     assert LaurentInt.from_int(-7) == L("- 7")
 
 
+def test_constants_hash_as_their_ints():
+    # a constant compares equal to its int, so sets and dicts must merge them
+    assert hash(ONE) == hash(1) and hash(ZERO) == hash(0)
+    assert hash(L("- 7")) == hash(-7)
+    assert len({ONE, 1}) == 1 and len({ZERO, 0}) == 1
+    assert len({Q, QINV, ONE, L("1 + q")}) == 4
+
+
 def test_format_examples():
     assert format_laurent(L("q^2 - 2 + q^-2")) == "q^2 - 2 + q^-2"
     assert format_laurent(ZERO) == "0"

@@ -18,7 +18,6 @@ from qmatalg.exactla import CoeffMatrix, rank
 from qmatalg.laurent import ONE, Q, QINV, LaurentInt
 from qmatalg.qalgebra import (
     NCElement,
-    element_to_vector,
     format_element,
     graded_basis,
     is_normal,
@@ -306,12 +305,12 @@ def _product_span_rank(pres, left_deg, right_deg, target_deg):
     lbasis = graded_basis(pres, left_deg)
     rbasis = graded_basis(pres, right_deg)
     tbasis = graded_basis(pres, target_deg)
-    rows = []
+    cols = []
     for wl in lbasis:
         for wr in rbasis:
             prod = multiply(NCElement.from_word(wl), NCElement.from_word(wr), pres)
-            rows.append(element_to_vector(prod, tbasis).entries)
-    return rank(CoeffMatrix(rows)), len(tbasis)
+            cols.append(prod.terms)
+    return rank(CoeffMatrix.from_columns(cols, tbasis)), len(tbasis)
 
 
 def test_products_span_graded_components():
@@ -357,7 +356,7 @@ def test_unknown_generator_rejected():
 def test_vector_outside_basis_rejected():
     basis = graded_basis(M11, 2)
     with pytest.raises(ValueError):
-        element_to_vector(NCElement.from_word((0,)), basis)
+        CoeffMatrix.from_columns([NCElement.from_word((0,)).terms], basis)
 
 
 def test_parse_errors():
