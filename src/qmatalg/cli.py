@@ -14,29 +14,26 @@ Subcommands:
 
 Reports are JSON with a top-level "schema": 1, printed to stdout (nf
 prints its normal form as text instead) and optionally written to
---json <path>.  Randomized trials draw from an explicit --seed (fixed
-default), so every run is reproducible; the exit status is 0 exactly when
-all asserted equalities hold, 1 on a failed check, 2 on bad input.
+--json <path>.  The randomized trials of classical draw from an explicit
+--seed (fixed default; no other subcommand takes one), so every run is
+reproducible; the exit status is 0 exactly when all asserted equalities
+hold, 1 on a failed check, 2 on bad input.
 """
 
 import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
-from itertools import combinations
 
-from .hookcomb import emit_dimension_table, kernel_dim_prediction, supermatrix_monomial_count
+from .hookcomb import emit_dimension_table, supermatrix_monomial_count
 from .invariants import (
     InvariantParams,
     build_X,
     classical_limit,
     classical_presentation,
     fft_check,
-    ideal_degree_component,
-    kernel_psi_basis,
     psi,
-    quantum_minor,
+    sft_check,
 )
 from .laurent import Q, QINV
 from .qalgebra import (
@@ -71,16 +68,6 @@ _PRES_BUILDERS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    params: tuple
-    max_degree: int
-    json_path: str
-    seed: int
-    minor_ideal: bool
-
-
 def parse_presentation_spec(text):
     """Build a presentation from a spec string like M:1,1,1,1 or P:2,0,2,0,1,0."""
     kind, sep, rest = text.partition(":")
@@ -99,27 +86,27 @@ def parse_presentation_spec(text):
     return builder(*sizes)
 
 
-def _write_report(report, config):
+def _write_report(report, args):
     """Write the report to --json PATH when one was given; return its text."""
     text = json.dumps(report, indent=2)
-    if config.json_path:
-        with open(config.json_path, "w", encoding="utf-8") as fh:
+    if args.json_path:
+        with open(args.json_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     return text
 
 
-def _emit(report, config):
-    print(_write_report(report, config))
+def _emit(report, args):
+    print(_write_report(report, args))
     return 0 if report["overall_pass"] else 1
 
 
-def cmd_dims(config):
-    k, l, r, s = config.params
-    if not any(config.params):
+def cmd_dims(args):
+    k, l, r, s = args.params
+    if not any(args.params):
         raise ValueError("dims needs at least one nonzero size among -k -l -r -s")
     _check_ranges("dims", ("rows -k -l", (k, l)), ("cols -r -s", (r, s)))
     sizes = []
-    for size in range(config.max_degree + 1):
+    for size in range(args.max_degree + 1):
         table = emit_dimension_table(k, l, r, s, size)
         count = supermatrix_monomial_count(k, l, r, s, size)
         sizes.append(
@@ -138,88 +125,38 @@ def cmd_dims(config):
         "sizes": sizes,
         "overall_pass": all(rec["pass"] for rec in sizes),
     }
-    return _emit(report, config)
+    return _emit(report, args)
 
 
-def cmd_nf(config, pres_spec, element_text):
-    pres = parse_presentation_spec(pres_spec)
-    e = parse_element(element_text, pres)
+def cmd_nf(args):
+    pres = parse_presentation_spec(args.pres)
+    e = parse_element(args.element, pres)
     text = format_element(normal_form(e, pres), pres)
     report = {
         "schema": SCHEMA,
         "command": "nf",
-        "presentation": pres_spec,
-        "input": element_text,
+        "presentation": args.pres,
+        "input": args.element,
         "normal_form": text,
         "overall_pass": True,
     }
-    _write_report(report, config)
+    _write_report(report, args)
     print(text)
     return 0
 
 
-def cmd_fft(config):
-    rep = fft_check(config.params, config.max_degree)
-    report = {"schema": SCHEMA, "command": "fft"}
-    report.update(rep)
-    return _emit(report, config)
+def cmd_fft(args):
+    report = fft_check(args.params, args.max_degree)
+    return _emit({"schema": SCHEMA, "command": "fft", **report}, args)
 
 
-def _critical_minors(params):
-    """All minors of size m+1 in the tilde presentation, the kernel
-    generators when every column index is even."""
-    k, l, r, s, m, n = params
-    size = m + 1
-    minors = []
-    for rows in combinations(range(1, k + l + 1), size):
-        for cols in combinations(range(1, r + s + 1), size):
-            minors.append(
-                quantum_minor(rows, tuple(reversed(cols)), "Mtilde", params)
-            )
-    return minors
+def cmd_sft(args):
+    report = sft_check(args.params, args.max_degree, args.minor_ideal)
+    return _emit({"schema": SCHEMA, "command": "sft", **report}, args)
 
 
-def cmd_sft(config):
-    params = InvariantParams(*config.params)
-    k, l, r, s, m, n = params.astuple()
-    minors = None
-    if config.minor_ideal:
-        if n != 0:
-            raise ValueError("--minor-ideal requires n = 0 (all columns even)")
-        minors = _critical_minors(params.astuple())
-    mt = presentation_Mtilde(k, l, r, s)
-    degrees = []
-    for N in range(config.max_degree + 1):
-        dim_ker = len(kernel_psi_basis(params, N))
-        dim_pred = kernel_dim_prediction(k, l, r, s, m, n, N)
-        ok = dim_ker == dim_pred
-        ideal_dim = None
-        if minors is not None:
-            ideal_dim = ideal_degree_component(minors, mt, N)
-            ok = ok and ideal_dim == dim_ker
-        degrees.append(
-            {
-                "N": N,
-                "dim_inv": None,
-                "dim_img": None,
-                "dim_ker": dim_ker,
-                "dim_pred": dim_pred,
-                "ideal_dim": ideal_dim,
-                "pass": ok,
-            }
-        )
-    report = {
-        "schema": SCHEMA,
-        "command": "sft",
-        "params": list(params.astuple()),
-        "degrees": degrees,
-        "overall_pass": all(rec["pass"] for rec in degrees),
-    }
-    return _emit(report, config)
-
-
-def cmd_hecke(config):
-    k, l = config.params
+def cmd_hecke(args):
+    k, l = args.params
     sym, skew = sym_skew_bases(k, l)
     sym_ok = all(
         hecke_act([1], v, k, l, 2) == CoeffVector([Q * e for e in v]) for v in sym
@@ -242,7 +179,7 @@ def cmd_hecke(config):
         "checks": checks,
         "overall_pass": all(checks.values()),
     }
-    return _emit(report, config)
+    return _emit(report, args)
 
 
 def _classical_rules_ok(pres):
@@ -256,10 +193,10 @@ def _classical_rules_ok(pres):
     return True
 
 
-def cmd_classical(config):
-    params = InvariantParams(*config.params)
+def cmd_classical(args):
+    params = InvariantParams(*args.params)
     k, l, r, s, m, n = params.astuple()
-    rng = random.Random(config.seed)
+    rng = random.Random(args.seed)
     pres_p = presentation_P(*params.astuple())
     cp = classical_presentation(pres_p)
     mt = presentation_Mtilde(k, l, r, s)
@@ -326,12 +263,12 @@ def cmd_classical(config):
         "schema": SCHEMA,
         "command": "classical",
         "params": list(params.astuple()),
-        "seed": config.seed,
+        "seed": args.seed,
         "trials": trials,
         "checks": checks,
         "overall_pass": all(checks.values()),
     }
-    return _emit(report, config)
+    return _emit(report, args)
 
 
 def build_parser():
@@ -341,71 +278,44 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, sizes, degree_default=None):
+    def command(name, run, summary, *, sizes="", degree_default=None):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run, sizes=sizes)
         for flag in sizes:
             p.add_argument(f"-{flag}", type=int, default=0)
         if degree_default is not None:
             p.add_argument("-N", type=int, default=degree_default, dest="max_degree")
         p.add_argument("--json", dest="json_path", default=None, metavar="PATH")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        return p
 
-    p = sub.add_parser("dims", help="dimension identities per degree")
-    common(p, sizes="klrs", degree_default=4)
+    command("dims", cmd_dims, "dimension identities per degree", sizes="klrs", degree_default=4)
 
-    p = sub.add_parser("nf", help="normal form of one element")
+    p = command("nf", cmd_nf, "normal form of one element")
     p.add_argument("pres", help="presentation spec, e.g. M:1,1,1,1")
     p.add_argument("element", help="element text, e.g. 'T[2,1] T[1,1]'")
-    p.add_argument("--json", dest="json_path", default=None, metavar="PATH")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
-    p = sub.add_parser("fft", help="surjectivity onto the invariants")
-    common(p, sizes="klrsmn", degree_default=2)
+    command("fft", cmd_fft, "surjectivity onto the invariants", sizes="klrsmn", degree_default=2)
 
-    p = sub.add_parser("sft", help="kernel dimensions against the prediction")
-    common(p, sizes="klrsmn", degree_default=2)
+    p = command("sft", cmd_sft, "kernel dimensions against the prediction",
+                sizes="klrsmn", degree_default=2)
     p.add_argument("--minor-ideal", action="store_true", dest="minor_ideal")
 
-    p = sub.add_parser("hecke", help="R-matrix and Hecke checks")
-    common(p, sizes="kl")
+    command("hecke", cmd_hecke, "R-matrix and Hecke checks", sizes="kl")
 
-    p = sub.add_parser("classical", help="q = 1 degeneration checks")
-    common(p, sizes="klrsmn")
+    p = command("classical", cmd_classical, "q = 1 degeneration checks", sizes="klrsmn")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    sizes = {
-        "dims": "klrs",
-        "fft": "klrsmn",
-        "sft": "klrsmn",
-        "hecke": "kl",
-        "classical": "klrsmn",
-    }.get(args.command, "")
-    config = RunConfig(
-        command=args.command,
-        params=tuple(getattr(args, flag) for flag in sizes),
-        max_degree=getattr(args, "max_degree", 0),
-        json_path=args.json_path,
-        seed=args.seed,
-        minor_ideal=getattr(args, "minor_ideal", False),
-    )
+    args = build_parser().parse_args(argv)
+    args.params = tuple(getattr(args, flag) for flag in args.sizes)
     try:
-        if config.max_degree < 0:
-            raise ValueError(f"-N must be nonnegative, got {config.max_degree}")
-        if args.command == "dims":
-            return cmd_dims(config)
-        if args.command == "nf":
-            return cmd_nf(config, args.pres, args.element)
-        if args.command == "fft":
-            return cmd_fft(config)
-        if args.command == "sft":
-            return cmd_sft(config)
-        if args.command == "hecke":
-            return cmd_hecke(config)
-        return cmd_classical(config)
+        max_degree = getattr(args, "max_degree", 0)
+        if max_degree < 0:
+            raise ValueError(f"-N must be nonnegative, got {max_degree}")
+        return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

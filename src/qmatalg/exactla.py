@@ -360,10 +360,3 @@ def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
             vec[p] = -t
         basis.append(CoeffVector(_normalize_kernel_vector(vec)))
     return basis
-
-
-def column_span_dim(vectors) -> int:
-    """Dimension of the span of the given CoeffVectors, which must all have
-    the same length (ValueError otherwise)."""
-    # the vectors go in as rows: rank is invariant under transposition
-    return rank(CoeffMatrix(vectors))

@@ -103,14 +103,24 @@ def hook_tableaux_dim(lam, k: int, l: int) -> int:
     return count
 
 
-def howe_dim_sum(k: int, l: int, r: int, s: int, size: int) -> int:
-    """Sum of dim(k,l) * dim(r,s) over shapes hook for both alphabets."""
-    total = 0
+def _howe_shapes(k: int, l: int, r: int, s: int, size: int, rect=None):
+    """Yield (lam, dim_left, dim_right) for the shapes of `size` that are
+    hook for both alphabets, with their (k,l) and (r,s) tableau counts.
+
+    With rect = (height, width), only shapes containing that rectangle are
+    yielded; the others are skipped before any tableau is counted.
+    """
     for lam in enumerate_hook_partitions(k, l, size):
         if len(lam) > r and lam[r] > s:
             continue
-        total += hook_tableaux_dim(lam, k, l) * hook_tableaux_dim(lam, r, s)
-    return total
+        if rect is not None and not contains_rectangle(lam, *rect):
+            continue
+        yield lam, hook_tableaux_dim(lam, k, l), hook_tableaux_dim(lam, r, s)
+
+
+def howe_dim_sum(k: int, l: int, r: int, s: int, size: int) -> int:
+    """Sum of dim(k,l) * dim(r,s) over shapes hook for both alphabets."""
+    return sum(dl * dr for _, dl, dr in _howe_shapes(k, l, r, s, size))
 
 
 def supermatrix_monomial_count(k: int, l: int, r: int, s: int, size: int) -> int:
@@ -141,32 +151,18 @@ def kernel_dim_prediction(
 ) -> int:
     """Predicted kernel dimension in degree `size`: the Howe sum restricted
     to shapes containing the (m+1) x (n+1) rectangle."""
-    total = 0
-    for lam in enumerate_hook_partitions(k, l, size):
-        if len(lam) > r and lam[r] > s:
-            continue
-        if not contains_rectangle(lam, m + 1, n + 1):
-            continue
-        total += hook_tableaux_dim(lam, k, l) * hook_tableaux_dim(lam, r, s)
-    return total
+    return sum(dl * dr for _, dl, dr in _howe_shapes(k, l, r, s, size, (m + 1, n + 1)))
 
 
 def emit_dimension_table(k: int, l: int, r: int, s: int, size: int) -> dict:
     """JSON-ready dimension table for one degree."""
-    partitions = []
-    total = 0
-    for lam in enumerate_hook_partitions(k, l, size):
-        if len(lam) > r and lam[r] > s:
-            continue
-        dl = hook_tableaux_dim(lam, k, l)
-        dr = hook_tableaux_dim(lam, r, s)
-        partitions.append(
-            {"shape": list(lam), "dim_left": dl, "dim_right": dr}
-        )
-        total += dl * dr
+    partitions = [
+        {"shape": list(lam), "dim_left": dl, "dim_right": dr}
+        for lam, dl, dr in _howe_shapes(k, l, r, s, size)
+    ]
     return {
         "params": {"k": k, "l": l, "r": r, "s": s},
         "size": size,
         "partitions": partitions,
-        "total": total,
+        "total": sum(p["dim_left"] * p["dim_right"] for p in partitions),
     }

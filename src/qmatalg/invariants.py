@@ -6,10 +6,11 @@ quantum supermatrix pair.
 P; `psi` substitutes X_ab for the generator t~_ab of the tilde presentation.
 Each graded component is a finite free module over the Laurent ring, so the
 surjectivity of psi onto the invariants (fft_check) and the size of its
-kernel (kernel_psi_basis against the hook-shape prediction, and the quantum
-minor ideal when the second family of column indices is empty) reduce to
-integer ranks of explicit matrices.  Everything is exact: a check passes only
-if the relevant normal form is literally zero or the ranks literally agree.
+kernel (sft_check, against the hook-shape prediction and, when the second
+family of column indices is empty, the quantum minor ideal) reduce to
+integer ranks of explicit matrices; kernel_psi_basis gives the kernel
+vectors themselves.  Everything is exact: a check passes only if the
+relevant normal form is literally zero or the ranks literally agree.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 from .exactla import CoeffMatrix, nullspace, rank
 from .hookcomb import kernel_dim_prediction
@@ -275,6 +276,17 @@ def _span_dim(columns, keys):
     return rank(CoeffMatrix.from_columns(columns, keys)) if columns else 0
 
 
+def _psi_columns(ctx, N):
+    """The degree-N matrix of psi as sparse columns: (dom, tgt, images).
+
+    dom is the degree-N basis of the tilde presentation, tgt the bidegree
+    (N,N) basis of P, and images[j] the terms of psi(dom[j]).
+    """
+    dom = graded_basis(ctx.mt, N)
+    tgt = graded_basis(ctx.p, (N, N))
+    return dom, tgt, [ctx.word_image(w).terms for w in dom]
+
+
 def fft_check(params, max_degree) -> dict:
     """Degree-by-degree surjectivity report for psi onto the invariants.
 
@@ -294,9 +306,7 @@ def fft_check(params, max_degree) -> dict:
     ctx = _context(p.astuple())
     degrees = []
     for N in range(max_degree + 1):
-        dom = graded_basis(ctx.mt, N)
-        tgt = graded_basis(ctx.p, (N, N))
-        images = [ctx.word_image(w).terms for w in dom]
+        dom, tgt, images = _psi_columns(ctx, N)
         inv = [{w: e for w, e in zip(tgt, v) if e} for v in invariant_subspace(ctx.p, (N, N))]
         dim_inv = len(inv)
         dim_img = _span_dim(images, tgt)
@@ -346,11 +356,60 @@ def kernel_psi_basis(params, degree) -> list:
     p = _params(params)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    ctx = _context(p.astuple())
-    dom = graded_basis(ctx.mt, degree)
-    tgt = graded_basis(ctx.p, (degree, degree))
-    images = [ctx.word_image(w).terms for w in dom]
+    _, tgt, images = _psi_columns(_context(p.astuple()), degree)
     return nullspace(CoeffMatrix.from_columns(images, tgt))
+
+
+def _critical_minors(p):
+    """All minors of size m+1 in the tilde presentation, the kernel
+    generators when every column index is even."""
+    size = p.m + 1
+    return [
+        quantum_minor(rows, tuple(reversed(cols)), "Mtilde", p)
+        for rows in combinations(range(1, p.k + p.l + 1), size)
+        for cols in combinations(range(1, p.r + p.s + 1), size)
+    ]
+
+
+def sft_check(params, max_degree, minor_ideal=False) -> dict:
+    """Degree-by-degree kernel report for psi against the prediction.
+
+    For each N <= max_degree the report records the kernel dimension of psi
+    on the degree-N component (by rank-nullity, as in fft_check) and the
+    hook-shape prediction for it.  With minor_ideal, which needs n = 0, it
+    also records the dimension of the degree-N piece of the ideal generated
+    by the (m+1)-minors, which must equal the kernel dimension.
+    """
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    p = _params(params)
+    if minor_ideal and p.n != 0:
+        raise ValueError("the minor-ideal check requires n = 0 (all columns even)")
+    minors = _critical_minors(p) if minor_ideal else None
+    ctx = _context(p.astuple())
+    degrees = []
+    for N in range(max_degree + 1):
+        dom, tgt, images = _psi_columns(ctx, N)
+        dim_ker = len(dom) - _span_dim(images, tgt)
+        dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
+        ideal_dim = None if minors is None else ideal_degree_component(minors, ctx.mt, N)
+        ok = dim_ker == dim_pred and (minors is None or ideal_dim == dim_ker)
+        degrees.append(
+            {
+                "N": N,
+                "dim_inv": None,
+                "dim_img": None,
+                "dim_ker": dim_ker,
+                "dim_pred": dim_pred,
+                "ideal_dim": ideal_dim,
+                "pass": ok,
+            }
+        )
+    return {
+        "params": list(p.astuple()),
+        "degrees": degrees,
+        "overall_pass": all(rec["pass"] for rec in degrees),
+    }
 
 
 def quantum_minor(rows, cols, target, params) -> NCElement:

@@ -166,9 +166,6 @@ class AlgebraPresentation:
     def generator(self, family, row, col):
         return NCElement.from_word((self.gen_id(family, row, col),))
 
-    def parity_of_word(self, word):
-        return sum(self.generators[g].parity for g in word) % 2
-
 
 def _family_generators(tag, nrows, even_rows, ncols, even_cols):
     gens = []

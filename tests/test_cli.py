@@ -147,6 +147,40 @@ def test_classical_report_uses_seed(capsys):
     assert all(rep2["checks"].values())
 
 
+@pytest.mark.parametrize(
+    "argv, records, index, expected",
+    [
+        (["dims", "-k", "1", "-r", "1"], "sizes", "size", 4),
+        (["fft", "-k", "1", "-r", "1", "-m", "1"], "degrees", "N", 2),
+        (["sft", "-k", "1", "-r", "1", "-m", "1"], "degrees", "N", 2),
+    ],
+    ids=["dims", "fft", "sft"],
+)
+def test_default_degree_reaches_report(argv, records, index, expected, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    rep = json.loads(out)
+    assert [rec[index] for rec in rep[records]] == list(range(expected + 1))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dims", "-k", "1", "-r", "1"],
+        ["nf", "M:1,1,1,1", "T[1,1]"],
+        ["fft", "-k", "1", "-r", "1", "-m", "1"],
+        ["sft", "-k", "1", "-r", "1", "-m", "1"],
+        ["hecke", "-k", "1"],
+    ],
+    ids=["dims", "nf", "fft", "sft", "hecke"],
+)
+def test_only_classical_takes_a_seed(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_invalid_params_exit_2(capsys):
     code, _, err = run(["sft", "-k", "0", "-l", "0", "-r", "1", "-s", "1",
                         "-m", "1", "-n", "0", "-N", "1"], capsys)

@@ -26,6 +26,7 @@ from qmatalg.invariants import (
     psi,
     quantum_minor,
     sergeev_polynomial,
+    sft_check,
     symmetric_group_action,
     verify_X_relations,
 )
@@ -276,6 +277,31 @@ def test_fft_check_reports():
 def test_fft_check_rejects_negative_degree():
     with pytest.raises(ValueError):
         fft_check(P22, -1)
+
+
+def test_sft_check_counts_the_kernel_by_rank():
+    # dim_ker comes from rank-nullity; it must agree with the kernel basis
+    for params, max_degree, minor_ideal in ((PM1, 4, True), ((1, 1, 1, 1, 0, 1), 3, False)):
+        rep = sft_check(params, max_degree, minor_ideal)
+        assert list(rep) == ["params", "degrees", "overall_pass"]
+        assert rep["params"] == list(params)
+        assert [rec["N"] for rec in rep["degrees"]] == list(range(max_degree + 1))
+        for N, rec in enumerate(rep["degrees"]):
+            assert list(rec) == ["N", "dim_inv", "dim_img", "dim_ker", "dim_pred",
+                                 "ideal_dim", "pass"]
+            assert rec["dim_inv"] is None and rec["dim_img"] is None
+            assert rec["dim_ker"] == len(kernel_psi_basis(params, N))
+            assert rec["dim_ker"] == rec["dim_pred"] == kernel_dim_prediction(*params, N)
+            assert rec["ideal_dim"] == (rec["dim_ker"] if minor_ideal else None)
+            assert rec["pass"] is True
+        assert rep["overall_pass"] is True
+
+
+def test_sft_check_rejects_bad_requests():
+    with pytest.raises(ValueError, match="minor-ideal"):
+        sft_check((1, 1, 1, 1, 1, 1), 2, minor_ideal=True)
+    with pytest.raises(ValueError):
+        sft_check(PM1, -1)
 
 
 def test_classical_limit():

@@ -13,10 +13,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from qmatalg.laurent import ONE, ZERO, LaurentInt, Q, QINV
+from qmatalg.laurent import ONE, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
-    format_element,
     graded_basis,
     multiply,
     normal_form,
