@@ -63,34 +63,34 @@ class CoeffVector:
 
 
 class CoeffMatrix:
-    __slots__ = ("rows",)
+    """Rows of LaurentInt entries.  The column count is stored, so a matrix
+    with no rows keeps it; it defaults to the first row's length."""
 
-    def __init__(self, rows):
+    __slots__ = ("rows", "ncols")
+
+    def __init__(self, rows, ncols=None):
         rows = tuple(tuple(r) for r in rows)
-        if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
-                raise ValueError("ragged matrix")
-            for r in rows:
-                if not all(isinstance(e, LaurentInt) for e in r):
-                    raise TypeError("CoeffMatrix entries must be LaurentInt")
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        if any(len(r) != ncols for r in rows):
+            raise ValueError("ragged matrix")
+        for r in rows:
+            if not all(isinstance(e, LaurentInt) for e in r):
+                raise TypeError("CoeffMatrix entries must be LaurentInt")
         self.rows = rows
+        self.ncols = ncols
 
     @property
     def nrows(self):
         return len(self.rows)
 
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)])
+        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, columns, keys):
@@ -111,14 +111,14 @@ class CoeffMatrix:
                 entries[i] = e
             dense.append(entries)
         # zip yields the rows as tuples, which CoeffMatrix keeps uncopied
-        return cls(zip(*dense) if dense else [()] * len(row_of))
+        return cls(zip(*dense) if dense else [()] * len(row_of), len(dense))
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def __eq__(self, other):
-        return isinstance(other, CoeffMatrix) and self.rows == other.rows
+        return isinstance(other, CoeffMatrix) and self.ncols == other.ncols and self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -129,18 +129,16 @@ class CoeffMatrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        return CoeffMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        pairs = zip(self.rows, other.rows)
+        return CoeffMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in pairs], self.ncols)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        return CoeffMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
+        pairs = zip(self.rows, other.rows)
+        return CoeffMatrix([[a - b for a, b in zip(ra, rb)] for ra, rb in pairs], self.ncols)
 
     def scale(self, c):
-        return CoeffMatrix([[c * e for e in r] for r in self.rows])
+        return CoeffMatrix([[c * e for e in r] for r in self.rows], self.ncols)
 
     def __matmul__(self, other):
         if isinstance(other, CoeffVector):
@@ -156,7 +154,7 @@ class CoeffMatrix:
             return CoeffVector(out)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        bt = list(zip(*other.rows)) if other.rows else []
+        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
         out = []
         for r in self.rows:
             row = []
@@ -167,10 +165,10 @@ class CoeffMatrix:
                         acc = acc + a * b
                 row.append(acc)
             out.append(row)
-        return CoeffMatrix(out)
+        return CoeffMatrix(out, other.ncols)
 
     def transpose(self):
-        return CoeffMatrix(list(zip(*self.rows)) if self.rows else [])
+        return CoeffMatrix(zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
 
     def kron(self, other):
         """Kronecker product, row index (i1, i2), column index (j1, j2)."""
@@ -178,7 +176,7 @@ class CoeffMatrix:
         for r1 in self.rows:
             for r2 in other.rows:
                 out.append([a * b for a in r1 for b in r2])
-        return CoeffMatrix(out)
+        return CoeffMatrix(out, self.ncols * other.ncols)
 
     def is_zero(self):
         return all(not e for r in self.rows for e in r)

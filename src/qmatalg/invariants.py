@@ -8,9 +8,10 @@ Each graded component is a finite free module over the Laurent ring, so the
 surjectivity of psi onto the invariants (fft_check) and the size of its
 kernel (sft_check, against the hook-shape prediction and, when the second
 family of column indices is empty, the quantum minor ideal) reduce to
-integer ranks of explicit matrices; kernel_psi_basis gives the kernel
-vectors themselves.  Everything is exact: a check passes only if the
-relevant normal form is literally zero or the ranks literally agree.
+integer ranks of explicit matrices, with one row per basis word that some
+column touches; kernel_psi_basis gives the kernel vectors themselves.
+Everything is exact: a check passes only if the relevant normal form is
+literally zero or the ranks literally agree.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
@@ -271,9 +272,16 @@ def verify_X_relations(params) -> bool:
     return True
 
 
+def _touched_matrix(columns, keys):
+    """from_columns over the keys some column uses, in keys order: the rows
+    left out are zero and change neither rank nor kernel."""
+    touched = set().union(*columns)
+    return CoeffMatrix.from_columns(columns, [k for k in keys if k in touched])
+
+
 def _span_dim(columns, keys):
     """Rank of the sparse columns over the keys; no elimination for none."""
-    return rank(CoeffMatrix.from_columns(columns, keys)) if columns else 0
+    return rank(_touched_matrix(columns, keys)) if columns else 0
 
 
 def _psi_columns(ctx, N):
@@ -307,7 +315,7 @@ def fft_check(params, max_degree) -> dict:
     degrees = []
     for N in range(max_degree + 1):
         dom, tgt, images = _psi_columns(ctx, N)
-        inv = [{w: e for w, e in zip(tgt, v) if e} for v in invariant_subspace(ctx.p, (N, N))]
+        inv = [v.terms for v in invariant_subspace(ctx.p, (N, N))]
         dim_inv = len(inv)
         dim_img = _span_dim(images, tgt)
         contained = _span_dim(images + inv, tgt) == dim_inv
@@ -357,7 +365,7 @@ def kernel_psi_basis(params, degree) -> list:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     _, tgt, images = _psi_columns(_context(p.astuple()), degree)
-    return nullspace(CoeffMatrix.from_columns(images, tgt))
+    return nullspace(_touched_matrix(images, tgt))
 
 
 def _critical_minors(p):

@@ -113,11 +113,6 @@ class NCElement:
             return NCElement()
         return NCElement._raw({w: coeff * c for w, coeff in self.terms.items()})
 
-    def degree(self):
-        """Max word length, or -1 for the zero element (rules are
-        homogeneous, so canonical elements of interest are pure-degree)."""
-        return max((len(w) for w in self.terms), default=-1)
-
     def __repr__(self):
         return f"NCElement({self.terms!r})"
 

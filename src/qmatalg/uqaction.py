@@ -11,6 +11,8 @@ letter: the K's are grouplike and act diagonally on PBW words, while an
 E hits one letter at a time, the complementary tensor factor
 contributing a K-eigenvalue on the untouched prefix or suffix and the
 super sign tracking the parity of the letters the E jumped over.
+invariant_subspace returns the invariants of a graded component as sparse
+NCElements, each on the zero-weight words of one row sector.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactla import CoeffMatrix, CoeffVector, nullspace
+from .exactla import CoeffMatrix, nullspace
 from .laurent import ONE, ZERO, LaurentInt
 from .qalgebra import (
     NCElement,
@@ -259,30 +261,26 @@ def _row_sector(word, pres):
 
 
 def invariant_subspace(pres, bidegree):
-    """Basis of the invariants inside one graded component.
+    """Basis of the invariants inside one graded component, as NCElements.
 
-    Vectors are coordinates over graded_basis(pres, bidegree).  K-invariance
-    forces zero column weight, so the kernel is computed on the zero-weight
-    words only, sector by sector: the E's never change row indices or
-    families, hence they preserve the (T rows, Tb rows) multiset pair.
+    K-invariance forces zero column weight, so the kernel is computed on the
+    zero-weight words only, sector by sector (sorted): the E's never change
+    row indices or families, hence they preserve the (T rows, Tb rows)
+    multiset pair.  Each invariant lives on the words of one sector.
     """
     k, l, r, s, m, n = _require_P(pres)
-    basis = graded_basis(pres, bidegree)
-    position = {w: i for i, w in enumerate(basis)}
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
-    sectors = {}
-    for w in basis:
-        sectors.setdefault(_row_sector(w, pres), []).append(w)
-    out = []
     zero_wt = tuple([0] * (m + n))
+    sectors = {}
+    for w in graded_basis(pres, bidegree):
+        if _word_weight(w, pres, m, n) == zero_wt:
+            sectors.setdefault(_row_sector(w, pres), []).append(w)
+    out = []
     for key in sorted(sectors):
-        words = sectors[key]
-        domain = [w for w in words if _word_weight(w, pres, m, n) == zero_wt]
-        if not domain:
-            continue
+        domain = sectors[key]
         # column j stacks the E-images of domain[j], keyed (E index, word);
-        # only words actually hit by the action contribute constraint rows,
-        # and a sector with none (no E's, or nothing hit) is all invariant
+        # only words hit by the action give rows, so a sector with none (no
+        # E's, or nothing hit) is a matrix with no rows: all of it invariant
         cols = []
         for w in domain:
             col = {}
@@ -291,15 +289,8 @@ def invariant_subspace(pres, bidegree):
                     col[e, w1] = c
             cols.append(col)
         keys = sorted(set().union(*cols))
-        if keys:
-            kernel = nullspace(CoeffMatrix.from_columns(cols, keys))
-        else:
-            kernel = CoeffMatrix.identity(len(domain)).rows
-        for vec in kernel:
-            entries = [ZERO] * len(basis)
-            for j, w in enumerate(domain):
-                entries[position[w]] = vec[j]
-            out.append(CoeffVector(entries))
+        for vec in nullspace(CoeffMatrix.from_columns(cols, keys)):
+            out.append(NCElement._raw({w: e for w, e in zip(domain, vec) if e}))
     return out
 
 

@@ -167,6 +167,18 @@ def test_from_columns():
     assert rank(CoeffMatrix.from_columns([], keys)) == 0
 
 
+def test_matrix_without_rows_keeps_its_columns():
+    assert CoeffMatrix.zeros(0, 5).ncols == 5
+    assert CoeffMatrix.from_columns([{}, {}], []).ncols == 2
+    assert CoeffMatrix.zeros(0, 3) != CoeffMatrix.zeros(0, 5)
+    # no constraint rows: every unit vector is in the kernel
+    units = [CoeffVector(r) for r in CoeffMatrix.identity(3).rows]
+    assert nullspace(CoeffMatrix.zeros(0, 3)) == units
+    assert CoeffMatrix.zeros(0, 3).transpose() == CoeffMatrix.zeros(3, 0)
+    assert CoeffMatrix.zeros(2, 0) @ CoeffMatrix.zeros(0, 3) == CoeffMatrix.zeros(2, 3)
+    assert CoeffMatrix.zeros(0, 3).scale(Q) - CoeffMatrix.zeros(0, 3) == CoeffMatrix.zeros(0, 3)
+
+
 def test_matmul_and_kron():
     a = M([["q", "0"], ["0", "q^-1"]])
     b = M([["0", "1"], ["1", "0"]])

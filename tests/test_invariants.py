@@ -13,10 +13,14 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmatalg.exactla import CoeffMatrix, rank
+from qmatalg.exactla import CoeffMatrix, nullspace, rank
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
     InvariantParams,
+    _context,
+    _psi_columns,
+    _span_dim,
+    _touched_matrix,
     build_X,
     classical_limit,
     classical_presentation,
@@ -210,6 +214,30 @@ def test_kernel_psi_basis_frozen():
     assert rank(CoeffMatrix.from_columns([dict(zip(dom, basis[0])), minor.terms], dom)) == 1
     with pytest.raises(ValueError):
         kernel_psi_basis(PM1, -1)
+
+
+def test_kernel_psi_basis_when_the_target_is_empty():
+    # no bidegree-(2,2) words in P: psi is zero there, so its kernel is everything
+    for params in ((1, 0, 1, 0, 0, 1), (1, 0, 2, 2, 0, 1), (2, 0, 0, 1, 1, 0)):
+        assert not graded_basis(presentation_P(*params), (2, 2))
+        dim_ker = sft_check(params, 2)["degrees"][2]["dim_ker"]
+        assert dim_ker > 0
+        assert len(kernel_psi_basis(params, 2)) == dim_ker
+
+
+def test_untouched_rows_change_neither_kernel_nor_rank():
+    # the oracle keeps a row for every target word, touched or not
+    dropped = 0
+    for params, N in ((P11, 2), (PM1, 2), ((2, 0, 1, 1, 1, 1), 1), ((1, 0, 1, 0, 2, 1), 2)):
+        _, tgt, images = _psi_columns(_context(params), N)
+        assert tgt
+        full = CoeffMatrix.from_columns(images, tgt)
+        assert kernel_psi_basis(params, N) == nullspace(full)
+        assert _span_dim(images, tgt) == rank(full)
+        dropped += len(tgt) - _touched_matrix(images, tgt).nrows
+    assert dropped > 0
+    with pytest.raises(ValueError):
+        _span_dim(images + [{("foreign",): ONE}], tgt)
 
 
 def test_kernel_dims_match_prediction():

@@ -16,7 +16,6 @@ from hypothesis import given, settings
 from qmatalg.laurent import ONE, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
-    graded_basis,
     multiply,
     normal_form,
     presentation_M,
@@ -24,6 +23,8 @@ from qmatalg.qalgebra import (
 )
 from qmatalg.uqaction import (
     ChevalleyGen,
+    _row_sector,
+    _word_weight,
     act,
     act_on_generator,
     chevalley_generators,
@@ -240,10 +241,15 @@ def test_invariant_subspace_dims():
 
 
 def test_invariant_subspace_vectors_are_invariant():
-    basis = graded_basis(P11, (1, 1))
-    for vec in invariant_subspace(P11, (1, 1)):
-        e = NCElement([(w, c) for w, c in zip(basis, vec.entries) if c])
-        assert is_invariant(e, P11)
+    # each invariant lives on the zero-weight words of one (T rows, Tb rows) sector
+    for pres, bidegree in ((P11, (1, 1)), (P11, (2, 2)), (P22, (1, 1))):
+        invariants = invariant_subspace(pres, bidegree)
+        assert invariants
+        for e in invariants:
+            assert is_invariant(e, pres)
+            assert len({_row_sector(w, pres) for w in e.terms}) == 1
+            m, n = pres.params[4:]
+            assert all(_word_weight(w, pres, m, n) == (0,) * (m + n) for w in e.terms)
 
 
 def test_operator_relations_reports():
