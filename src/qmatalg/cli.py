@@ -39,6 +39,8 @@ from .laurent import Q, QINV
 from .qalgebra import (
     NCElement,
     _check_ranges,
+    _index_parity,
+    _sign,
     format_element,
     multiply,
     normal_form,
@@ -211,15 +213,15 @@ def cmd_classical(args):
         )
     )
 
-    xs = {}
-    for a in range(1, k + l + 1):
-        for b in range(1, r + s + 1):
-            xs[a, b] = classical_limit(build_X(a, b, params))
+    xs = [
+        (classical_limit(build_X(a, b, params)), _index_parity(a, k) + _index_parity(b, r))
+        for a in range(1, k + l + 1)
+        for b in range(1, r + s + 1)
+    ]
     super_ok = True
-    for (a, b), x1 in xs.items():
-        for (c, d), x2 in xs.items():
-            sign = -1 if ((a > k) + (b > r)) * ((c > k) + (d > r)) % 2 else 1
-            if multiply(x1, x2, cp) != multiply(x2, x1, cp).scaled(sign):
+    for x1, p1 in xs:
+        for x2, p2 in xs:
+            if multiply(x1, x2, cp) != multiply(x2, x1, cp).scaled(_sign(p1 * p2)):
                 super_ok = False
 
     trials = 100

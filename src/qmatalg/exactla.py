@@ -4,13 +4,13 @@ Rank, nullspace and span dimensions are computed by elimination in two
 phases, and every division performed is exact in the Laurent ring, so
 results are generic-q ranks with no specialization and no rounding.
 
-1. Unit phase: rows are stored sparsely as {col: entry}.  While some row
-   holds a unit +-q^e (one term, coefficient +-1), the shortest such row
-   (earliest on ties) is scaled by the inverse of its leftmost unit, which
-   is again +-q^-e, so the division is exact and entries do not grow.  That
-   column is then cleared from every other row, earlier pivot rows
-   included (Gauss-Jordan).  Every step is an invertible row operation
-   over Z[q, q^-1], so rank and kernel are unchanged.
+1. Unit phase: it copies the matrix's sparse {col: entry} rows.  While
+   some row holds a unit +-q^e (one term, coefficient +-1), the shortest
+   such row (earliest on ties) is scaled by the inverse of its leftmost
+   unit, which is again +-q^-e, so the division is exact and entries do
+   not grow.  That column is then cleared from every other row, earlier
+   pivot rows included (Gauss-Jordan).  Every step is an invertible row
+   operation over Z[q, q^-1], so rank and kernel are unchanged.
 2. Residual phase: the rows left over hold no unit; fraction-free (Bareiss)
    elimination, with the first nonzero entry as pivot, runs on them over
    the columns that are not unit pivots.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .laurent import ONE, ZERO, LaurentInt, lau_div_exact
+from .laurent import ONE, ZERO, LaurentInt, _add_term, lau_div_exact
 
 
 class CoeffVector:
@@ -63,34 +63,47 @@ class CoeffVector:
 
 
 class CoeffMatrix:
-    """Rows of LaurentInt entries.  The column count is stored, so a matrix
-    with no rows keeps it; it defaults to the first row's length."""
+    """LaurentInt entries stored as sparse rows, one {column: entry} dict per
+    row with no zeros; `rows` is a dense read-only view of tuples.  The
+    column count is stored, so a matrix with no rows keeps it; given dense
+    rows, it defaults to the first row's length."""
 
-    __slots__ = ("rows", "ncols")
+    __slots__ = ("_rows", "ncols")
 
     def __init__(self, rows, ncols=None):
-        rows = tuple(tuple(r) for r in rows)
+        rows = [tuple(r) for r in rows]
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged matrix")
-        for r in rows:
-            if not all(isinstance(e, LaurentInt) for e in r):
-                raise TypeError("CoeffMatrix entries must be LaurentInt")
-        self.rows = rows
+        if not all(isinstance(e, LaurentInt) for r in rows for e in r):
+            raise TypeError("CoeffMatrix entries must be LaurentInt")
+        self._rows = [{j: e for j, e in enumerate(r) if e} for r in rows]
         self.ncols = ncols
+
+    @classmethod
+    def _raw(cls, rows, ncols):
+        """Wrap sparse rows with no zero entries, uncopied."""
+        obj = object.__new__(cls)
+        obj._rows = rows
+        obj.ncols = ncols
+        return obj
+
+    @property
+    def rows(self):
+        return tuple(tuple(r.get(j, ZERO) for j in range(self.ncols)) for r in self._rows)
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self._rows)
 
     @classmethod
     def identity(cls, n):
-        return cls([[ONE if i == j else ZERO for j in range(n)] for i in range(n)], n)
+        return cls._raw([{i: ONE} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, nrows, ncols):
-        return cls([[ZERO] * ncols for _ in range(nrows)], ncols)
+        return cls._raw([{} for _ in range(nrows)], ncols)
 
     @classmethod
     def from_columns(cls, columns, keys):
@@ -101,85 +114,75 @@ class CoeffMatrix:
         column omits is ZERO.  A key outside keys raises ValueError.
         """
         row_of = {key: i for i, key in enumerate(keys)}
-        dense = []
-        for col in columns:
-            entries = [ZERO] * len(row_of)
+        rows = [{} for _ in row_of]
+        for j, col in enumerate(columns):
             for key, e in col.items():
                 i = row_of.get(key)
                 if i is None:
                     raise ValueError(f"key {key} outside the given keys")
-                entries[i] = e
-            dense.append(entries)
-        # zip yields the rows as tuples, which CoeffMatrix keeps uncopied
-        return cls(zip(*dense) if dense else [()] * len(row_of), len(dense))
+                if not isinstance(e, LaurentInt):
+                    raise TypeError("CoeffMatrix entries must be LaurentInt")
+                if e:
+                    rows[i][j] = e
+        return cls._raw(rows, len(columns))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not 0 <= j < self.ncols:
+            raise IndexError("column index out of range")
+        return self._rows[i].get(j, ZERO)
 
     def __eq__(self, other):
-        return isinstance(other, CoeffMatrix) and self.ncols == other.ncols and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def _check_same_shape(self, other):
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("shape mismatch")
+        return isinstance(other, CoeffMatrix) and self.ncols == other.ncols and self._rows == other._rows
 
     def __add__(self, other):
-        self._check_same_shape(other)
-        pairs = zip(self.rows, other.rows)
-        return CoeffMatrix([[a + b for a, b in zip(ra, rb)] for ra, rb in pairs], self.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError("shape mismatch")
+        out = []
+        for ra, rb in zip(self._rows, other._rows):
+            row = dict(ra)
+            for j, e in rb.items():
+                _add_term(row, j, e)
+            out.append(row)
+        return CoeffMatrix._raw(out, self.ncols)
 
     def __sub__(self, other):
-        self._check_same_shape(other)
-        pairs = zip(self.rows, other.rows)
-        return CoeffMatrix([[a - b for a, b in zip(ra, rb)] for ra, rb in pairs], self.ncols)
+        return self + other.scale(-1)
 
     def scale(self, c):
-        return CoeffMatrix([[c * e for e in r] for r in self.rows], self.ncols)
+        return CoeffMatrix._raw([{j: c * e for j, e in r.items()} if c else {} for r in self._rows], self.ncols)
 
     def __matmul__(self, other):
         if isinstance(other, CoeffVector):
-            if self.ncols != len(other):
-                raise ValueError("shape mismatch")
-            out = []
-            for r in self.rows:
-                acc = ZERO
-                for a, b in zip(r, other.entries):
-                    if a and b:
-                        acc = acc + a * b
-                out.append(acc)
-            return CoeffVector(out)
+            column = CoeffMatrix([[e] for e in other], 1)
+            return CoeffVector(e for (e,) in (self @ column).rows)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        bt = list(zip(*other.rows)) if other.rows else [()] * other.ncols
+        brows = other._rows
         out = []
-        for r in self.rows:
-            row = []
-            for c in bt:
-                acc = ZERO
-                for a, b in zip(r, c):
-                    if a and b:
-                        acc = acc + a * b
-                row.append(acc)
+        for r in self._rows:
+            row = {}
+            for k, a in r.items():
+                for j, b in brows[k].items():
+                    _add_term(row, j, a * b)
             out.append(row)
-        return CoeffMatrix(out, other.ncols)
+        return CoeffMatrix._raw(out, other.ncols)
 
     def transpose(self):
-        return CoeffMatrix(zip(*self.rows) if self.rows else [()] * self.ncols, self.nrows)
+        return CoeffMatrix.from_columns(self._rows, range(self.ncols))
 
     def kron(self, other):
         """Kronecker product, row index (i1, i2), column index (j1, j2)."""
-        out = []
-        for r1 in self.rows:
-            for r2 in other.rows:
-                out.append([a * b for a in r1 for b in r2])
-        return CoeffMatrix(out, self.ncols * other.ncols)
+        n2 = other.ncols
+        out = [
+            {j1 * n2 + j2: a * b for j1, a in r1.items() for j2, b in r2.items()}
+            for r1 in self._rows
+            for r2 in other._rows
+        ]
+        return CoeffMatrix._raw(out, self.ncols * n2)
 
     def is_zero(self):
-        return all(not e for r in self.rows for e in r)
+        return not any(self._rows)
 
     def __repr__(self):
         return f"CoeffMatrix({self.nrows}x{self.ncols})"
@@ -232,14 +235,13 @@ def _is_unit(e):
 
 def _unit_phase(rows):
     """Sparse Gauss-Jordan elimination on unit pivots (the module docstring
-    gives the pivot rule).
+    gives the pivot rule) over copies of the sparse rows.
 
     Returns (units, residual): units is a list of (pivot column, row) with
     row[pivot] == 1 and no other pivot column in the row; residual holds
     the remaining nonzero rows, which contain no unit and no pivot column.
     """
-    active = [{j: e for j, e in enumerate(r) if e} for r in rows]
-    active = [r for r in active if r]
+    active = [dict(r) for r in rows if r]
     units = []
     while True:
         best = None
@@ -278,7 +280,7 @@ def _eliminate(matrix):
     that are not unit pivots, and the Bareiss echelon form of the residual
     restricted to cols with its pivot positions (indices into cols).
     """
-    units, residual = _unit_phase(matrix.rows)
+    units, residual = _unit_phase(matrix._rows)
     unit_cols = {p for p, _ in units}
     cols = [c for c in range(matrix.ncols) if c not in unit_cols]
     ech, pivots = _echelon([[row.get(c, ZERO) for c in cols] for row in residual])

@@ -8,8 +8,8 @@ Each graded component is a finite free module over the Laurent ring, so the
 surjectivity of psi onto the invariants (fft_check) and the size of its
 kernel (sft_check, against the hook-shape prediction and, when the second
 family of column indices is empty, the quantum minor ideal) reduce to
-integer ranks of explicit matrices, with one row per basis word that some
-column touches; kernel_psi_basis gives the kernel vectors themselves.
+integer ranks of explicit sparse matrices, with one row per basis word;
+kernel_psi_basis gives the kernel vectors themselves.
 Everything is exact: a check passes only if the relevant normal form is
 literally zero or the ranks literally agree.
 
@@ -233,14 +233,15 @@ def verify_X_relations(params) -> bool:
                     tbi = pres.generator("T", b, i)
                     # lower first row index commutes up to sign
                     sg = _sign((pa(b) + pi(i)) * (pa(a) + pb(c)))
-                    if mul(xac, tbi) != mul(tbi, xac).scaled(sg):
+                    tbi_xac = mul(tbi, xac)
+                    if mul(xac, tbi) != tbi_xac.scaled(sg):
                         return False
                     # the bracket of T_ai against X_bc collapses onto T_bi X_ac
                     xbc = X(b, c)
                     sg = _sign((pa(a) + pi(i)) * (pa(b) + pb(c)))
                     lhs = mul(tai, xbc) - mul(xbc, tai).scaled(sg)
                     tail = _sign(pb(c) * (pa(a) + pa(b)) + pa(a) * pa(b))
-                    rhs = mul(tbi, xac).scaled(Q_MINUS_QINV * tail)
+                    rhs = tbi_xac.scaled(Q_MINUS_QINV * tail)
                     if lhs != rhs:
                         return False
 
@@ -259,29 +260,23 @@ def verify_X_relations(params) -> bool:
                     tbci = pres.generator("Tb", c, i)
                     # lower second row index commutes up to sign
                     sg = _sign((pa(a) + pb(b)) * (pb(c) + pi(i)))
-                    if mul(xab, tbci) != mul(tbci, xab).scaled(sg):
+                    tbci_xab = mul(tbci, xab)
+                    if mul(xab, tbci) != tbci_xab.scaled(sg):
                         return False
                     # bracket of X_ac against T~_bi collapses onto T~_ci X_ab
                     xac = X(a, c)
                     sg = _sign((pb(b) + pi(i)) * (pa(a) + pb(c)))
                     lhs = mul(xac, tbbi) - mul(tbbi, xac).scaled(sg)
                     tail = _sign(pi(i) * (pa(a) + pb(c)) + pa(a) * pb(b))
-                    rhs = mul(tbci, xab).scaled(Q_MINUS_QINV * tail)
+                    rhs = tbci_xab.scaled(Q_MINUS_QINV * tail)
                     if lhs != rhs:
                         return False
     return True
 
 
-def _touched_matrix(columns, keys):
-    """from_columns over the keys some column uses, in keys order: the rows
-    left out are zero and change neither rank nor kernel."""
-    touched = set().union(*columns)
-    return CoeffMatrix.from_columns(columns, [k for k in keys if k in touched])
-
-
 def _span_dim(columns, keys):
     """Rank of the sparse columns over the keys; no elimination for none."""
-    return rank(_touched_matrix(columns, keys)) if columns else 0
+    return rank(CoeffMatrix.from_columns(columns, keys)) if columns else 0
 
 
 def _psi_columns(ctx, N):
@@ -365,7 +360,7 @@ def kernel_psi_basis(params, degree) -> list:
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     _, tgt, images = _psi_columns(_context(p.astuple()), degree)
-    return nullspace(_touched_matrix(images, tgt))
+    return nullspace(CoeffMatrix.from_columns(images, tgt))
 
 
 def _critical_minors(p):

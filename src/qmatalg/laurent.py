@@ -160,6 +160,16 @@ QINV = LaurentInt._raw({-1: 1})
 Q_MINUS_QINV = Q - QINV
 
 
+def _add_term(terms, key, coeff):
+    """terms[key] += coeff in a sparse {key: LaurentInt} dict, dropping a zero sum."""
+    prev = terms.get(key)
+    acc = coeff if prev is None else prev + coeff
+    if acc:
+        terms[key] = acc
+    elif prev is not None:
+        del terms[key]
+
+
 def lau_div_exact(a: LaurentInt, b: LaurentInt) -> LaurentInt:
     """Exact division in Z[q, q^-1]; raises ExactDivisionError on remainder.
 

@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .laurent import ONE, Q_MINUS_QINV, LaurentInt, format_laurent, parse_laurent
+from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _add_term, format_laurent, parse_laurent
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,6 @@ class GenIndex:
 
     def __str__(self):
         return f"{self.family}[{self.row},{self.col}]"
-
-
-def _add_term(terms, key, coeff):
-    """terms[key] += coeff in a sparse {key: LaurentInt} dict, dropping a zero sum."""
-    prev = terms.get(key)
-    acc = coeff if prev is None else prev + coeff
-    if acc:
-        terms[key] = acc
-    elif prev is not None:
-        del terms[key]
 
 
 class NCElement:

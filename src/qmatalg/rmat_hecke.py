@@ -194,7 +194,7 @@ def verify_frt(k, l) -> bool:
         return _index_parity(x, k)
 
     def rentry(a, b, c, dd):
-        return rmat.rows[tensor_index((a, b), d)][tensor_index((c, dd), d)]
+        return rmat[tensor_index((a, b), d), tensor_index((c, dd), d)]
 
     letters = range(1, d + 1)
     for a, b, c, dd in product(letters, repeat=4):

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import CoeffMatrix, nullspace
-from .laurent import ONE, ZERO, LaurentInt
+from .laurent import ONE, ZERO, LaurentInt, _add_term
 from .qalgebra import (
     NCElement,
-    _add_term,
     _index_parity,
     _q_power_of_index,
     _sign,
@@ -140,7 +139,7 @@ def pi_antipode_matrix(x, m, n):
     for factor in hd.antipode_monomial:
         acc = acc @ pi_matrix(factor, m, n)
     if hd.antipode_sign < 0:
-        acc = CoeffMatrix([[-e for e in row] for row in acc.rows])
+        acc = acc.scale(-1)
     return acc
 
 
@@ -162,7 +161,7 @@ def act_on_generator(x, g, pres):
     if g.family == "T":
         mat = pi_matrix(x, m, n)
         for c in range(1, m + n + 1):
-            entry = mat.rows[c - 1][i - 1]
+            entry = mat[c - 1, i - 1]
             if not entry:
                 continue
             cp = _index_parity(c, m)
@@ -171,7 +170,7 @@ def act_on_generator(x, g, pres):
     else:
         mat = pi_antipode_matrix(x, m, n)
         for d in range(1, m + n + 1):
-            entry = mat.rows[i - 1][d - 1]
+            entry = mat[i - 1, d - 1]
             if not entry:
                 continue
             dp = _index_parity(d, m)

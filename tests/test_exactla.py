@@ -164,7 +164,18 @@ def test_from_columns():
     assert CoeffMatrix.from_columns([{"a": Q}], ["c", "a"]) == M([["0"], ["q"]])
     with pytest.raises(ValueError):
         CoeffMatrix.from_columns([{"a": ONE, "d": ONE}], keys)
+    with pytest.raises(TypeError):
+        CoeffMatrix.from_columns([{"a": 1}], ["a"])
     assert rank(CoeffMatrix.from_columns([], keys)) == 0
+    # an explicit ZERO is stored like an omitted key
+    assert CoeffMatrix.from_columns([{"a": Q, "b": ZERO}], keys) == CoeffMatrix.from_columns([{"a": Q}], keys)
+    # rows is a dense view of tuples of LaurentInt, and it rebuilds the matrix
+    assert CoeffMatrix(m.rows) == m
+    assert type(m.rows) is tuple and all(type(r) is tuple for r in m.rows)
+    assert all(isinstance(e, LaurentInt) for r in m.rows for e in r)
+    assert m[1, 0] == ZERO and m[1, 2] == L("q^-2")
+    with pytest.raises(IndexError):
+        m[0, 3]
 
 
 def test_matrix_without_rows_keeps_its_columns():
@@ -177,6 +188,8 @@ def test_matrix_without_rows_keeps_its_columns():
     assert CoeffMatrix.zeros(0, 3).transpose() == CoeffMatrix.zeros(3, 0)
     assert CoeffMatrix.zeros(2, 0) @ CoeffMatrix.zeros(0, 3) == CoeffMatrix.zeros(2, 3)
     assert CoeffMatrix.zeros(0, 3).scale(Q) - CoeffMatrix.zeros(0, 3) == CoeffMatrix.zeros(0, 3)
+    assert CoeffMatrix.zeros(0, 3).rows == () and CoeffMatrix.zeros(2, 0).rows == ((), ())
+    assert CoeffMatrix(CoeffMatrix.zeros(2, 0).rows) == CoeffMatrix.zeros(2, 0)
 
 
 def test_matmul_and_kron():
@@ -206,6 +219,8 @@ def test_kernel_vectors_are_exact(m):
 @given(matrices())
 def test_rank_matches_transpose(m):
     assert rank(m) == rank(m.transpose())
+    assert m.transpose().transpose() == m
+    assert CoeffMatrix(m.rows) == m
 
 
 @settings(deadline=None)

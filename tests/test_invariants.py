@@ -20,7 +20,6 @@ from qmatalg.invariants import (
     _context,
     _psi_columns,
     _span_dim,
-    _touched_matrix,
     build_X,
     classical_limit,
     classical_presentation,
@@ -46,7 +45,15 @@ from qmatalg.qalgebra import (
     presentation_Mtilde,
     presentation_P,
 )
-from qmatalg.uqaction import is_invariant
+from qmatalg.uqaction import (
+    ELOWER,
+    ERAISE,
+    _row_sector,
+    _word_weight,
+    act,
+    chevalley_generators,
+    is_invariant,
+)
 
 P11 = (1, 1, 1, 1, 1, 1)
 P22 = (1, 1, 1, 1, 2, 2)
@@ -227,17 +234,41 @@ def test_kernel_psi_basis_when_the_target_is_empty():
 
 def test_untouched_rows_change_neither_kernel_nor_rank():
     # the oracle keeps a row for every target word, touched or not
-    dropped = 0
     for params, N in ((P11, 2), (PM1, 2), ((2, 0, 1, 1, 1, 1), 1), ((1, 0, 1, 0, 2, 1), 2)):
         _, tgt, images = _psi_columns(_context(params), N)
         assert tgt
         full = CoeffMatrix.from_columns(images, tgt)
         assert kernel_psi_basis(params, N) == nullspace(full)
         assert _span_dim(images, tgt) == rank(full)
-        dropped += len(tgt) - _touched_matrix(images, tgt).nrows
-    assert dropped > 0
     with pytest.raises(ValueError):
         _span_dim(images + [{("foreign",): ONE}], tgt)
+
+
+def test_psi_and_the_E_action_keep_the_row_sector():
+    # blocking the psi and E matrices by (T rows, Tb rows) rests on this
+    pairs = [(a, b) for a in range(3) for b in range(3) if a + b >= 1]
+    grid = [(k, l, r, s, m, n) for (k, l) in pairs for (r, s) in pairs for (m, n) in pairs]
+    psi_terms = e_terms = 0
+    for params in grid[::23]:
+        ctx = _context(params)
+        m, n = params[4:]
+        egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
+        for N in range(3):
+            # psi(Tt_ab) = X_ab sums T_ai Tb_bi: Tt rows become T rows, Tt columns Tb rows
+            for w in graded_basis(ctx.mt, N):
+                gens = [ctx.mt.generators[g] for g in w]
+                sector = (tuple(sorted(g.row for g in gens)), tuple(sorted(g.col for g in gens)))
+                for word in ctx.word_image(w).terms:
+                    assert _row_sector(word, ctx.p) == sector
+                    psi_terms += 1
+            for w in graded_basis(ctx.p, (N, N)):
+                if any(_word_weight(w, ctx.p, m, n)):
+                    continue
+                for x in egens:
+                    for word in act(x, NCElement.from_word(w), ctx.p).terms:
+                        assert _row_sector(word, ctx.p) == _row_sector(w, ctx.p)
+                        e_terms += 1
+    assert psi_terms > 0 and e_terms > 0
 
 
 def test_kernel_dims_match_prediction():
