@@ -30,6 +30,7 @@ would, but the pivot columns may differ, so the individual vectors may too
 from __future__ import annotations
 
 from math import gcd
+from types import MappingProxyType
 
 from .laurent import ONE, ZERO, LaurentInt, _add_term, lau_div_exact
 
@@ -62,11 +63,17 @@ class CoeffVector:
         return "CoeffVector([" + ", ".join(str(e) for e in self.entries) + "])"
 
 
+# the row from_columns shares among the keys no column touches; read-only,
+# so a write into it raises instead of reaching every such row
+_EMPTY_ROW = MappingProxyType({})
+
+
 class CoeffMatrix:
     """LaurentInt entries stored as sparse rows, one {column: entry} dict per
-    row with no zeros; `rows` is a dense read-only view of tuples.  The
-    column count is stored, so a matrix with no rows keeps it; given dense
-    rows, it defaults to the first row's length."""
+    row with no zeros (or the shared read-only _EMPTY_ROW); `rows` is a
+    dense read-only view of tuples.  The column count is stored, so a
+    matrix with no rows keeps it; given dense rows, it defaults to the first
+    row's length."""
 
     __slots__ = ("_rows", "ncols")
 
@@ -111,10 +118,11 @@ class CoeffMatrix:
 
         Each column maps keys to LaurentInt entries (an NCElement's terms,
         say); there is one row per key, in the order of keys, and a key a
-        column omits is ZERO.  A key outside keys raises ValueError.
+        column omits is ZERO.  A key outside keys raises ValueError.  Rows
+        no column touches are all _EMPTY_ROW.
         """
         row_of = {key: i for i, key in enumerate(keys)}
-        rows = [{} for _ in row_of]
+        rows = [_EMPTY_ROW] * len(row_of)
         for j, col in enumerate(columns):
             for key, e in col.items():
                 i = row_of.get(key)
@@ -123,7 +131,10 @@ class CoeffMatrix:
                 if not isinstance(e, LaurentInt):
                     raise TypeError("CoeffMatrix entries must be LaurentInt")
                 if e:
-                    rows[i][j] = e
+                    row = rows[i]
+                    if row is _EMPTY_ROW:
+                        row = rows[i] = {}
+                    row[j] = e
         return cls._raw(rows, len(columns))
 
     def __getitem__(self, ij):

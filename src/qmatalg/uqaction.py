@@ -10,9 +10,13 @@ A word in P is acted on through the coproduct, unrolled letter by
 letter: the K's are grouplike and act diagonally on PBW words, while an
 E hits one letter at a time, the complementary tensor factor
 contributing a K-eigenvalue on the untouched prefix or suffix and the
-super sign tracking the parity of the letters the E jumped over.
-invariant_subspace returns the invariants of a graded component as sparse
-NCElements, each on the zero-weight words of one row sector.
+super sign tracking the parity of the letters the E jumped over.  A
+letter's image depends only on (generator, letter), so every action of one
+generator on a whole basis (act on an element's words, invariant_subspace,
+the operator matrices) reads it from one letter-image table built for that
+call and dropped on return.  invariant_subspace returns the invariants of
+a graded component as sparse NCElements, each on the zero-weight words of
+one row sector.
 """
 
 from __future__ import annotations
@@ -179,55 +183,76 @@ def act_on_generator(x, g, pres):
     return NCElement(terms)
 
 
-def _k_exponent(a, asign, gid, pres, m):
+def _k_exponent(a, asign, g, m):
     """Exponent of q in the K_a-eigenvalue of one letter."""
-    g = pres.generators[gid]
     if g.col != a:
         return 0
     e = asign if _index_parity(a, m) == 0 else -asign
     return e if g.family == "T" else -e
 
 
-def _word_k_exponent(a, asign, word, pres, m):
-    return sum(_k_exponent(a, asign, gid, pres, m) for gid in word)
-
-
-def _act_word(x, word, pres, m, n):
-    """Raw action on one word; returns {word: LaurentInt}, not normalized."""
+def _letter_entry(x, gid, pres, m):
+    """What x does to one letter: (q-exponent of its K-part, the letter's
+    parity, the image as (word, coeff) pairs, empty for a K)."""
+    g = pres.generators[gid]
     if x.kind in (K, KINV):
-        asign = 1 if x.kind == K else -1
-        e = _word_k_exponent(x.index, asign, word, pres, m)
-        return {word: LaurentInt.q_power(e)}
+        return _k_exponent(x.index, 1 if x.kind == K else -1, g, m), g.parity, ()
     # Delta(E_{u,u+1}) = E (x) K_u K_{u+1}^{-1} + 1 (x) E: the letters after
     # the hit one scale it.  Delta(E_{u+1,u}) = E (x) 1 + K_u^{-1} K_{u+1} (x) E:
     # the letters before it do.  Both use K_u^s K_{u+1}^-s, s = +1 or -1.
-    u = x.index
     s = 1 if x.kind == ERAISE else -1
-    gens = pres.generators
-    exps = [_k_exponent(u, s, gid, pres, m) + _k_exponent(u + 1, -s, gid, pres, m) for gid in word]
-    total_exp = sum(exps)
+    exp = _k_exponent(x.index, s, g, m) + _k_exponent(x.index + 1, -s, g, m)
+    return exp, g.parity, tuple(act_on_generator(x, g, pres).terms.items())
+
+
+def _act_word(x, word, pres, m, table):
+    """Raw action on one word; returns {word: LaurentInt}, not normalized.
+
+    table maps a letter id to its _letter_entry under x, filled on first use.
+    """
+    entries = []
+    for gid in word:
+        entry = table.get(gid)
+        if entry is None:
+            entry = table[gid] = _letter_entry(x, gid, pres, m)
+        entries.append(entry)
+    total_exp = sum(exp for exp, _, _ in entries)
+    if x.kind in (K, KINV):
+        return {word: LaurentInt.q_power(total_exp)}
+    raising = x.kind == ERAISE
     out = {}
     prefix_parity = 0
     prefix_exp = 0
-    for j, gid in enumerate(word):
-        img = act_on_generator(x, gens[gid], pres)
+    for j, (exp, parity, img) in enumerate(entries):
         if img:
-            e = total_exp - prefix_exp - exps[j] if s > 0 else prefix_exp
+            e = total_exp - prefix_exp - exp if raising else prefix_exp
             scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(e)
-            for w1, c1 in img.terms.items():
+            for w1, c1 in img:
                 _add_term(out, word[:j] + w1 + word[j + 1:], c1 * scal)
-        prefix_parity = (prefix_parity + gens[gid].parity) % 2
-        prefix_exp += exps[j]
+        prefix_parity ^= parity
+        prefix_exp += exp
     return out
+
+
+def _act_on_words(x, words, pres):
+    """Raw actions of one generator on many words: an iterator of
+    {word: LaurentInt} dicts in the order of words, not normalized.
+
+    A letter's image depends only on (x, letter), so it is built once, on
+    first use, into a table that lives only as long as the returned
+    iterator: no cache outlives the call or keeps a presentation alive.
+    """
+    k, l, r, s, m, n = _require_P(pres)
+    _validate_gen(x, m, n)
+    table = {}
+    return (_act_word(x, word, pres, m, table) for word in words)
 
 
 def act(x, e, pres):
     """Action on an element, linear over words, result in canonical form."""
-    k, l, r, s, m, n = _require_P(pres)
-    _validate_gen(x, m, n)
     total = {}
-    for word, coeff in e.terms.items():
-        for w1, c1 in _act_word(x, word, pres, m, n).items():
+    for coeff, image in zip(e.terms.values(), _act_on_words(x, e.terms, pres)):
+        for w1, c1 in image.items():
             _add_term(total, w1, coeff * c1)
     return normal_form(NCElement._raw(total), pres)
 
@@ -274,17 +299,23 @@ def invariant_subspace(pres, bidegree):
     for w in graded_basis(pres, bidegree):
         if _word_weight(w, pres, m, n) == zero_wt:
             sectors.setdefault(_row_sector(w, pres), []).append(w)
+    order = sorted(sectors)
+    words = [w for key in order for w in sectors[key]]
+    # one lazy stream of images per E over all the words, sector after
+    # sector: each letter image is built once per call, and the columns are
+    # held one sector at a time
+    streams = [_act_on_words(x, words, pres) for x in egens]
     out = []
-    for key in sorted(sectors):
+    for key in order:
         domain = sectors[key]
         # column j stacks the E-images of domain[j], keyed (E index, word);
         # only words hit by the action give rows, so a sector with none (no
         # E's, or nothing hit) is a matrix with no rows: all of it invariant
         cols = []
-        for w in domain:
+        for _ in domain:
             col = {}
-            for e, x in enumerate(egens):
-                for w1, c in act(x, NCElement.from_word(w), pres).terms.items():
+            for e, stream in enumerate(streams):
+                for w1, c in normal_form(NCElement._raw(next(stream)), pres).terms.items():
                     col[e, w1] = c
             cols.append(col)
         keys = sorted(set().union(*cols))
@@ -294,7 +325,7 @@ def invariant_subspace(pres, bidegree):
 
 
 def _action_matrix(x, pres, basis):
-    images = [act(x, NCElement.from_word(w), pres).terms for w in basis]
+    images = [normal_form(NCElement._raw(i), pres).terms for i in _act_on_words(x, basis, pres)]
     return CoeffMatrix.from_columns(images, basis)
 
 

@@ -178,6 +178,23 @@ def test_from_columns():
         m[0, 3]
 
 
+def test_from_columns_shares_a_read_only_empty_row():
+    keys = ["a", "b", "c", "d"]
+    cols = [{"a": Q, "c": ONE}, {"c": L("q^-2")}, {"a": ONE, "c": Q}]
+    m = CoeffMatrix.from_columns(cols, keys)
+    # rows b and d are untouched: a write into one must fail, not reach the other
+    with pytest.raises(TypeError):
+        m._rows[1][0] = ONE
+    with pytest.raises(TypeError):
+        m._rows[3][2] = ONE
+    assert m[1, 0] == ZERO and m[3, 2] == ZERO
+    dense = CoeffMatrix(m.rows)
+    assert m == dense and dense == m
+    assert rank(m) == rank(dense) == 2
+    assert nullspace(m) == nullspace(dense)
+    assert m.transpose().transpose() == m and (m - dense).is_zero()
+
+
 def test_matrix_without_rows_keeps_its_columns():
     assert CoeffMatrix.zeros(0, 5).ncols == 5
     assert CoeffMatrix.from_columns([{}, {}], []).ncols == 2

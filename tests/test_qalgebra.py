@@ -238,6 +238,34 @@ def test_relations_P(k, l, r, s, m, n):
                     assert nf(lhs - rhs, pres).is_zero()
 
 
+NONZERO_PAIRS = [(a, b) for a in range(3) for b in range(3) if a + b >= 1]
+
+
+def _misoriented(rules):
+    """(left word, right word) pairs whose right word is not strictly below
+    the left pair in degree-lex order, the order leftmost reduction needs."""
+    return [
+        (lhs, w)
+        for lhs, rhs in rules.items()
+        for _, w in rhs
+        if (len(w), w) >= (2, lhs)
+    ]
+
+
+def test_every_rule_rewrites_into_smaller_words():
+    grid = [(k, l, r, s) for (k, l) in NONZERO_PAIRS for (r, s) in NONZERO_PAIRS]
+    presentations = [b(*p) for p in grid for b in (presentation_M, presentation_Mbar, presentation_Mtilde)]
+    presentations += [presentation_P(*p, m, n) for p in grid for (m, n) in NONZERO_PAIRS]
+    assert len(presentations) == 3 * 64 + 512
+    bad = [(pres.kind, pres.params, hit) for pres in presentations for hit in _misoriented(pres.rules)]
+    assert bad == []
+    # a rule whose right side keeps its own left word must be caught
+    lhs, rhs = next((lhs, rhs) for lhs, rhs in P1111.rules.items() if rhs)
+    broken = dict(P1111.rules)
+    broken[lhs] = rhs + ((ONE, lhs),)
+    assert _misoriented(broken) == [(lhs, lhs)]
+
+
 def test_bar_duality_of_constants():
     m = presentation_M(1, 2, 2, 1)
     mb = presentation_Mbar(1, 2, 2, 1)

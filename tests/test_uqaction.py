@@ -9,13 +9,19 @@ invariant; the Cartan-sector operator identities are verified as exact
 matrix equations on graded components.
 """
 
+import sys
+from collections import Counter
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from qmatalg import uqaction
+from qmatalg.exactla import CoeffMatrix
 from qmatalg.laurent import ONE, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
+    graded_basis,
     multiply,
     normal_form,
     presentation_M,
@@ -23,6 +29,7 @@ from qmatalg.qalgebra import (
 )
 from qmatalg.uqaction import (
     ChevalleyGen,
+    _action_matrix,
     _row_sector,
     _word_weight,
     act,
@@ -262,3 +269,39 @@ def test_operator_relations_reports():
     assert rep["pass"], rep["failures"]
     with pytest.raises(ValueError):
         verify_operator_relations(2, 2, P11, (1, 1))
+
+
+# ------------------------------------------------------- per-call letter table
+
+
+def test_each_letter_image_is_built_once_per_call(monkeypatch):
+    seen = Counter()
+    original = uqaction.act_on_generator
+
+    def counted(x, g, pres):
+        seen[x, pres.ids[g]] += 1
+        return original(x, g, pres)
+
+    monkeypatch.setattr(uqaction, "act_on_generator", counted)
+    for run in (lambda: invariant_subspace(P22, (2, 2)),
+                lambda: verify_operator_relations(1, 1, P11, (2, 1))):
+        seen.clear()
+        run()
+        assert seen and max(seen.values()) == 1
+
+
+def test_the_letter_table_keeps_no_presentation_alive():
+    pres = presentation_P(1, 1, 1, 1, 1, 1)
+    before = sys.getrefcount(pres)
+    assert invariant_subspace(pres, (2, 2))
+    assert verify_operator_relations(1, 1, pres, (1, 1))["pass"]
+    assert sys.getrefcount(pres) == before
+
+
+def test_action_matrix_matches_act_on_each_basis_word():
+    for pres in (P11, P22):
+        m, n = pres.params[4:]
+        basis = graded_basis(pres, (1, 1))
+        for x in chevalley_generators(m, n):
+            images = [act(x, NCElement.from_word(w), pres).terms for w in basis]
+            assert _action_matrix(x, pres, basis) == CoeffMatrix.from_columns(images, basis)
