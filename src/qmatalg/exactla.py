@@ -15,7 +15,11 @@ results are generic-q ranks with no specialization and no rounding.
    elimination, with the first nonzero entry as pivot, runs on them over
    the columns that are not unit pivots.
 
-The rank is the number of unit pivots plus the residual rank.  Kernel
+The rank is the number of unit pivots plus the residual rank.  The unit
+and Bareiss pivot columns together are a column basis (pivot_columns): on
+the eliminated matrix they form a block-triangular submatrix with a
+nonsingular diagonal, and row operations keep column dependencies, so the
+same columns of the input are independent, rank-many of them.  Kernel
 vectors come from fraction-free back substitution on the residual, one per
 free column, lifted through the unit rows (x_p = -sum_{j != p} row_p[j] x_j),
 then normalized: divided by the gcd of their integer coefficients and by
@@ -302,6 +306,13 @@ def rank(matrix: CoeffMatrix) -> int:
     """Rank over the fraction field Q(q), computed exactly."""
     units, _, _, pivots = _eliminate(matrix)
     return len(units) + len(pivots)
+
+
+def pivot_columns(matrix: CoeffMatrix) -> list[int]:
+    """Indices of rank(matrix) independent columns, ascending: the unit
+    pivots and the Bareiss pivots, which together span the column space."""
+    units, cols, _, pivots = _eliminate(matrix)
+    return sorted([p for p, _ in units] + [cols[i] for i in pivots])
 
 
 def _normalize_kernel_vector(vec):

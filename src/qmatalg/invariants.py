@@ -9,7 +9,11 @@ surjectivity of psi onto the invariants (fft_check) and the size of its
 kernel (sft_check, against the hook-shape prediction and, when the second
 family of column indices is empty, the quantum minor ideal) reduce to
 integer ranks of explicit sparse matrices, with one row per basis word;
-kernel_psi_basis gives the kernel vectors themselves.
+kernel_psi_basis gives the kernel vectors themselves.  The minor ideal is
+built degree by degree (ideal_dims): I_N = span(G_N) + A_1 I_{N-1} +
+I_{N-1} A_1, because every u g v with |u| + |v| >= 1 has a first or a last
+letter, and the pivot columns of that span are the basis of I_N that the
+next degree multiplies.
 Everything is exact: a check passes only if the relevant normal form is
 literally zero or the ranks literally agree.
 
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .exactla import CoeffMatrix, nullspace, rank
+from .exactla import CoeffMatrix, nullspace, pivot_columns, rank
 from .hookcomb import kernel_dim_prediction
 from .laurent import Q_MINUS_QINV, LaurentInt
 from .qalgebra import (
@@ -33,6 +37,7 @@ from .qalgebra import (
     _index_parity,
     _q_power_of_index,
     _sign,
+    format_element,
     graded_basis,
     multiply,
     normal_form,
@@ -388,15 +393,15 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     p = _params(params)
     if minor_ideal and p.n != 0:
         raise ValueError("the minor-ideal check requires n = 0 (all columns even)")
-    minors = _critical_minors(p) if minor_ideal else None
     ctx = _context(p.astuple())
+    ideal = ideal_dims(_critical_minors(p), ctx.mt, max_degree) if minor_ideal else None
     degrees = []
     for N in range(max_degree + 1):
         dom, tgt, images = _psi_columns(ctx, N)
         dim_ker = len(dom) - _span_dim(images, tgt)
         dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
-        ideal_dim = None if minors is None else ideal_degree_component(minors, ctx.mt, N)
-        ok = dim_ker == dim_pred and (minors is None or ideal_dim == dim_ker)
+        ideal_dim = None if ideal is None else ideal[N]
+        ok = dim_ker == dim_pred and (ideal is None or ideal_dim == dim_ker)
         degrees.append(
             {
                 "N": N,
@@ -456,31 +461,41 @@ def quantum_minor(rows, cols, target, params) -> NCElement:
     return normal_form(NCElement(terms), pres)
 
 
-def ideal_degree_component(generators, pres, degree) -> int:
-    """Dimension of one graded piece of the two-sided ideal they generate.
+def ideal_dims(generators, pres, max_degree) -> list[int]:
+    """Dimensions of the graded pieces 0..max_degree of the two-sided ideal
+    generated by the given elements.
 
-    Spans {normal_form(u * g * v)} with u, v basis words of complementary
-    degrees.  Generators must be homogeneous; only the single-family
+    Degree N is spanned by the degree-N generators and by x*b and b*x for
+    each letter x and each basis element b of degree N-1; the pivot columns
+    of that span are the basis handed to degree N+1.  Generators must be
+    homogeneous (zero ones are skipped); only the single-family
     presentations carry the integer grading this uses.
     """
     if pres.kind == "P":
         raise ValueError("ideal components are only computed in single-family presentations")
-    basis = graded_basis(pres, degree)
-    cols = []
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    by_degree = {}
     for g in generators:
-        if g.is_zero():
-            continue
-        dg = len(next(iter(g.terms)))
-        if dg > degree:
-            continue
-        for du in range(degree - dg + 1):
-            dv = degree - dg - du
-            for u in graded_basis(pres, du):
-                ug = multiply(NCElement.from_word(u), g, pres)
-                for v in graded_basis(pres, dv):
-                    ugv = multiply(ug, NCElement.from_word(v), pres)
-                    cols.append(ugv.terms)
-    return _span_dim(cols, basis)
+        g = normal_form(g, pres)
+        degrees = {len(w) for w in g.terms}
+        if len(degrees) > 1:
+            raise ValueError(f"generator {format_element(g, pres)} is not homogeneous")
+        if degrees:
+            by_degree.setdefault(degrees.pop(), []).append(g)
+    letters = [NCElement.from_word((x,)) for x in range(pres.ngens)]
+    basis = []
+    dims = []
+    for N in range(max_degree + 1):
+        cols = (
+            by_degree.get(N, [])
+            + [multiply(x, b, pres) for b in basis for x in letters]
+            + [multiply(b, x, pres) for b in basis for x in letters]
+        )
+        span = CoeffMatrix.from_columns([c.terms for c in cols], graded_basis(pres, N))
+        basis = [cols[j] for j in pivot_columns(span)]
+        dims.append(len(basis))
+    return dims
 
 
 def classical_limit(e: NCElement) -> NCElement:

@@ -19,6 +19,7 @@ from qmatalg.exactla import (
     CoeffVector,
     _echelon,
     nullspace,
+    pivot_columns,
     rank,
 )
 from qmatalg.laurent import ONE, Q, ZERO, LaurentInt, parse_laurent
@@ -258,3 +259,19 @@ def test_unit_pivoting_agrees_with_bareiss_oracle(m):
         assert all(not e for e in m @ v)
     # pivoting is deterministic, so the basis repeats exactly
     assert nullspace(m) == ker
+
+
+@settings(deadline=None, max_examples=200)
+@given(unit_rich_matrices)
+def test_pivot_columns_are_a_column_basis(m):
+    cols = pivot_columns(m)
+    assert len(cols) == rank(m)
+    assert cols == sorted(set(cols))
+    # independent under the plain Bareiss oracle, so they span the column space
+    picked = [[row[j] for j in cols] for row in m.rows]
+    assert len(_echelon(picked)[1]) == len(cols)
+
+
+def test_pivot_columns_of_matrices_without_entries():
+    assert pivot_columns(CoeffMatrix([], 3)) == []
+    assert pivot_columns(CoeffMatrix([[], []], 0)) == []

@@ -4,7 +4,8 @@ The frozen expansions were derived by hand from the defining sum for X_ab
 and the permutation expansion of the minors.  Kernel dimensions are checked
 twice: against hand-frozen values and against the independent hook-shape
 count from hookcomb; ideal dimensions come from a different matrix than the
-kernel dimensions they must match.  The homomorphism property of psi and the
+kernel dimensions they must match, and are checked against the brute-force
+span of every u*g*v.  The homomorphism property of psi and the
 well-definedness of the signed place action are property-tested.
 """
 
@@ -18,13 +19,14 @@ from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
     InvariantParams,
     _context,
+    _critical_minors,
     _psi_columns,
     _span_dim,
     build_X,
     classical_limit,
     classical_presentation,
     fft_check,
-    ideal_degree_component,
+    ideal_dims,
     kernel_psi_basis,
     psi,
     quantum_minor,
@@ -42,6 +44,7 @@ from qmatalg.qalgebra import (
     normal_form,
     parse_element,
     presentation_M,
+    presentation_Mbar,
     presentation_Mtilde,
     presentation_P,
 )
@@ -296,19 +299,89 @@ def test_kernel_zero_when_column_space_is_large():
             assert not kernel_psi_basis(params, degree)
 
 
-def test_ideal_degree_component_frozen():
+def _ugv_span_dim(generators, pres, degree):
+    """Brute-force oracle for ideal_dims: the rank of every u*g*v with u, v
+    basis words of complementary degrees."""
+    cols = []
+    for g in generators:
+        if g.is_zero():
+            continue
+        dg = len(next(iter(g.terms)))
+        for du in range(degree - dg + 1):
+            for u in graded_basis(pres, du):
+                ug = multiply(NCElement.from_word(u), g, pres)
+                for v in graded_basis(pres, degree - dg - du):
+                    cols.append(multiply(ug, NCElement.from_word(v), pres).terms)
+    return rank(CoeffMatrix.from_columns(cols, graded_basis(pres, degree))) if cols else 0
+
+
+def test_ideal_dims_frozen():
     mt, _ = pres_pair(PM1)
     minor = quantum_minor((1, 2), (2, 1), "Mtilde", PM1)
-    dims = [ideal_degree_component([minor], mt, d) for d in range(5)]
+    dims = ideal_dims([minor], mt, 4)
     assert dims == [0, 0, 1, 4, 10]
     # matches the kernel of psi degree by degree
     for d in range(5):
         assert dims[d] == len(kernel_psi_basis(PM1, d))
-    assert ideal_degree_component([], mt, 2) == 0
-    assert ideal_degree_component([NCElement.zero()], mt, 2) == 0
+    assert ideal_dims([], mt, 2) == [0, 0, 0]
+    assert ideal_dims([NCElement.zero()], mt, 2) == [0, 0, 0]
     _, p = pres_pair(PM1)
     with pytest.raises(ValueError):
-        ideal_degree_component([minor], p, 2)
+        ideal_dims([minor], p, 2)
+    with pytest.raises(ValueError):
+        ideal_dims([minor], mt, -1)
+
+
+def test_ideal_dims_rejects_a_non_homogeneous_generator():
+    mt = presentation_Mtilde(2, 0, 2, 0)
+    g = NCElement([((0, 1), ONE), ((2,), ONE)])
+    text = format_element(normal_form(g, mt), mt)
+    # whichever term comes first, and at every degree the span reaches
+    for gens in ([g], [NCElement([((2,), ONE), ((0, 1), ONE)])], [NCElement.zero(), g]):
+        for max_degree in range(4):
+            with pytest.raises(ValueError, match="not homogeneous") as err:
+                ideal_dims(gens, mt, max_degree)
+            assert text in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "params, max_degree",
+    [
+        ((2, 0, 2, 0, 1, 0), 6),
+        ((2, 0, 3, 0, 1, 0), 5),
+        ((3, 0, 2, 0, 1, 0), 5),
+        ((3, 0, 3, 0, 1, 0), 4),
+        ((3, 0, 3, 0, 2, 0), 4),
+    ],
+)
+def test_ideal_dims_match_the_ugv_span(params, max_degree):
+    mt, _ = pres_pair(params)
+    minors = _critical_minors(InvariantParams(*params))
+    assert minors
+    expected = [_ugv_span_dim(minors, mt, d) for d in range(max_degree + 1)]
+    assert any(expected)
+    assert ideal_dims(minors, mt, max_degree) == expected
+
+
+@pytest.mark.parametrize(
+    "pres", [presentation_Mtilde(2, 0, 2, 0), presentation_M(2, 1, 1, 1), presentation_Mbar(1, 1, 1, 1)]
+)
+def test_ideal_dims_of_one_sided_generators_match_the_ugv_span(pres):
+    # for some letters and for t0 t1 + t1 t0 a one-sided ideal is smaller
+    # than the two-sided one; for the minors it is not, so those cannot tell
+    sym = normal_form(NCElement([((0, 1), ONE), ((1, 0), ONE)]), pres)
+    for gens in [[NCElement.from_word((x,))] for x in range(pres.ngens)] + [[sym]]:
+        assert ideal_dims(gens, pres, 3) == [_ugv_span_dim(gens, pres, d) for d in range(4)]
+
+
+def test_ideal_dims_with_mixed_degree_generators():
+    # a generator inside the ideal of another, a zero one and a repeat
+    mt, _ = pres_pair(PM1)
+    minor = quantum_minor((1, 2), (2, 1), "Mtilde", PM1)
+    gens = [multiply(minor, mt.generator("Tt", 1, 1), mt), NCElement.zero(), minor, minor]
+    expected = [_ugv_span_dim(gens, mt, d) for d in range(6)]
+    assert expected == [0, 0, 1, 4, 10, 20]
+    assert ideal_dims(gens, mt, 5) == expected
 
 
 def test_fft_check_reports():
