@@ -277,13 +277,10 @@ def _unit_phase(rows):
             f = other.pop(p, None)
             if f is None:
                 continue
+            f = -f
             for j, e in row.items():
                 if j != p:
-                    v = other.get(j, ZERO) - f * e
-                    if v:
-                        other[j] = v
-                    else:
-                        del other[j]
+                    _add_term(other, j, f * e)
         active = [r for r in active if r]
         units.append((p, row))
 

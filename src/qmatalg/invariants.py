@@ -103,7 +103,7 @@ class _Context:
     def __init__(self, pt):
         self.pt = pt
         k, l, r, s, m, n = pt
-        self.mt = presentation_Mtilde(k, l, r, s)
+        self.mt = _pres("Mt", k, l, r, s)
         self.p = presentation_P(k, l, r, s, m, n)
         self.x_elements = [
             self._make_x(g.row, g.col, k, r, m, n) for g in self.mt.generators
@@ -203,7 +203,7 @@ def verify_X_relations(params) -> bool:
         return multiply(u, v, pres)
 
     for (i, j), rhs in ctx.mt.rules.items():
-        lhs = mul(ctx.x_elements[i], ctx.x_elements[j])
+        lhs = ctx.word_image((i, j))
         acc = NCElement.zero()
         for c, w in rhs:
             acc = acc + ctx.word_image(w).scaled(c)

@@ -24,6 +24,17 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+def _add_term(terms, key, coeff):
+    """terms[key] += coeff in a sparse dict of int or LaurentInt
+    coefficients, dropping a zero sum."""
+    prev = terms.get(key)
+    acc = coeff if prev is None else prev + coeff
+    if acc:
+        terms[key] = acc
+    elif prev is not None:
+        del terms[key]
+
+
 class LaurentInt:
     __slots__ = ("terms",)
 
@@ -82,28 +93,15 @@ class LaurentInt:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
+            _add_term(out, e, c)
         return LaurentInt._raw(out)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = LaurentInt.from_int(other)
-        elif not isinstance(other, LaurentInt):
+        if not isinstance(other, (int, LaurentInt)):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) - c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentInt._raw(out)
+        return self + -other
 
     def __rsub__(self, other):
         return (-self) + other
@@ -119,6 +117,7 @@ class LaurentInt:
         if not a or not b:
             return _ZERO
         out = {}
+        # inline, not _add_term: the call costs measurable time in this hot loop
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = e1 + e2
@@ -160,16 +159,6 @@ QINV = LaurentInt._raw({-1: 1})
 Q_MINUS_QINV = Q - QINV
 
 
-def _add_term(terms, key, coeff):
-    """terms[key] += coeff in a sparse {key: LaurentInt} dict, dropping a zero sum."""
-    prev = terms.get(key)
-    acc = coeff if prev is None else prev + coeff
-    if acc:
-        terms[key] = acc
-    elif prev is not None:
-        del terms[key]
-
-
 def lau_div_exact(a: LaurentInt, b: LaurentInt) -> LaurentInt:
     """Exact division in Z[q, q^-1]; raises ExactDivisionError on remainder.
 
@@ -194,11 +183,7 @@ def lau_div_exact(a: LaurentInt, b: LaurentInt) -> LaurentInt:
         c = ca // cb
         quot[e] = c
         for e2, c2 in b.terms.items():
-            s = rem.get(e + e2, 0) - c * c2
-            if s:
-                rem[e + e2] = s
-            else:
-                rem.pop(e + e2, None)
+            _add_term(rem, e + e2, -c * c2)
     return LaurentInt._raw(quot)
 
 
@@ -268,11 +253,7 @@ def parse_laurent(text: str) -> LaurentInt:
             e = int(m.group("exp2")) if m.group("exp2") is not None else 1
         if abs(e) > EXPONENT_BOUND:
             raise OverflowError(f"exponent {e} out of documented bound")
-        s = out.get(e, 0) + sign * c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
+        _add_term(out, e, sign * c)
         if pos >= n:
             break
     if text[pos:].strip():

@@ -16,8 +16,9 @@ ascending by (col, row) within each family, with all T before all Tb in P.
 A word is normal when its ids are non-decreasing and no odd generator is
 repeated adjacently.  Every defining relation is oriented so that the
 key-maximal two-letter word rewrites into strictly smaller words, which
-makes leftmost reduction terminate; confluence is checked empirically by
-the test suite, not assumed.
+makes leftmost reduction terminate.  Confluence is not assumed: the test
+suite resolves every overlap of two rules (the diamond lemma), for M, Mbar
+and Mtilde on the whole (k,l,r,s) grid and for P on every seventh tuple.
 """
 
 from __future__ import annotations

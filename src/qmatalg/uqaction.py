@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import CoeffMatrix, nullspace
-from .laurent import ONE, ZERO, LaurentInt, _add_term
+from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _add_term
 from .qalgebra import (
     NCElement,
     _index_parity,
@@ -187,7 +187,7 @@ def _k_exponent(a, asign, g, m):
     """Exponent of q in the K_a-eigenvalue of one letter."""
     if g.col != a:
         return 0
-    e = asign if _index_parity(a, m) == 0 else -asign
+    e = asign * _sign(_index_parity(a, m))
     return e if g.family == "T" else -e
 
 
@@ -357,7 +357,7 @@ def verify_operator_relations(m, n, pres, bidegree):
     r1_ok = not failures
 
     def root_sign(a, col):
-        return (1 if _index_parity(a, m) == 0 else -1) * (1 if a == col else 0)
+        return _sign(_index_parity(a, m)) if a == col else 0
 
     for x in chevalley_generators(m, n):
         if x.kind not in (ERAISE, ELOWER):
@@ -374,7 +374,7 @@ def verify_operator_relations(m, n, pres, bidegree):
     for a in range(1, sz):
         ea = ChevalleyGen(ERAISE, a, _expected_parity(ERAISE, a, m))
         pa = _index_parity(a, m)
-        qa_minus = _q_power_of_index(pa, 1) - _q_power_of_index(pa, -1)
+        qa_minus = _sign(pa) * Q_MINUS_QINV
         for b in range(1, sz):
             fb = ChevalleyGen(ELOWER, b, _expected_parity(ELOWER, b, m))
             sign = _sign(ea.parity * fb.parity)

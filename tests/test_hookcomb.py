@@ -1,7 +1,7 @@
 """Hook-combinatorics tests against brute-force oracles.
 
-The oracles here enumerate fillings and exponent grids directly with
-itertools so they share no code with the implementation.
+The oracles here enumerate fillings and exponent grids directly so they
+share no code with the implementation.
 """
 
 import itertools
@@ -66,9 +66,20 @@ def oracle_tableaux(lam, k, l):
 def oracle_monomials(k, l, r, s, size):
     rows = [0] * k + [1] * l
     cols = [0] * r + [1] * s
-    cells = [(pa, pb) for pa in rows for pb in cols]
-    ranges = [range(2) if pa != pb else range(size + 1) for pa, pb in cells]
-    return sum(1 for exps in itertools.product(*ranges) if sum(exps) == size)
+    # an odd cell holds exponent 0 or 1, an even cell any exponent
+    caps = [1 if pa != pb else size for pa in rows for pb in cols]
+
+    def grids(i, budget):
+        # every filling of cells i.. whose exponents sum to budget
+        if i == len(caps):
+            if budget == 0:
+                yield ()
+            return
+        for e in range(min(caps[i], budget) + 1):
+            for rest in grids(i + 1, budget - e):
+                yield (e,) + rest
+
+    return sum(1 for _ in grids(0, size))
 
 
 # ----------------------------------------------------------- frozen values

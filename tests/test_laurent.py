@@ -114,6 +114,22 @@ def test_ring_axioms(a, b, c):
     assert a - a == ZERO
 
 
+@given(laurents, laurents, st.integers(-9, 9))
+def test_int_operands_and_cancellation(a, b, n):
+    c = LaurentInt.from_int(n)
+    results = [a + n, n + a, a - n, n - a, a - b, (a - b) + b]
+    assert results[:4] == [a + c, c + a, a - c, c - a]
+    assert (a - b) + b == a
+    for r in results:
+        assert isinstance(r, LaurentInt)
+        assert 0 not in r.terms.values()
+
+
+def test_parse_drops_cancelled_terms():
+    assert parse_laurent("q - q").terms == {}
+    assert parse_laurent("2*q^3 - q^3 - q^3").terms == {}
+
+
 @given(laurents, laurents)
 def test_bar_is_ring_involution(a, b):
     assert a.bar().bar() == a
