@@ -37,6 +37,7 @@ from .qalgebra import (
     _index_parity,
     _q_power_of_index,
     _sign,
+    _validate_words,
     format_element,
     graded_basis,
     multiply,
@@ -135,15 +136,9 @@ class _Context:
         return acc
 
     def image_of(self, e):
-        ngens = self.mt.ngens
+        _validate_words(e, self.mt)
         total = []
         for word, coeff in e.terms.items():
-            for gid in word:
-                if not 0 <= gid < ngens:
-                    raise ValueError(
-                        f"word refers to generator id {gid}, but the domain "
-                        f"presentation has only {ngens} generators"
-                    )
             for w, c in self.word_image(word).terms.items():
                 total.append((w, coeff * c))
         return NCElement(total)
@@ -181,6 +176,23 @@ def psi(e: NCElement, params) -> NCElement:
     return ctx.image_of(e)
 
 
+def _rules_hold(rules, image):
+    """True when image(lhs) == sum c * image(w) for every rule lhs -> sum c w.
+
+    `image` maps a word of the rules' presentation to its image element;
+    the map it extends from the generators is well defined exactly when it
+    respects every defining rule.
+    """
+    for lhs, rhs in rules.items():
+        got = image(lhs)
+        acc = NCElement.zero()
+        for c, w in rhs:
+            acc = acc + image(w).scaled(c)
+        if got != acc:
+            return False
+    return True
+
+
 def verify_X_relations(params) -> bool:
     """Check every quadratic relation satisfied by the X elements.
 
@@ -202,13 +214,8 @@ def verify_X_relations(params) -> bool:
     def mul(u, v):
         return multiply(u, v, pres)
 
-    for (i, j), rhs in ctx.mt.rules.items():
-        lhs = ctx.word_image((i, j))
-        acc = NCElement.zero()
-        for c, w in rhs:
-            acc = acc + ctx.word_image(w).scaled(c)
-        if lhs != acc:
-            return False
+    if not _rules_hold(ctx.mt.rules, ctx.word_image):
+        return False
 
     rows1 = range(1, k + l + 1)
     rows2 = range(1, r + s + 1)

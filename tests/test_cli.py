@@ -5,7 +5,10 @@ import json
 
 import pytest
 
-from qmatalg.cli import DEFAULT_SEED, build_parser, main
+from qmatalg import cli
+from qmatalg.cli import build_parser, main
+from qmatalg.invariants import classical_presentation
+from qmatalg.qalgebra import AlgebraPresentation
 
 
 def run(argv, capsys):
@@ -131,20 +134,53 @@ def test_hecke_report(capsys):
     assert rep["overall_pass"] is True
 
 
-def test_classical_report_uses_seed(capsys):
-    argv = ["classical", "-k", "1", "-l", "1", "-r", "1", "-s", "1",
-            "-m", "1", "-n", "1"]
-    code, out, _ = run(argv, capsys)
+CLASSICAL_1S = ["classical", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-m", "1", "-n", "1"]
+
+
+def test_classical_report_counts_what_it_checked(capsys):
+    code, out, _ = run(CLASSICAL_1S, capsys)
     assert code == 0
     rep = json.loads(out)
-    assert rep["seed"] == DEFAULT_SEED
-    assert all(rep["checks"].values())
+    assert rep["checks"] == {
+        "rules_supercommute_at_q1": True,
+        "classical_X_supercommute": True,
+        "associativity": True,
+        "homomorphism": True,
+    }
+    assert rep["overlaps"] == 124
+    assert rep["tilde_rules"] == 8
+    assert rep["overall_pass"] is True
 
-    code, out2, _ = run(argv + ["--seed", "12345"], capsys)
-    assert code == 0
-    rep2 = json.loads(out2)
-    assert rep2["seed"] == 12345
-    assert all(rep2["checks"].values())
+
+def _flip_classical_rule(kind, index):
+    """classical_presentation, but with the sign of the index-th nonempty
+    q = 1 rule of the `kind` presentation flipped."""
+    def flipped(pres):
+        cp = classical_presentation(pres)
+        if pres.kind != kind:
+            return cp
+        rules = dict(cp.rules)
+        lhs = [lhs for lhs, rhs in rules.items() if rhs][index]
+        (c, w), = rules[lhs]
+        rules[lhs] = ((-c, w),)
+        return AlgebraPresentation(cp.kind, cp.params, cp.generators, rules)
+    return flipped
+
+
+def test_a_flipped_classical_P_rule_is_not_supercommutation(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "classical_presentation", _flip_classical_rule("P", 0))
+    code, out, _ = run(CLASSICAL_1S, capsys)
+    assert code == 1
+    assert json.loads(out)["checks"]["rules_supercommute_at_q1"] is False
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_a_flipped_classical_Mtilde_rule_breaks_the_homomorphism(index, monkeypatch, capsys):
+    # Mtilde(1,1,1,1) has six rules with a nonempty right side
+    monkeypatch.setattr(cli, "classical_presentation", _flip_classical_rule("Mtilde", index))
+    code, out, _ = run(CLASSICAL_1S, capsys)
+    assert code == 1
+    assert json.loads(out)["checks"]["homomorphism"] is False
 
 
 @pytest.mark.parametrize(
@@ -171,10 +207,11 @@ def test_default_degree_reaches_report(argv, records, index, expected, capsys):
         ["fft", "-k", "1", "-r", "1", "-m", "1"],
         ["sft", "-k", "1", "-r", "1", "-m", "1"],
         ["hecke", "-k", "1"],
+        CLASSICAL_1S,
     ],
-    ids=["dims", "nf", "fft", "sft", "hecke"],
+    ids=["dims", "nf", "fft", "sft", "hecke", "classical"],
 )
-def test_only_classical_takes_a_seed(argv, capsys):
+def test_no_subcommand_takes_a_seed(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--seed", "1"])
     assert exc.value.code == 2

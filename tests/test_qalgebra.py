@@ -20,6 +20,7 @@ from qmatalg.laurent import ONE, Q, QINV, LaurentInt
 from qmatalg.qalgebra import (
     AlgebraPresentation,
     NCElement,
+    _unresolved_overlaps,
     format_element,
     graded_basis,
     is_normal,
@@ -266,25 +267,6 @@ def test_every_rule_rewrites_into_smaller_words():
     broken = dict(P1111.rules)
     broken[lhs] = rhs + ((ONE, lhs),)
     assert _misoriented(broken) == [(lhs, lhs)]
-
-
-def _unresolved_overlaps(pres):
-    """Rewrite every ambiguity abc (a rule on ab and one on bc) at ab first
-    and at bc first; returns the overlap count and the words whose two
-    normal forms differ.  Zero unresolved proves confluence (diamond lemma)."""
-    right_letters = {}
-    for a, b in pres.rules:
-        right_letters.setdefault(a, []).append(b)
-    count = 0
-    bad = []
-    for (a, b), rhs_ab in pres.rules.items():
-        for c in right_letters.get(b, ()):
-            left = NCElement([(w + (c,), co) for co, w in rhs_ab])
-            right = NCElement([((a,) + w, co) for co, w in pres.rules[(b, c)]])
-            count += 1
-            if normal_form(left - right, pres):
-                bad.append((a, b, c))
-    return count, bad
 
 
 def test_every_overlap_resolves():
