@@ -29,9 +29,8 @@ from .hookcomb import emit_dimension_table, supermatrix_monomial_count
 from .invariants import (
     InvariantParams,
     _rules_hold,
-    build_X,
-    classical_limit,
     classical_presentation,
+    classical_psi,
     fft_check,
     sft_check,
 )
@@ -210,13 +209,7 @@ def cmd_classical(args):
     ]
     cmt, cp = classical[2], classical[3]
     # the q = 1 limit of X_ab, indexed like the tilde generator t~_ab
-    xs = [classical_limit(build_X(g.row, g.col, params)) for g in cmt.generators]
-
-    def image(word):
-        acc = NCElement.one()
-        for g in word:
-            acc = multiply(acc, xs[g], cp)
-        return acc
+    xs = [classical_psi(NCElement.from_word((g,)), params) for g in range(cmt.ngens)]
 
     super_ok = all(
         multiply(x1, x2, cp) == multiply(x2, x1, cp).scaled(_sign(g1.parity * g2.parity))
@@ -229,7 +222,9 @@ def cmd_classical(args):
         "rules_supercommute_at_q1": all(_classical_rules_ok(c) for c in classical),
         "classical_X_supercommute": super_ok,
         "associativity": not any(bad for _, bad in resolved),
-        "homomorphism": _rules_hold(cmt.rules, image),
+        "homomorphism": _rules_hold(
+            cmt.rules, lambda word: classical_psi(NCElement.from_word(word), params)
+        ),
     }
     report = {
         "schema": SCHEMA,

@@ -19,7 +19,8 @@ literally zero or the ranks literally agree.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
-words, and the symmetrizer polynomials of `sergeev_polynomial`.
+words, and the symmetrizer polynomials of `sergeev_polynomial`; only
+`classical_psi`, the q = 1 psi, sits next to `psi`.
 """
 
 from __future__ import annotations
@@ -110,6 +111,7 @@ class _Context:
             self._make_x(g.row, g.col, k, r, m, n) for g in self.mt.generators
         ]
         self._images = {(): NCElement.one()}
+        self._classical = None
 
     def _make_x(self, a, b, k, r, m, n):
         pa = _index_parity(a, k)
@@ -134,6 +136,16 @@ class _Context:
             acc = multiply(acc, self.x_elements[word[p]], self.p)
             images[word[: p + 1]] = acc
         return acc
+
+    def classical(self):
+        """The q = 1 presentation of P and the q = 1 limits of the X
+        elements, built on first use."""
+        if self._classical is None:
+            self._classical = (
+                classical_presentation(self.p),
+                [classical_limit(x) for x in self.x_elements],
+            )
+        return self._classical
 
     def image_of(self, e):
         _validate_words(e, self.mt)
@@ -174,6 +186,26 @@ def psi(e: NCElement, params) -> NCElement:
     """
     ctx = _context(_params(params).astuple())
     return ctx.image_of(e)
+
+
+def classical_psi(e: NCElement, params) -> NCElement:
+    """psi at q = 1: substitute the q = 1 limit of X_ab for each tilde
+    generator and normalize in the q = 1 degeneration of P.
+
+    Words are read with the tilde generator ids, which the presentations
+    M and Mtilde of the same (k,l,r,s) share.  That the map respects the
+    q = 1 tilde rules is checked by `qmatalg classical`, not assumed here.
+    """
+    ctx = _context(_params(params).astuple())
+    _validate_words(e, ctx.mt)
+    cp, xs = ctx.classical()
+    out = NCElement.zero()
+    for word, coeff in e.terms.items():
+        acc = NCElement.one()
+        for g in word:
+            acc = multiply(acc, xs[g], cp)
+        out = out + acc.scaled(coeff)
+    return out
 
 
 def _rules_hold(rules, image):

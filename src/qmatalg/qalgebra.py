@@ -16,7 +16,13 @@ ascending by (col, row) within each family, with all T before all Tb in P.
 A word is normal when its ids are non-decreasing and no odd generator is
 repeated adjacently.  Every defining relation is oriented so that the
 key-maximal two-letter word rewrites into strictly smaller words, which
-makes leftmost reduction terminate.  Confluence is not assumed but proven:
+makes leftmost reduction terminate.  Most rules are swaps with a single
+coefficient +-q^e; normal_form_stats rewrites a word through a run of
+such swaps in place, collecting the monomial as two ints, and goes back
+to its agenda of pending words only for a rule with several terms (or
+none) or when the rewritten word is already pending.  The rewriting
+order, and so the step count, is that of plain leftmost reduction with
+one agenda round per step.  Confluence is not assumed but proven:
 _unresolved_overlaps resolves every overlap of two rules (the diamond
 lemma).  The test suite runs it on M, Mbar and Mtilde over the whole
 (k,l,r,s) grid and on P over every seventh tuple, and `qmatalg classical`
@@ -126,7 +132,7 @@ def _sign(exponent):
 class AlgebraPresentation:
     """Immutable generator table plus oriented rewrite rules."""
 
-    __slots__ = ("kind", "params", "generators", "ids", "rules", "_grid", "_by_index")
+    __slots__ = ("kind", "params", "generators", "ids", "rules", "_grid", "_swaps", "_by_index")
 
     def __init__(self, kind, params, generators, rules):
         self.kind = kind
@@ -137,9 +143,16 @@ class AlgebraPresentation:
         self.rules = rules
         n = len(self.generators)
         grid = [[None] * n for _ in range(n)]
+        swaps = [[None] * n for _ in range(n)]
         for (i, j), rhs in rules.items():
             grid[i][j] = rhs
+            # a +-q^e single-term rule, applied in place by normal_form_stats
+            if len(rhs) == 1 and len(rhs[0][0].terms) == 1:
+                ((exp, c),) = rhs[0][0].terms.items()
+                if c == 1 or c == -1:
+                    swaps[i][j] = (exp, c, rhs[0][1])
         self._grid = grid
+        self._swaps = swaps
 
     @property
     def ngens(self):
@@ -292,30 +305,69 @@ def _validate_words(e, pres):
 
 
 def normal_form_stats(e, pres):
-    """Normal form plus the number of rewrite steps taken."""
+    """Normal form plus the number of rewrite steps taken.
+
+    Words wait in an agenda dict and are popped last-in first-out.  A
+    popped word is rewritten at its leftmost redex for as long as that
+    redex is a +-q^e single-term rule: the word is rebuilt in place, the
+    exponent and sign accumulate as ints, and the scan resumes one letter
+    left of the rewritten pair, since nothing before it changed.  The run
+    ends when the word is normal (it goes to the output), when the rule
+    has several terms or none (they go to the agenda), or when the word
+    is already in the agenda (it merges there); the collected monomial
+    then scales the coefficient once.  These are exactly the points
+    where an agenda round per step would leave the word, so the result
+    and its term order match that loop, and `steps` still counts one
+    step per rule application.
+    """
     _validate_words(e, pres)
     grid = pres._grid
+    swaps = pres._swaps
     agenda = dict(e.terms)
     out = {}
     steps = 0
+    limit = _STEP_LIMIT
     while agenda:
         word, coeff = agenda.popitem()
-        pos = -1
-        for p in range(len(word) - 1):
-            rhs = grid[word[p]][word[p + 1]]
-            if rhs is not None:
-                pos = p
+        shift = 0
+        sign = 1
+        p = 0
+        while True:
+            last = len(word) - 1
+            rhs = None
+            while p < last:
+                rhs = grid[word[p]][word[p + 1]]
+                if rhs is not None:
+                    break
+                p += 1
+            if rhs is None:
                 break
-        if pos < 0:
+            steps += 1
+            if steps > limit:
+                raise RuntimeError("rewriting step limit exceeded; non-terminating rule system?")
+            swap = swaps[word[p]][word[p + 1]]
+            if swap is None:
+                break
+            exp, c, w = swap
+            shift += exp
+            sign *= c
+            word = word[:p] + w + word[p + 2:]
+            if word in agenda:
+                break
+            if p:
+                p -= 1
+        if shift or sign != 1:
+            # times sign * q^shift: a monomial factor shifts exponents and merges no terms
+            coeff = LaurentInt._raw({ex + shift: cf * sign for ex, cf in coeff.terms.items()})
+        if rhs is None:
             _add_term(out, word, coeff)
-            continue
-        steps += 1
-        if steps > _STEP_LIMIT:
-            raise RuntimeError("rewriting step limit exceeded; non-terminating rule system?")
-        head = word[:pos]
-        tail = word[pos + 2:]
-        for rc, rw in rhs:
-            _add_term(agenda, head + rw + tail, coeff * rc)
+        elif swap is None:
+            head = word[:p]
+            tail = word[p + 2:]
+            for rc, rw in rhs:
+                _add_term(agenda, head + rw + tail, coeff * rc)
+        else:
+            _add_term(agenda, word, coeff)
     return NCElement._raw(out), steps
 
 

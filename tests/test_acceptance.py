@@ -20,6 +20,7 @@ from qmatalg.invariants import (
     build_X,
     classical_limit,
     classical_presentation,
+    classical_psi,
     fft_check,
     ideal_dims,
     kernel_psi_basis,
@@ -250,20 +251,7 @@ def test_c12_classical_limit_and_sergeev():
     serg = sergeev_polynomial([[1], [2]], (1, 2), (1, 2), 2, 0)
     minor = normal_form(classical_limit(quantum_minor((1, 2), (1, 2), "M", params)), cm)
     ok = ok and serg == minor
-
-    cp = classical_presentation(presentation_P(*params))
-    cx = {
-        (a, b): classical_limit(build_X(a, b, params))
-        for a in (1, 2) for b in (1, 2)
-    }
-    image = NCElement.zero()
-    for word, coeff in serg.terms.items():
-        part = NCElement.one()
-        for gid in word:
-            gi = cm.generators[gid]
-            part = multiply(part, cx[gi.row, gi.col], cp)
-        image = image + part.scaled(coeff)
-    ok = ok and image.is_zero()
+    ok = ok and classical_psi(serg, params).is_zero()
 
     _criterion("C12", "classical limit supercommutes and Sergeev matches the minor",
                ok, time.perf_counter() - t0)

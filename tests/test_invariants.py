@@ -25,6 +25,7 @@ from qmatalg.invariants import (
     build_X,
     classical_limit,
     classical_presentation,
+    classical_psi,
     fft_check,
     ideal_dims,
     kernel_psi_basis,
@@ -496,20 +497,6 @@ def test_sergeev_polynomial_errors():
         sergeev_polynomial(((1,),), (3,), (1,), 2, 0)
 
 
-def _classical_psi(e, params):
-    k, l, r, s, m, n = params
-    mt, p = pres_pair(params)
-    cp = classical_presentation(p)
-    out = NCElement.zero()
-    for word, coeff in e.terms.items():
-        acc = NCElement.one()
-        for gid in word:
-            g = mt.generators[gid]
-            acc = multiply(acc, classical_limit(build_X(g.row, g.col, params)), cp)
-        out = out + acc.scaled(coeff)
-    return out
-
-
 def test_sergeev_column_shape_in_classical_kernel():
     # the (m+1)-box column polynomial dies under the q = 1 substitution
     cases = [
@@ -520,7 +507,7 @@ def test_sergeev_column_shape_in_classical_kernel():
         k = params[0]
         poly = sergeev_polynomial(tableau, seq, seq, k, 0)
         assert not poly.is_zero()
-        assert _classical_psi(poly, params).is_zero()
+        assert classical_psi(poly, params).is_zero()
 
 
 @st.composite

@@ -15,10 +15,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from qmatalg import qalgebra
 from qmatalg.exactla import CoeffMatrix, rank
-from qmatalg.laurent import ONE, Q, QINV, LaurentInt
+from qmatalg.invariants import classical_presentation
+from qmatalg.laurent import ONE, Q, QINV, LaurentInt, _add_term
 from qmatalg.qalgebra import (
     AlgebraPresentation,
+    GenIndex,
     NCElement,
     _unresolved_overlaps,
     format_element,
@@ -537,3 +540,92 @@ def test_normal_form_linear(pe):
     for w, c in e.terms.items():
         total = total + nf(NCElement.from_word(w, c), pres)
     assert nf(e, pres) == total
+
+
+# ------------------------------------------------ the in-place rewrite runs
+
+
+def _reference_normal_form_stats(e, pres):
+    """The plain agenda loop: every rewrite step pops a word, rescans it from
+    the left and pushes each term of the rule back into the agenda."""
+    grid = pres._grid
+    agenda = dict(e.terms)
+    out = {}
+    steps = 0
+    while agenda:
+        word, coeff = agenda.popitem()
+        pos = -1
+        for p in range(len(word) - 1):
+            rhs = grid[word[p]][word[p + 1]]
+            if rhs is not None:
+                pos = p
+                break
+        if pos < 0:
+            _add_term(out, word, coeff)
+            continue
+        steps += 1
+        head = word[:pos]
+        tail = word[pos + 2:]
+        for rc, rw in rhs:
+            _add_term(agenda, head + rw + tail, coeff * rc)
+    return NCElement._raw(out), steps
+
+
+ORACLE_PRES = ALL_PRES + [classical_presentation(p) for p in ALL_PRES]
+
+
+def _assert_matches_reference(e, pres):
+    got, steps = normal_form_stats(e, pres)
+    want, want_steps = _reference_normal_form_stats(e, pres)
+    assert steps == want_steps
+    assert list(got.terms.items()) == list(want.terms.items())
+
+
+@st.composite
+def pres_and_rearrangements(draw, max_len=6):
+    """Sums over rearrangements of one word and over other words, so that
+    rewrite runs meet words still waiting in the agenda."""
+    pres = draw(st.sampled_from(ORACLE_PRES))
+    letters = st.integers(0, pres.ngens - 1)
+    word = draw(st.lists(letters, max_size=max_len))
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        w = draw(st.one_of(st.permutations(word), st.lists(letters, max_size=max_len)))
+        coeff = LaurentInt(
+            draw(st.dictionaries(st.integers(-2, 2), st.integers(-3, 3), min_size=1, max_size=2))
+        )
+        terms[tuple(w)] = coeff
+    return pres, NCElement(terms)
+
+
+@settings(max_examples=250, deadline=None)
+@given(pres_and_rearrangements())
+def test_in_place_runs_match_the_agenda_loop(pe):
+    pres, e = pe
+    _assert_matches_reference(e, pres)
+
+
+def test_a_run_that_reaches_a_pending_word_merges_into_it():
+    # T[2,1] T[1,1] T[1,1] swaps into T[1,1] T[2,1] T[1,1], which is still
+    # in the agenda; rewriting on past it would redo that word's step
+    e = word_of(M11, "T", (1, 1), (2, 1), (1, 1)) + word_of(M11, "T", (2, 1), (1, 1), (1, 1))
+    _, steps = normal_form_stats(e, M11)
+    assert steps == 2
+    _assert_matches_reference(e, M11)
+
+
+def _looping_presentation(rules):
+    gens = [GenIndex("T", 1, col, 0) for col in (1, 2, 3)]
+    return AlgebraPresentation("loop", (), gens, rules)
+
+
+def test_step_limit_stops_a_rule_system_that_never_terminates(monkeypatch):
+    monkeypatch.setattr(qalgebra, "_STEP_LIMIT", 1000)
+    swap = ((ONE, (1, 0)),)
+    # two single-term swaps undo each other: the loop stays in one run
+    runs = _looping_presentation({(1, 0): ((ONE, (0, 1)),), (0, 1): swap})
+    # a two-term rule sends the word back through the agenda every round
+    rounds = _looping_presentation({(1, 0): ((ONE, (0, 1)), (ONE, (2, 2))), (0, 1): swap})
+    for pres in (runs, rounds):
+        with pytest.raises(RuntimeError, match="step limit"):
+            normal_form_stats(NCElement.from_word((1, 0)), pres)
