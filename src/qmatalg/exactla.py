@@ -8,8 +8,10 @@ results are generic-q ranks with no specialization and no rounding.
    some row holds a unit +-q^e (one term, coefficient +-1), the shortest
    such row (earliest on ties) is scaled by the inverse of its leftmost
    unit, which is again +-q^-e, so the division is exact and entries do
-   not grow.  That column is then cleared from every other row, earlier
-   pivot rows included (Gauss-Jordan).  Every step is an invertible row
+   not grow.  That column is then cleared from the rows not yet pivoted
+   on, and not from earlier pivot rows (forward elimination): rank and
+   pivot columns never read those rows, and the kernel lift runs through
+   them in reverse pivot order.  Every step is an invertible row
    operation over Z[q, q^-1], so rank and kernel are unchanged.
 2. Residual phase: the rows left over hold no unit; fraction-free (Bareiss)
    elimination, with the first nonzero entry as pivot, runs on them over
@@ -21,10 +23,11 @@ the eliminated matrix they form a block-triangular submatrix with a
 nonsingular diagonal, and row operations keep column dependencies, so the
 same columns of the input are independent, rank-many of them.  Kernel
 vectors come from fraction-free back substitution on the residual, one per
-free column, lifted through the unit rows (x_p = -sum_{j != p} row_p[j] x_j),
-then normalized: divided by the gcd of their integer coefficients and by
-the lowest common power of q, and sign-fixed so the first nonzero entry has
-a positive leading (highest-exponent) coefficient.  No polynomial gcd is
+free column, lifted through the unit rows, last pivot first
+(x_p = -sum_{j != p} row_p[j] x_j), then normalized: divided by the gcd of
+their integer coefficients and by the lowest common power of q, and
+sign-fixed so the first nonzero entry has a positive leading
+(highest-exponent) coefficient.  No polynomial gcd is
 taken beyond that.  Pivoting is deterministic, so kernel bases are
 reproducible for golden tests; they span the same space as plain Bareiss
 would, but the pivot columns may differ, so the individual vectors may too
@@ -33,6 +36,7 @@ would, but the pivot columns may differ, so the individual vectors may too
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
 from math import gcd
 from types import MappingProxyType
 
@@ -240,49 +244,73 @@ def _echelon(rows):
     return rows, pivots
 
 
-def _is_unit(e):
-    """True for the units +-q^k of Z[q, q^-1]."""
-    if len(e.terms) != 1:
-        return False
-    (c,) = e.terms.values()
-    return c == 1 or c == -1
+def _leftmost_unit(row):
+    """The leftmost column of a sparse row whose entry is a unit +-q^k of
+    Z[q, q^-1] (one term, coefficient +-1), or None."""
+    lead = None
+    for j, e in row.items():
+        if len(e.terms) == 1 and (lead is None or j < lead):
+            (c,) = e.terms.values()
+            if c == 1 or c == -1:
+                lead = j
+    return lead
 
 
 def _unit_phase(rows):
-    """Sparse Gauss-Jordan elimination on unit pivots (the module docstring
-    gives the pivot rule) over copies of the sparse rows.
+    """Sparse forward elimination on unit pivots (the module docstring gives
+    the pivot rule) over copies of the sparse rows.
 
-    Returns (units, residual): units is a list of (pivot column, row) with
-    row[pivot] == 1 and no other pivot column in the row; residual holds
-    the remaining nonzero rows, which contain no unit and no pivot column.
+    Returns (units, residual): units is a list of (pivot column, row) in
+    pivot order, with row[pivot] == 1 and no earlier pivot column in the
+    row (it may hold later ones); residual holds the remaining nonzero rows
+    in input order, which contain no unit and no pivot column.
+
+    No row is rescanned per pivot: each active row's leftmost unit is
+    cached and recomputed only when the row changes, a heap of (length,
+    row index) over the rows with a unit picks the pivot row (an entry is
+    stale once its row is gone, has another length or lost its units), and
+    an index of the rows that may hold each column limits the clearing to
+    them (an index entry is stale once the row no longer holds the column).
     """
-    active = [dict(r) for r in rows if r]
+    active = {i: dict(r) for i, r in enumerate(rows) if r}
+    lead = {i: _leftmost_unit(r) for i, r in active.items()}
+    heap = [(len(r), i) for i, r in active.items() if lead[i] is not None]
+    heapify(heap)
+    holders = {}
+    for i, r in active.items():
+        for j in r:
+            holders.setdefault(j, []).append(i)
     units = []
-    while True:
-        best = None
-        for i, row in enumerate(active):
-            if best is not None and len(row) >= len(active[best[0]]):
-                continue
-            p = min((j for j, e in row.items() if _is_unit(e)), default=None)
-            if p is not None:
-                best = (i, p)
-        if best is None:
-            return units, active
-        i, p = best
-        row = active.pop(i)
+    while heap:
+        n, i = heappop(heap)
+        row = active.get(i)
+        if row is None or len(row) != n or lead[i] is None:
+            continue
+        p = lead[i]
+        del active[i]
         ((k, c),) = row[p].terms.items()
         inv = LaurentInt._raw({-k: c})
         row = {j: inv * e for j, e in row.items()}
-        for other in [r for _, r in units] + active:
-            f = other.pop(p, None)
+        # every entry of an active row is indexed, so holders[j] exists
+        for h in holders.pop(p):
+            other = active.get(h)
+            f = None if other is None else other.pop(p, None)
             if f is None:
                 continue
             f = -f
             for j, e in row.items():
                 if j != p:
+                    if j not in other:
+                        holders[j].append(h)
                     _add_term(other, j, f * e)
-        active = [r for r in active if r]
+            if not other:
+                del active[h]
+                continue
+            lead[h] = _leftmost_unit(other)
+            if lead[h] is not None:
+                heappush(heap, (len(other), h))
         units.append((p, row))
+    return units, list(active.values())
 
 
 def _eliminate(matrix):
@@ -361,9 +389,9 @@ def _echelon_kernel(ech, pivots, ncols):
 def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
     """Exact kernel basis, one vector per free column; M @ v == 0 exactly.
 
-    The residual kernel is lifted through the unit rows: each unit row
-    reads x_p + sum_{j != p} row[j] x_j = 0, and every such j is a column
-    of the residual.
+    The residual kernel is lifted through the unit rows in reverse pivot
+    order: each unit row reads x_p + sum_{j != p} row[j] x_j = 0, and every
+    such j is a column of the residual or a later unit pivot.
     """
     units, cols, ech, pivots = _eliminate(matrix)
     basis = []
@@ -371,7 +399,9 @@ def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
         vec = [ZERO] * matrix.ncols
         for c, x in zip(cols, res):
             vec[c] = x
-        for p, row in units:
+        # reversed: a unit row holds no earlier pivot column, so the pivot
+        # columns it reads are already set
+        for p, row in reversed(units):
             t = ZERO
             for j, e in row.items():
                 if j != p and vec[j]:

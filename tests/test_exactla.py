@@ -5,7 +5,8 @@ rank at any specialization is a lower bound for the generic-q rank, and on
 random non-adversarial matrices the maximum over several points attains it.
 The kernel check M @ v == 0 is exact and unconditional.  The unit-pivot
 elimination is also cross-checked against plain Bareiss elimination
-(``_echelon``) on sparse matrices rich in units +-q^e.
+(``_echelon``) on sparse matrices rich in units +-q^e, and its unit phase
+against a plain-scan Gauss-Jordan reference (``_reference_unit_phase``).
 """
 
 from fractions import Fraction
@@ -18,11 +19,12 @@ from qmatalg.exactla import (
     CoeffMatrix,
     CoeffVector,
     _echelon,
+    _unit_phase,
     nullspace,
     pivot_columns,
     rank,
 )
-from qmatalg.laurent import ONE, Q, ZERO, LaurentInt, parse_laurent
+from qmatalg.laurent import ONE, Q, ZERO, LaurentInt, _add_term, parse_laurent
 
 
 def L(text):
@@ -275,3 +277,80 @@ def test_pivot_columns_are_a_column_basis(m):
 def test_pivot_columns_of_matrices_without_entries():
     assert pivot_columns(CoeffMatrix([], 3)) == []
     assert pivot_columns(CoeffMatrix([[], []], 0)) == []
+
+
+def _is_unit(e):
+    """True for the units +-q^k of Z[q, q^-1]."""
+    if len(e.terms) != 1:
+        return False
+    (c,) = e.terms.values()
+    return c == 1 or c == -1
+
+
+def _reference_unit_phase(rows):
+    """The unit phase as a plain scan: each pivot scans every row for the
+    shortest one holding a unit, and clears the pivot column from every
+    other row, earlier unit rows included (Gauss-Jordan)."""
+    active = [dict(r) for r in rows if r]
+    units = []
+    while True:
+        best = None
+        for i, row in enumerate(active):
+            if best is not None and len(row) >= len(active[best[0]]):
+                continue
+            p = min((j for j, e in row.items() if _is_unit(e)), default=None)
+            if p is not None:
+                best = (i, p)
+        if best is None:
+            return units, active
+        i, p = best
+        row = active.pop(i)
+        ((k, c),) = row[p].terms.items()
+        inv = LaurentInt._raw({-k: c})
+        row = {j: inv * e for j, e in row.items()}
+        for other in [r for _, r in units] + active:
+            f = other.pop(p, None)
+            if f is None:
+                continue
+            f = -f
+            for j, e in row.items():
+                if j != p:
+                    _add_term(other, j, f * e)
+        active = [r for r in active if r]
+        units.append((p, row))
+
+
+@settings(deadline=None, max_examples=300)
+@given(unit_rich_matrices)
+def test_unit_phase_matches_the_plain_scan(m):
+    units, residual = _unit_phase(m._rows)
+    ref_units, ref_residual = _reference_unit_phase(m._rows)
+    # the same pivots in the same order, and the same residual rows in order
+    assert [p for p, _ in units] == [p for p, _ in ref_units]
+    assert residual == ref_residual
+    # forward elimination: a unit row holds no earlier pivot column
+    for k, (p, row) in enumerate(units):
+        assert row[p] == ONE
+        assert not any(earlier in row for earlier, _ in units[:k])
+
+
+def test_a_unit_row_keeps_a_later_pivot_column():
+    # row 0 pivots on column 0 and keeps column 1, row 1's later pivot; the
+    # kernel lift must set x_1 before it reads it for x_0
+    m = M([["1", "1", "0", "0"], ["0", "1", "1", "1"]])
+    units, residual = _unit_phase(m._rows)
+    assert [p for p, _ in units] == [0, 1] and residual == []
+    assert units[0][1] == {0: ONE, 1: ONE}
+    ker = nullspace(m)
+    assert len(ker) == 2
+    for v in ker:
+        assert all(not e for e in m @ v)
+
+
+def test_fill_in_reaches_the_column_index():
+    # clearing column 0 fills column 1 into row 1, which row 2's pivot on
+    # column 1 must then clear
+    m = M([["1", "1", "0", "0"], ["1", "0", "2", "2"], ["0", "1", "2", "0"]])
+    units, residual = _unit_phase(m._rows)
+    assert [p for p, _ in units] == [0, 1]
+    assert residual == [{2: L("4"), 3: L("2")}] == _reference_unit_phase(m._rows)[1]
