@@ -117,16 +117,6 @@ class LaurentInt:
         if not a or not b:
             return _ZERO
         out = {}
-        # a monomial factor: no two products share an exponent, so nothing
-        # cancels, and looping over the other factor gives the terms in the
-        # order of the general loop
-        if len(a) == 1:
-            a, b = b, a
-        if len(b) == 1:
-            ((e2, c2),) = b.items()
-            for e1, c1 in a.items():
-                out[e1 + e2] = c1 * c2
-            return LaurentInt._raw(out)
         # inline, not _add_term: the call costs measurable time in this hot loop
         for e1, c1 in a.items():
             for e2, c2 in b.items():

@@ -19,6 +19,8 @@ from qmatalg.exactla import (
     CoeffMatrix,
     CoeffVector,
     _echelon,
+    _echelon_kernel,
+    _normalize_kernel_vector,
     _unit_phase,
     nullspace,
     pivot_columns,
@@ -320,6 +322,25 @@ def _reference_unit_phase(rows):
         units.append((p, row))
 
 
+def _reference_nullspace(m):
+    """Kernel basis through the reference unit rows, lifted in pivot order:
+    a Gauss-Jordan unit row holds no other pivot column, so any order reads
+    only residual columns."""
+    units, residual = _reference_unit_phase(m._rows)
+    unit_cols = {p for p, _ in units}
+    cols = [c for c in range(m.ncols) if c not in unit_cols]
+    ech, pivots = _echelon([[row.get(c, ZERO) for c in cols] for row in residual])
+    basis = []
+    for res in _echelon_kernel(ech, pivots, len(cols)):
+        vec = [ZERO] * m.ncols
+        for c, x in zip(cols, res):
+            vec[c] = x
+        for p, row in units:
+            vec[p] = -sum((e * vec[j] for j, e in row.items() if j != p), ZERO)
+        basis.append(CoeffVector(_normalize_kernel_vector(vec)))
+    return basis
+
+
 @settings(deadline=None, max_examples=300)
 @given(unit_rich_matrices)
 def test_unit_phase_matches_the_plain_scan(m):
@@ -332,6 +353,8 @@ def test_unit_phase_matches_the_plain_scan(m):
     for k, (p, row) in enumerate(units):
         assert row[p] == ONE
         assert not any(earlier in row for earlier, _ in units[:k])
+    # the lifted values are unique, so the kernel vectors are identical
+    assert nullspace(m) == _reference_nullspace(m)
 
 
 def test_a_unit_row_keeps_a_later_pivot_column():
