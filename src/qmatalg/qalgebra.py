@@ -420,17 +420,27 @@ def _normal_words_in(ids, parities, degree):
     return out
 
 
-def graded_basis(pres, degree):
-    """Normal words of the given degree; for P, degree is (d_T, d_Tb)."""
+def _half_bases(pres, bidegree):
+    """The normal T-words of degree d_T and the normal Tb-words of degree
+    d_Tb of a P presentation, as two lists in graded_basis order."""
+    d1, d2 = bidegree
+    if d1 < 0 or d2 < 0:
+        raise ValueError("bidegree components must be nonnegative")
     parities = [g.parity for g in pres.generators]
+    nt = sum(1 for g in pres.generators if g.family == "T")
+    return (
+        _normal_words_in(range(nt), parities, d1),
+        _normal_words_in(range(nt, pres.ngens), parities, d2),
+    )
+
+
+def graded_basis(pres, degree):
+    """Normal words of the given degree; for P, degree is (d_T, d_Tb), and
+    the words are each T-word of _half_bases followed by each Tb-word."""
     if pres.kind == "P":
-        d1, d2 = degree
-        if d1 < 0 or d2 < 0:
-            raise ValueError("bidegree components must be nonnegative")
-        nt = sum(1 for g in pres.generators if g.family == "T")
-        twords = _normal_words_in(range(nt), parities, d1)
-        bwords = _normal_words_in(range(nt, pres.ngens), parities, d2)
+        twords, bwords = _half_bases(pres, degree)
         return [tw + bw for tw in twords for bw in bwords]
+    parities = [g.parity for g in pres.generators]
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return _normal_words_in(range(pres.ngens), parities, degree)

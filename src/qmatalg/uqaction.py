@@ -17,6 +17,18 @@ the operator matrices) reads it from one letter-image table built for that
 call and dropped on return.  invariant_subspace returns the invariants of
 a graded component as sparse NCElements, each on the zero-weight words of
 one row sector.
+
+Every normal word of P is a T-word u times a Tb-word v, and unrolling the
+coproduct over the product gives, for each E,
+
+    E(u.v) = E(u).v.q^K(v) + (-1)^([E][u]) q^K'(u) u.E(v),
+
+with K(v) the K-exponent of v's letters when E raises (0 when it lowers)
+and K'(u) that of u's when E lowers (0 when it raises).  The rules of P
+rewrite two T's into T's, two Tb's into Tb's, and a Tb before a T; none
+fires on a T before a Tb, so a T-word times a normal Tb-word normalizes
+in its T part alone, and the other way round.  invariant_subspace
+therefore acts on and normalizes each half once per E, not each product.
 """
 
 from __future__ import annotations
@@ -28,6 +40,7 @@ from .exactla import CoeffMatrix, nullspace
 from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _add_term
 from .qalgebra import (
     NCElement,
+    _half_bases,
     _index_parity,
     _q_power_of_index,
     _sign,
@@ -290,37 +303,70 @@ def invariant_subspace(pres, bidegree):
     K-invariance forces zero column weight, so the kernel is computed on the
     zero-weight words only, sector by sector (sorted): the E's never change
     row indices or families, hence they preserve the (T rows, Tb rows)
-    multiset pair.  Each invariant lives on the words of one sector.
+    multiset pair.  Each invariant lives on the words of one sector, in
+    graded_basis order.
+
+    A zero-weight word is a normal T-word u times a normal Tb-word v of
+    opposite column weight, so the words come from pairing the T-words and
+    the Tb-words of the bidegree by weight; an unbalanced bidegree pairs
+    none.  Unrolling the coproduct over u.v gives
+
+        E(u.v) = E(u).v.q^K(v) + (-1)^([E][u]) q^K'(u) u.E(v),
+
+    where K(v) is the sum of v's letter K-exponents when E raises (0 when
+    it lowers) and K'(u) that of u when E lowers (0 when it raises).  No
+    rule rewrites a T before a Tb, and the T-rules and Tb-rules keep their
+    family, so the normal form of E(u).v is NF(E(u)).v and that of u.E(v)
+    is u.NF(E(v)).  Each half is therefore acted on and normalized once
+    per E, and a column is assembled from the two half images; its u'.v
+    and u.v' words never collide, since E moves the weight of the T part.
     """
     k, l, r, s, m, n = _require_P(pres)
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
-    zero_wt = tuple([0] * (m + n))
+    twords, bwords = _half_bases(pres, bidegree)
+    by_weight = {}
+    for v in bwords:
+        by_weight.setdefault(_word_weight(v, pres, m, n), []).append(v)
     sectors = {}
-    for w in graded_basis(pres, bidegree):
-        if _word_weight(w, pres, m, n) == zero_wt:
-            sectors.setdefault(_row_sector(w, pres), []).append(w)
-    order = sorted(sectors)
-    words = [w for key in order for w in sectors[key]]
-    # one lazy stream of images per E over all the words, sector after
-    # sector: each letter image is built once per call, and the columns are
-    # held one sector at a time
-    streams = [_act_on_words(x, words, pres) for x in egens]
+    for u in twords:
+        wt = _word_weight(u, pres, m, n)
+        for v in by_weight.get(tuple(-c for c in wt), ()):
+            sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
+    # per E, the normal-form image of each half that occurs in some pair
+    # and the sum of its letters' K-exponents, both read from one letter
+    # table per E
+    halves = dict.fromkeys(h for pairs in sectors.values() for pair in pairs for h in pair)
+    images = []
+    for x in egens:
+        table = {}
+        img = {}
+        for h in halves:
+            raw = _act_word(x, h, pres, m, table)
+            img[h] = normal_form(NCElement._raw(raw), pres).terms, sum(table[g][0] for g in h)
+        images.append((x.kind == ERAISE, x.parity, img))
     out = []
-    for key in order:
+    for key in sorted(sectors):
         domain = sectors[key]
         # column j stacks the E-images of domain[j], keyed (E index, word);
         # only words hit by the action give rows, so a sector with none (no
         # E's, or nothing hit) is a matrix with no rows: all of it invariant
         cols = []
-        for _ in domain:
+        for u, v in domain:
+            u_parity = sum(pres.generators[g].parity for g in u)
             col = {}
-            for e, stream in enumerate(streams):
-                for w1, c in normal_form(NCElement._raw(next(stream)), pres).terms.items():
-                    col[e, w1] = c
+            for e, (raising, parity, img) in enumerate(images):
+                # E(u.v) = E(u).v.q^K(v) + (-1)^([E][u]) q^K'(u) u.E(v)
+                (u_img, u_exp), (v_img, v_exp) = img[u], img[v]
+                t_scal = LaurentInt.q_power(v_exp if raising else 0)
+                b_scal = LaurentInt.q_power(0 if raising else u_exp, _sign(parity * u_parity))
+                for w1, c in u_img.items():
+                    col[e, w1 + v] = c if t_scal == 1 else c * t_scal
+                for w2, c in v_img.items():
+                    col[e, u + w2] = c if b_scal == 1 else c * b_scal
             cols.append(col)
         keys = sorted(set().union(*cols))
         for vec in nullspace(CoeffMatrix.from_columns(cols, keys)):
-            out.append(NCElement._raw({w: e for w, e in zip(domain, vec) if e}))
+            out.append(NCElement._raw({u + v: e for (u, v), e in zip(domain, vec) if e}))
     return out
 
 

@@ -2,6 +2,10 @@
 JSON shape and byte-stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,24 @@ def test_nf_frozen_examples(capsys):
     code, out, _ = run(["nf", "P:1,0,1,0,1,0", "Tb[1,1] T[1,1]"], capsys)
     assert code == 0
     assert out == "q^-1 * T[1,1] Tb[1,1]\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    # `python -m qmatalg` from a plain checkout, with no console script installed
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def run_m(element):
+        return subprocess.run(
+            [sys.executable, "-m", "qmatalg", "nf", "M:1,1,1,1", element],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+
+    done = run_m("T[2,1] T[1,1]")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "q * T[1,1] T[2,1]\n", "")
+    # the exit status of cli.main is the process's
+    done = run_m("T[2,1] + junk")
+    assert done.returncode == 2 and "junk" in done.stderr
 
 
 def test_nf_error_paths(capsys):

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 
 from qmatalg import uqaction
-from qmatalg.exactla import CoeffMatrix
+from qmatalg.exactla import CoeffMatrix, nullspace
 from qmatalg.laurent import ONE, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
@@ -28,8 +28,12 @@ from qmatalg.qalgebra import (
     presentation_P,
 )
 from qmatalg.uqaction import (
+    ELOWER,
+    ERAISE,
     ChevalleyGen,
+    _act_on_words,
     _action_matrix,
+    _require_P,
     _row_sector,
     _word_weight,
     act,
@@ -43,6 +47,13 @@ from qmatalg.uqaction import (
     verify_operator_relations,
 )
 
+NONZERO_PAIRS = [(a, b) for a in range(3) for b in range(3) if a + b >= 1]
+PARAM_GRID = [
+    (k, l, r, s, m, n)
+    for (k, l) in NONZERO_PAIRS
+    for (r, s) in NONZERO_PAIRS
+    for (m, n) in NONZERO_PAIRS
+]
 P11 = presentation_P(1, 1, 1, 1, 1, 1)
 P20 = presentation_P(2, 0, 2, 0, 2, 0)
 P22 = presentation_P(1, 1, 1, 1, 2, 2)
@@ -257,6 +268,79 @@ def test_invariant_subspace_vectors_are_invariant():
             assert len({_row_sector(w, pres) for w in e.terms}) == 1
             m, n = pres.params[4:]
             assert all(_word_weight(w, pres, m, n) == (0,) * (m + n) for w in e.terms)
+
+
+# the whole-word construction that invariant_subspace replaced, kept verbatim
+# as its oracle
+def _reference_invariant_subspace(pres, bidegree):
+    """Basis of the invariants inside one graded component, as NCElements.
+
+    K-invariance forces zero column weight, so the kernel is computed on the
+    zero-weight words only, sector by sector (sorted): the E's never change
+    row indices or families, hence they preserve the (T rows, Tb rows)
+    multiset pair.  Each invariant lives on the words of one sector.
+    """
+    k, l, r, s, m, n = _require_P(pres)
+    egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
+    zero_wt = tuple([0] * (m + n))
+    sectors = {}
+    for w in graded_basis(pres, bidegree):
+        if _word_weight(w, pres, m, n) == zero_wt:
+            sectors.setdefault(_row_sector(w, pres), []).append(w)
+    order = sorted(sectors)
+    words = [w for key in order for w in sectors[key]]
+    # one lazy stream of images per E over all the words, sector after
+    # sector: each letter image is built once per call, and the columns are
+    # held one sector at a time
+    streams = [_act_on_words(x, words, pres) for x in egens]
+    out = []
+    for key in order:
+        domain = sectors[key]
+        # column j stacks the E-images of domain[j], keyed (E index, word);
+        # only words hit by the action give rows, so a sector with none (no
+        # E's, or nothing hit) is a matrix with no rows: all of it invariant
+        cols = []
+        for _ in domain:
+            col = {}
+            for e, stream in enumerate(streams):
+                for w1, c in normal_form(NCElement._raw(next(stream)), pres).terms.items():
+                    col[e, w1] = c
+            cols.append(col)
+        keys = sorted(set().union(*cols))
+        for vec in nullspace(CoeffMatrix.from_columns(cols, keys)):
+            out.append(NCElement._raw({w: e for w, e in zip(domain, vec) if e}))
+    return out
+
+
+def _term_lists(elements):
+    return [list(e.terms.items()) for e in elements]
+
+
+def test_invariant_subspace_matches_the_whole_word_oracle():
+    # same invariants in the same order, each with the same words in the
+    # same order and the same coefficients
+    cases = [(p, (d1, d2)) for p in PARAM_GRID[::5] for d1 in range(3) for d2 in range(3)]
+    cases.append(((1, 1, 1, 1, 2, 1), (3, 3)))
+    hits = 0
+    for params, bidegree in cases:
+        pres = presentation_P(*params)
+        want = _term_lists(_reference_invariant_subspace(pres, bidegree))
+        assert _term_lists(invariant_subspace(pres, bidegree)) == want, (params, bidegree)
+        hits += len(want)
+    assert hits > 2000
+
+
+def test_an_unbalanced_bidegree_has_no_invariants():
+    # T-words weigh +d1 in total and Tb-words -d2, so no word of (3, 1) has zero weight
+    assert invariant_subspace(P22, (3, 1)) == []
+    assert invariant_subspace(P22, (0, 2)) == []
+
+
+def test_a_negative_bidegree_raises():
+    with pytest.raises(ValueError):
+        invariant_subspace(P11, (-1, 1))
+    with pytest.raises(ValueError):
+        invariant_subspace(P11, (1, -1))
 
 
 def test_operator_relations_reports():
