@@ -32,13 +32,16 @@ taken beyond that.  Pivoting is deterministic, so kernel bases are
 reproducible for golden tests; they span the same space as plain Bareiss
 would, but the pivot columns may differ, so the individual vectors may too
 (when the free columns coincide, each vector agrees up to a Q(q) scalar).
+
+A span matrix (columns that are sparse elements of one graded component)
+has one row per key its columns touch, in sorted order (_span_matrix): a
+row no column touches would be dropped by the unit phase anyway.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from math import gcd
-from types import MappingProxyType
 
 from .laurent import ONE, ZERO, LaurentInt, _add_term, lau_div_exact
 
@@ -71,17 +74,11 @@ class CoeffVector:
         return "CoeffVector([" + ", ".join(str(e) for e in self.entries) + "])"
 
 
-# the row from_columns shares among the keys no column touches; read-only,
-# so a write into it raises instead of reaching every such row
-_EMPTY_ROW = MappingProxyType({})
-
-
 class CoeffMatrix:
     """LaurentInt entries stored as sparse rows, one {column: entry} dict per
-    row with no zeros (or the shared read-only _EMPTY_ROW); `rows` is a
-    dense read-only view of tuples.  The column count is stored, so a
-    matrix with no rows keeps it; given dense rows, it defaults to the first
-    row's length."""
+    row with no zeros; `rows` is a dense read-only view of tuples.  The
+    column count is stored, so a matrix with no rows keeps it; given dense
+    rows, it defaults to the first row's length."""
 
     __slots__ = ("_rows", "ncols")
 
@@ -126,11 +123,11 @@ class CoeffMatrix:
 
         Each column maps keys to LaurentInt entries (an NCElement's terms,
         say); there is one row per key, in the order of keys, and a key a
-        column omits is ZERO.  A key outside keys raises ValueError.  Rows
-        no column touches are all _EMPTY_ROW.
+        column omits is ZERO.  A key outside keys raises ValueError.  Span
+        matrices pass only the keys their columns touch (_span_matrix).
         """
         row_of = {key: i for i, key in enumerate(keys)}
-        rows = [_EMPTY_ROW] * len(row_of)
+        rows = [{} for _ in row_of]
         for j, col in enumerate(columns):
             for key, e in col.items():
                 i = row_of.get(key)
@@ -139,10 +136,7 @@ class CoeffMatrix:
                 if not isinstance(e, LaurentInt):
                     raise TypeError("CoeffMatrix entries must be LaurentInt")
                 if e:
-                    row = rows[i]
-                    if row is _EMPTY_ROW:
-                        row = rows[i] = {}
-                    row[j] = e
+                    rows[i][j] = e
         return cls._raw(rows, len(columns))
 
     def __getitem__(self, ij):
@@ -205,6 +199,18 @@ class CoeffMatrix:
 
     def __repr__(self):
         return f"CoeffMatrix({self.nrows}x{self.ncols})"
+
+
+def _span_matrix(columns):
+    """The matrix whose column j holds the sparse mapping columns[j], with
+    one row per key some column touches, in sorted order.
+
+    Sorted order is graded_basis order on normal words (both are
+    lexicographic), and the elimination skips empty rows and keeps the order
+    of the rest, so ranks, pivots and kernels equal those over the whole
+    basis.
+    """
+    return CoeffMatrix.from_columns(columns, sorted(set().union(*columns)))
 
 
 def _echelon(rows):

@@ -8,12 +8,12 @@ Each graded component is a finite free module over the Laurent ring, so the
 surjectivity of psi onto the invariants (fft_check) and the size of its
 kernel (sft_check, against the hook-shape prediction and, when the second
 family of column indices is empty, the quantum minor ideal) reduce to
-integer ranks of explicit sparse matrices, with one row per basis word;
-kernel_psi_basis gives the kernel vectors themselves.  The minor ideal is
-built degree by degree (ideal_dims): I_N = span(G_N) + A_1 I_{N-1} +
-I_{N-1} A_1, because every u g v with |u| + |v| >= 1 has a first or a last
-letter, and the pivot columns of that span are the basis of I_N that the
-next degree multiplies.
+integer ranks of explicit sparse matrices, with one row per word the
+columns touch; kernel_psi_basis gives the kernel vectors themselves.  The
+minor ideal is built degree by degree (ideal_dims): I_N = span(G_N) +
+A_1 I_{N-1} + I_{N-1} A_1, because every u g v with |u| + |v| >= 1 has a
+first or a last letter, and the pivot columns of that span are the basis of
+I_N that the next degree multiplies.
 Everything is exact: a check passes only if the relevant normal form is
 literally zero or the ranks literally agree.
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .exactla import CoeffMatrix, nullspace, pivot_columns, rank
+from .exactla import _span_matrix, nullspace, pivot_columns, rank
 from .hookcomb import kernel_dim_prediction
 from .laurent import Q_MINUS_QINV, LaurentInt
 from .qalgebra import (
@@ -318,20 +318,19 @@ def verify_X_relations(params) -> bool:
     return True
 
 
-def _span_dim(columns, keys):
-    """Rank of the sparse columns over the keys; no elimination for none."""
-    return rank(CoeffMatrix.from_columns(columns, keys)) if columns else 0
+def _span_dim(columns):
+    """Rank of the sparse columns; no elimination for none."""
+    return rank(_span_matrix(columns)) if columns else 0
 
 
 def _psi_columns(ctx, N):
-    """The degree-N matrix of psi as sparse columns: (dom, tgt, images).
+    """The degree-N matrix of psi as sparse columns: (dom, images).
 
-    dom is the degree-N basis of the tilde presentation, tgt the bidegree
-    (N,N) basis of P, and images[j] the terms of psi(dom[j]).
+    dom is the degree-N basis of the tilde presentation and images[j] the
+    terms of psi(dom[j]), over the bidegree (N,N) words of P it touches.
     """
     dom = graded_basis(ctx.mt, N)
-    tgt = graded_basis(ctx.p, (N, N))
-    return dom, tgt, [ctx.word_image(w).terms for w in dom]
+    return dom, [ctx.word_image(w).terms for w in dom]
 
 
 def fft_check(params, max_degree) -> dict:
@@ -353,11 +352,11 @@ def fft_check(params, max_degree) -> dict:
     ctx = _context(p.astuple())
     degrees = []
     for N in range(max_degree + 1):
-        dom, tgt, images = _psi_columns(ctx, N)
+        dom, images = _psi_columns(ctx, N)
         inv = [v.terms for v in invariant_subspace(ctx.p, (N, N))]
         dim_inv = len(inv)
-        dim_img = _span_dim(images, tgt)
-        contained = _span_dim(images + inv, tgt) == dim_inv
+        dim_img = _span_dim(images)
+        contained = _span_dim(images + inv) == dim_inv
         dim_ker = len(dom) - dim_img
         dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
         degrees.append(
@@ -396,15 +395,15 @@ def kernel_psi_basis(params, degree) -> list:
     """Exact kernel basis of psi restricted to one degree.
 
     Columns of the matrix are the degree-N basis words of the tilde
-    presentation, rows the bidegree (N,N) basis words of P; entries are the
-    coordinates of the word images.  Vectors come back in coordinates over
-    graded_basis of the tilde presentation.
+    presentation, rows the bidegree (N,N) words of P that their images
+    touch; entries are the coordinates of the word images.  Vectors come
+    back in coordinates over graded_basis of the tilde presentation.
     """
     p = _params(params)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    _, tgt, images = _psi_columns(_context(p.astuple()), degree)
-    return nullspace(CoeffMatrix.from_columns(images, tgt))
+    _, images = _psi_columns(_context(p.astuple()), degree)
+    return nullspace(_span_matrix(images))
 
 
 def _critical_minors(p):
@@ -436,8 +435,8 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     ideal = ideal_dims(_critical_minors(p), ctx.mt, max_degree) if minor_ideal else None
     degrees = []
     for N in range(max_degree + 1):
-        dom, tgt, images = _psi_columns(ctx, N)
-        dim_ker = len(dom) - _span_dim(images, tgt)
+        dom, images = _psi_columns(ctx, N)
+        dim_ker = len(dom) - _span_dim(images)
         dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
         ideal_dim = None if ideal is None else ideal[N]
         ok = dim_ker == dim_pred and (ideal is None or ideal_dim == dim_ker)
@@ -531,8 +530,7 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
             + [multiply(x, b, pres) for b in basis for x in letters]
             + [multiply(b, x, pres) for b in basis for x in letters]
         )
-        span = CoeffMatrix.from_columns([c.terms for c in cols], graded_basis(pres, N))
-        basis = [cols[j] for j in pivot_columns(span)]
+        basis = [cols[j] for j in pivot_columns(_span_matrix([c.terms for c in cols]))]
         dims.append(len(basis))
     return dims
 
@@ -567,43 +565,24 @@ def _inversions(seq):
     )
 
 
-def _adjacent_factorization(perm):
-    """Adjacent transposition word for a permutation in one-line form.
-
-    Bubble sort records right multiplications, so the returned positions act
-    on a sequence first entry first; applying them in order reproduces the
-    permutation's place action.
-    """
-    line = list(perm)
-    word = []
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(len(line) - 1):
-            if line[pos] > line[pos + 1]:
-                line[pos], line[pos + 1] = line[pos + 1], line[pos]
-                word.append(pos + 1)
-                changed = True
-    return word
-
-
 def symmetric_group_action(perm, seq, even_count):
     """Signed place permutation on a parity-graded sequence.
 
     Returns (sign, new_seq): the permutation moves the entry at position
-    perm^{-1}(a) into position a, and every adjacent swap of two odd letters
-    (value > even_count) contributes a factor -1.  The sign is well defined
-    because the defining rule is consistent across factorizations; the test
-    suite checks the composition law directly.
+    perm^{-1}(a) into position a, and every pair of odd letters (value >
+    even_count) that it puts in the other order contributes a factor -1,
+    as each adjacent swap of two odd letters does; the test suite checks
+    the composition law directly.
     """
-    sign = 1
     out = list(seq)
-    for pos in _adjacent_factorization(perm):
-        x, y = out[pos - 1], out[pos]
-        if x > even_count and y > even_count:
-            sign = -sign
-        out[pos - 1], out[pos] = y, x
-    return sign, tuple(out)
+    odd_swaps = 0
+    for p, x in enumerate(seq):
+        out[perm[p] - 1] = x
+        if x > even_count:
+            odd_swaps += sum(
+                1 for p2 in range(p + 1, len(seq)) if perm[p] > perm[p2] and seq[p2] > even_count
+            )
+    return _sign(odd_swaps), tuple(out)
 
 
 def _permutations_fixing_blocks(blocks, size):

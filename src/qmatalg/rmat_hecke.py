@@ -16,6 +16,7 @@ from .exactla import CoeffMatrix, CoeffVector
 from .laurent import LaurentInt, ONE, Q, QINV, Q_MINUS_QINV, ZERO
 from .qalgebra import (
     NCElement,
+    _check_ranges,
     _index_parity,
     _q_power_of_index,
     _sign,
@@ -34,15 +35,10 @@ def tensor_index(letters, dim):
     return pos
 
 
-def _check_sizes(m, n):
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError(f"need nonnegative sizes with m+n >= 1, got ({m},{n})")
-
-
 def r_matrix(m, n) -> CoeffMatrix:
     """R-matrix of the natural module: diagonal 1 off the letter diagonal,
     q_a on it, and one strictly upper swap entry q_b - q_b^{-1} per pair."""
-    _check_sizes(m, n)
+    _check_ranges("V", ("letters", (m, n)))
     d = m + n
     rows = [[ZERO] * (d * d) for _ in range(d * d)]
     for a in range(1, d + 1):
@@ -72,7 +68,7 @@ def rcheck_operator(k, l) -> CoeffMatrix:
     (-1)^{[i]} q_i, and strictly decreasing pairs pick up the extra
     (q - q^{-1}) straightening term.
     """
-    _check_sizes(k, l)
+    _check_ranges("V", ("letters", (k, l)))
     d = k + l
     rows = [[ZERO] * (d * d) for _ in range(d * d)]
     for i in range(1, d + 1):
@@ -112,7 +108,7 @@ def hecke_act(word, vec, k, l, r) -> CoeffVector:
     factors i and i+1 of V^{k|l} tensored r times.  `vec` holds coordinates
     over the lexicographic tensor basis.
     """
-    _check_sizes(k, l)
+    _check_ranges("V", ("letters", (k, l)))
     if r < 1:
         raise ValueError("tensor power must be at least 1")
     d = k + l
@@ -150,7 +146,7 @@ def sym_skew_bases(k, l):
     q eigenspace; odd diagonal vectors and v_i x v_j - (-1)^{[i][j]} q^{-1}
     v_j x v_i span the -q^{-1} eigenspace.
     """
-    _check_sizes(k, l)
+    _check_ranges("V", ("letters", (k, l)))
     d = k + l
 
     def unit(i, j):
@@ -185,7 +181,7 @@ def verify_frt(k, l) -> bool:
     independent consistency check between the R-matrix entries and the
     quadratic rule table of the presentation.
     """
-    _check_sizes(k, l)
+    _check_ranges("V", ("letters", (k, l)))
     pres = presentation_M(k, l, k, l)
     rmat = r_matrix(k, l)
     d = k + l

@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .exactla import CoeffMatrix, nullspace
+from .exactla import CoeffMatrix, _span_matrix, nullspace
 from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _add_term
 from .qalgebra import (
     NCElement,
@@ -364,8 +364,7 @@ def invariant_subspace(pres, bidegree):
                 for w2, c in v_img.items():
                     col[e, u + w2] = c if b_scal == 1 else c * b_scal
             cols.append(col)
-        keys = sorted(set().union(*cols))
-        for vec in nullspace(CoeffMatrix.from_columns(cols, keys)):
+        for vec in nullspace(_span_matrix(cols)):
             out.append(NCElement._raw({u + v: e for (u, v), e in zip(domain, vec) if e}))
     return out
 

@@ -14,7 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qmatalg.exactla import CoeffMatrix, nullspace, rank
+from qmatalg.exactla import CoeffMatrix, _span_matrix, nullspace, pivot_columns, rank
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
     InvariantParams,
@@ -237,15 +237,55 @@ def test_kernel_psi_basis_when_the_target_is_empty():
 
 
 def test_untouched_rows_change_neither_kernel_nor_rank():
-    # the oracle keeps a row for every target word, touched or not
+    # the oracles keep a row for every basis word, touched or not
     for params, N in ((P11, 2), (PM1, 2), ((2, 0, 1, 1, 1, 1), 1), ((1, 0, 1, 0, 2, 1), 2)):
-        _, tgt, images = _psi_columns(_context(params), N)
+        ctx = _context(params)
+        _, images = _psi_columns(ctx, N)
+        tgt = graded_basis(ctx.p, (N, N))
         assert tgt
         full = CoeffMatrix.from_columns(images, tgt)
         assert kernel_psi_basis(params, N) == nullspace(full)
-        assert _span_dim(images, tgt) == rank(full)
+        assert _span_dim(images) == rank(full)
     with pytest.raises(ValueError):
-        _span_dim(images + [{("foreign",): ONE}], tgt)
+        CoeffMatrix.from_columns(images + [{("foreign",): ONE}], tgt)
+    for params, top in ((PM1, 4), ((3, 0, 3, 0, 1, 0), 3), ((2, 0, 1, 1, 1, 0), 3)):
+        mt = _context(params).mt
+        minors = _critical_minors(InvariantParams(*params))
+        letters = [NCElement.from_word((x,)) for x in range(mt.ngens)]
+        basis = []
+        dims = []
+        for N in range(top + 1):
+            cols = (
+                [g for g in minors if len(next(iter(g.terms))) == N]
+                + [multiply(x, b, mt) for b in basis for x in letters]
+                + [multiply(b, x, mt) for b in basis for x in letters]
+            )
+            terms = [c.terms for c in cols]
+            pivots = pivot_columns(CoeffMatrix.from_columns(terms, graded_basis(mt, N)))
+            assert pivot_columns(_span_matrix(terms)) == pivots
+            basis = [cols[j] for j in pivots]
+            dims.append(len(basis))
+        assert ideal_dims(minors, mt, top) == dims
+        assert dims[-1] > 0
+
+
+def test_sorted_touched_words_keep_graded_basis_order():
+    # _span_matrix sorts the words its columns touch; its ranks, pivots and
+    # kernels equal those over the whole basis only if that is basis order
+    for params in ((1, 1, 1, 1, 2, 1), (2, 1, 1, 1, 1, 1), (1, 0, 2, 0, 1, 1), PM1):
+        ctx = _context(params)
+        for d1 in range(4):
+            for d2 in range(4):
+                basis = graded_basis(ctx.p, (d1, d2))
+                assert basis == sorted(basis)
+            _, images = _psi_columns(ctx, d1)
+            touched = set().union(*images)
+            keys = [w for w in graded_basis(ctx.p, (d1, d1)) if w in touched]
+            assert sorted(touched) == keys
+            assert _span_matrix(images) == CoeffMatrix.from_columns(images, keys)
+        for N in range(5):
+            basis = graded_basis(ctx.mt, N)
+            assert basis == sorted(basis)
 
 
 def test_psi_and_the_E_action_keep_the_row_sector():
