@@ -7,7 +7,8 @@ Subcommands:
              M:1,1,1,1 or P:1,1,1,1,2,2 and the element text
   fft        surjectivity report for psi onto the invariants
   sft        kernel dimensions of psi against the combinatorial prediction,
-             optionally the minor-generated ideal (columns all even)
+             optionally the minor-generated ideal (rows and columns all
+             even, with m < min(k, r))
   hecke      R-matrix checks: quadratic, braid, eigenbases, FRT cross-check
   classical  q = 1 checks: the rules are free supercommutation, the X's
              supercommute, every overlap of the four presentations

@@ -13,17 +13,17 @@ results are generic-q ranks with no specialization and no rounding.
    pivot columns never read those rows, and the kernel lift runs through
    them in reverse pivot order.  Every step is an invertible row
    operation over Z[q, q^-1], so rank and kernel are unchanged.
-2. Residual phase: the rows left over hold no unit; fraction-free (Bareiss)
-   elimination, with the first nonzero entry as pivot, runs on them over
-   the columns that are not unit pivots.
+2. Residual phase: the rows left over hold no unit and no unit pivot
+   column; fraction-free (Bareiss) elimination runs on those same sparse
+   rows, in the matrix's own column indices.
 
 The rank is the number of unit pivots plus the residual rank.  The unit
 and Bareiss pivot columns together are a column basis (pivot_columns): on
 the eliminated matrix they form a block-triangular submatrix with a
 nonsingular diagonal, and row operations keep column dependencies, so the
 same columns of the input are independent, rank-many of them.  Kernel
-vectors come from fraction-free back substitution on the residual, one per
-free column, lifted through the unit rows, last pivot first
+vectors come from fraction-free back substitution on the residual, one
+sparse vector per free column, lifted through the unit rows, last pivot first
 (x_p = -sum_{j != p} row_p[j] x_j), then normalized: divided by the gcd of
 their integer coefficients and by the lowest common power of q, and
 sign-fixed so the first nonzero entry has a positive leading
@@ -214,39 +214,38 @@ def _span_matrix(columns):
 
 
 def _echelon(rows):
-    """Fraction-free row echelon form; returns (rows, pivot column list).
+    """Fraction-free row echelon form of sparse {col: entry} rows, left
+    unmodified; returns (rows, pivot column list) in their own columns.
 
-    One-step Bareiss: entries stay in the ring, each elimination divides by
-    the previous pivot exactly (Sylvester identity guarantees divisibility).
+    One-step Bareiss: the pivot is the leftmost column any remaining row
+    holds, in the first such row; every later row is multiplied by it and
+    divided by the previous pivot exactly (Sylvester identity).
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
+    rows = list(rows)
     pivots = []
     prev = ONE
-    r = 0
-    for c in range(ncols):
-        if r >= nrows:
+    for r in range(len(rows)):
+        c = min((min(row) for row in rows[r:] if row), default=None)
+        if c is None:
             break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
+        pr = next(i for i in range(r, len(rows)) if c in rows[i])
         rows[r], rows[pr] = rows[pr], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            ric = rows[i][c]
+        row_r = rows[r]
+        piv = row_r[c]
+        for i in range(r + 1, len(rows)):
             row_i = rows[i]
-            row_r = rows[r]
-            if ric:
-                for j in range(c, ncols):
-                    row_i[j] = lau_div_exact(piv * row_i[j] - ric * row_r[j], prev)
-            else:
-                for j in range(c, ncols):
-                    if row_i[j]:
-                        row_i[j] = lau_div_exact(piv * row_i[j], prev)
+            ric = row_i.get(c)
+            if ric is None:
+                rows[i] = {j: lau_div_exact(piv * e, prev) for j, e in row_i.items()}
+                continue
+            new = {}
+            for j in row_r.keys() | row_i.keys():
+                e = lau_div_exact(piv * row_i.get(j, ZERO) - ric * row_r.get(j, ZERO), prev)
+                if e:
+                    new[j] = e
+            rows[i] = new
         pivots.append(c)
         prev = piv
-        r += 1
     return rows, pivots
 
 
@@ -320,30 +319,28 @@ def _unit_phase(rows):
 
 
 def _eliminate(matrix):
-    """Unit phase, then Bareiss on the residual over the non-pivot columns.
+    """Unit phase, then Bareiss on the residual rows, all sparse and in the
+    matrix's own column indices.
 
-    Returns (units, cols, ech, pivots): the unit rows, the sorted columns
-    that are not unit pivots, and the Bareiss echelon form of the residual
-    restricted to cols with its pivot positions (indices into cols).
+    Returns (units, ech, pivots): the unit rows, and the Bareiss echelon
+    form of the residual with its pivot columns.
     """
     units, residual = _unit_phase(matrix._rows)
-    unit_cols = {p for p, _ in units}
-    cols = [c for c in range(matrix.ncols) if c not in unit_cols]
-    ech, pivots = _echelon([[row.get(c, ZERO) for c in cols] for row in residual])
-    return units, cols, ech, pivots
+    ech, pivots = _echelon(residual)
+    return units, ech, pivots
 
 
 def rank(matrix: CoeffMatrix) -> int:
     """Rank over the fraction field Q(q), computed exactly."""
-    units, _, _, pivots = _eliminate(matrix)
+    units, _, pivots = _eliminate(matrix)
     return len(units) + len(pivots)
 
 
 def pivot_columns(matrix: CoeffMatrix) -> list[int]:
     """Indices of rank(matrix) independent columns, ascending: the unit
     pivots and the Bareiss pivots, which together span the column space."""
-    units, cols, _, pivots = _eliminate(matrix)
-    return sorted([p for p, _ in units] + [cols[i] for i in pivots])
+    units, _, pivots = _eliminate(matrix)
+    return sorted([p for p, _ in units] + pivots)
 
 
 def _normalize_kernel_vector(vec):
@@ -364,16 +361,12 @@ def _normalize_kernel_vector(vec):
     ]
 
 
-def _echelon_kernel(ech, pivots, ncols):
-    """Kernel of an echelon form, one vector per free column, by
-    fraction-free back substitution."""
-    pivot_set = set(pivots)
+def _echelon_kernel(ech, pivots, free_columns):
+    """Kernel of a sparse echelon form, one sparse {col: entry} vector per
+    free column, by fraction-free back substitution."""
     basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
+    for free in free_columns:
+        vec = {free: ONE}
         # bottom-up: rows below a pivot row have zeros left of their own
         # pivot, so scaling the whole vector keeps them satisfied
         for i in range(len(pivots) - 1, -1, -1):
@@ -382,12 +375,13 @@ def _echelon_kernel(ech, pivots, ncols):
                 continue
             row = ech[i]
             t = ZERO
-            for j in range(p + 1, ncols):
-                if row[j] and vec[j]:
-                    t = t + row[j] * vec[j]
+            for j, e in row.items():
+                if j != p and j in vec:
+                    t = t + e * vec[j]
             piv = row[p]
-            vec = [piv * x for x in vec]
-            vec[p] = -t
+            vec = {j: piv * x for j, x in vec.items()}
+            if t:
+                vec[p] = -t
         basis.append(vec)
     return basis
 
@@ -395,23 +389,25 @@ def _echelon_kernel(ech, pivots, ncols):
 def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
     """Exact kernel basis, one vector per free column; M @ v == 0 exactly.
 
-    The residual kernel is lifted through the unit rows in reverse pivot
-    order: each unit row reads x_p + sum_{j != p} row[j] x_j = 0, and every
-    such j is a column of the residual or a later unit pivot.
+    Each residual kernel vector is lifted, on the same sparse dict, through
+    the unit rows in reverse pivot order: each unit row reads
+    x_p + sum_{j != p} row[j] x_j = 0, and every such j is a column of the
+    residual or a later unit pivot.
     """
-    units, cols, ech, pivots = _eliminate(matrix)
+    units, ech, pivots = _eliminate(matrix)
+    bound = {p for p, _ in units}.union(pivots)
+    free = [c for c in range(matrix.ncols) if c not in bound]
     basis = []
-    for res in _echelon_kernel(ech, pivots, len(cols)):
-        vec = [ZERO] * matrix.ncols
-        for c, x in zip(cols, res):
-            vec[c] = x
+    for vec in _echelon_kernel(ech, pivots, free):
         # reversed: a unit row holds no earlier pivot column, so the pivot
         # columns it reads are already set
         for p, row in reversed(units):
             t = ZERO
             for j, e in row.items():
-                if j != p and vec[j]:
+                if j != p and j in vec:
                     t = t + e * vec[j]
-            vec[p] = -t
-        basis.append(CoeffVector(_normalize_kernel_vector(vec)))
+            if t:
+                vec[p] = -t
+        dense = [vec.get(c, ZERO) for c in range(matrix.ncols)]
+        basis.append(CoeffVector(_normalize_kernel_vector(dense)))
     return basis

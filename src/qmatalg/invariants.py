@@ -6,8 +6,8 @@ quantum supermatrix pair.
 P; `psi` substitutes X_ab for the generator t~_ab of the tilde presentation.
 Each graded component is a finite free module over the Laurent ring, so the
 surjectivity of psi onto the invariants (fft_check) and the size of its
-kernel (sft_check, against the hook-shape prediction and, when the second
-family of column indices is empty, the quantum minor ideal) reduce to
+kernel (sft_check, against the hook-shape prediction and, when every row
+and column index is even, the quantum minor ideal) reduce to
 integer ranks of explicit sparse matrices, with one row per word the
 columns touch; kernel_psi_basis gives the kernel vectors themselves.  The
 minor ideal is built degree by degree (ideal_dims): I_N = span(G_N) +
@@ -407,8 +407,10 @@ def kernel_psi_basis(params, degree) -> list:
 
 
 def _critical_minors(p):
-    """All minors of size m+1 in the tilde presentation, the kernel
-    generators when every column index is even."""
+    """All minors of size m+1 in the tilde presentation, on strictly
+    increasing rows.  They generate the kernel of psi when rows and columns
+    are all even (l = s = n = 0) and m < min(k, r); an odd row can repeat
+    in a nonzero minor, and those minors are missing here."""
     size = p.m + 1
     return [
         quantum_minor(rows, tuple(reversed(cols)), "Mtilde", p)
@@ -422,24 +424,34 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
 
     For each N <= max_degree the report records the kernel dimension of psi
     on the degree-N component (by rank-nullity, as in fft_check) and the
-    hook-shape prediction for it.  With minor_ideal, which needs n = 0, it
-    also records the dimension of the degree-N piece of the ideal generated
-    by the (m+1)-minors, which must equal the kernel dimension.
+    hook-shape prediction for it.  With minor_ideal, which needs rows and
+    columns all even (l = s = n = 0) and m < min(k, r), it also records the
+    dimension of the degree-N piece of the ideal generated by the
+    (m+1)-minors, which must equal the kernel dimension; and since that
+    proves ideal = kernel only for an ideal inside the kernel, every degree
+    also requires psi to send each minor to zero.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     p = _params(params)
-    if minor_ideal and p.n != 0:
-        raise ValueError("the minor-ideal check requires n = 0 (all columns even)")
+    if minor_ideal and not (p.l == p.s == p.n == 0 and p.m < min(p.k, p.r)):
+        raise ValueError(
+            "the minor-ideal check requires rows and columns all even "
+            "(l = s = n = 0) and m < min(k, r)"
+        )
     ctx = _context(p.astuple())
-    ideal = ideal_dims(_critical_minors(p), ctx.mt, max_degree) if minor_ideal else None
+    ideal = None
+    if minor_ideal:
+        minors = _critical_minors(p)
+        ideal = ideal_dims(minors, ctx.mt, max_degree)
+        in_kernel = not any(ctx.image_of(g) for g in minors)
     degrees = []
     for N in range(max_degree + 1):
         dom, images = _psi_columns(ctx, N)
         dim_ker = len(dom) - _span_dim(images)
         dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
         ideal_dim = None if ideal is None else ideal[N]
-        ok = dim_ker == dim_pred and (ideal is None or ideal_dim == dim_ker)
+        ok = dim_ker == dim_pred and (ideal is None or (in_kernel and ideal_dim == dim_ker))
         degrees.append(
             {
                 "N": N,

@@ -259,9 +259,15 @@ def test_invalid_params_exit_2(capsys):
         (["dims", "-k", "-1", "-r", "1", "-N", "1"], "index range rows"),
         (["dims", "-k", "1", "-N", "2"], "index range cols"),
         (["dims", "-r", "1", "-N", "1"], "index range rows"),
+        # odd rows: the increasing-row minors miss the kernel generators
+        (["sft", "-k", "1", "-l", "1", "-r", "1", "-s", "1",
+          "-m", "1", "-n", "0", "-N", "3", "--minor-ideal"], "minor-ideal"),
+        # m + 1 > min(k, r): no minors, so the ideal check has no generators
+        (["sft", "-k", "1", "-r", "1", "-m", "1", "-N", "3", "--minor-ideal"], "minor-ideal"),
     ],
     ids=["dims-negative-N", "dims-all-sizes-zero", "fft-negative-N", "sft-negative-N",
-         "dims-negative-size", "dims-no-columns", "dims-no-rows"],
+         "dims-negative-size", "dims-no-columns", "dims-no-rows",
+         "sft-minor-ideal-odd-rows", "sft-minor-ideal-no-minors"],
 )
 def test_vacuous_request_exits_2(argv, message, capsys):
     # a check over zero degrees or an empty algebra must not report a pass

@@ -7,6 +7,9 @@ The kernel check M @ v == 0 is exact and unconditional.  The unit-pivot
 elimination is also cross-checked against plain Bareiss elimination
 (``_echelon``) on sparse matrices rich in units +-q^e, and its unit phase
 against a plain-scan Gauss-Jordan reference (``_reference_unit_phase``).
+The sparse Bareiss and back substitution are pinned to the dense ones they
+replaced (``_dense_echelon``, ``_dense_echelon_kernel``): the same pivots,
+echelon rows and kernel vectors.
 """
 
 from fractions import Fraction
@@ -26,7 +29,7 @@ from qmatalg.exactla import (
     pivot_columns,
     rank,
 )
-from qmatalg.laurent import ONE, Q, ZERO, LaurentInt, _add_term, parse_laurent
+from qmatalg.laurent import ONE, Q, ZERO, LaurentInt, _add_term, lau_div_exact, parse_laurent
 
 
 def L(text):
@@ -252,7 +255,7 @@ def test_rank_against_evaluation_oracle(m):
 @given(unit_rich_matrices)
 def test_unit_pivoting_agrees_with_bareiss_oracle(m):
     rk = rank(m)
-    assert rk == len(_echelon(m.rows)[1])
+    assert rk == len(_echelon(m._rows)[1])
     ker = nullspace(m)
     assert rk + len(ker) == m.ncols
     for v in ker:
@@ -268,7 +271,7 @@ def test_pivot_columns_are_a_column_basis(m):
     assert len(cols) == rank(m)
     assert cols == sorted(set(cols))
     # independent under the plain Bareiss oracle, so they span the column space
-    picked = [[row[j] for j in cols] for row in m.rows]
+    picked = [{j: e for j, e in row.items() if j in cols} for row in m._rows]
     assert len(_echelon(picked)[1]) == len(cols)
 
 
@@ -323,17 +326,14 @@ def _reference_nullspace(m):
     a Gauss-Jordan unit row holds no other pivot column, so any order reads
     only residual columns."""
     units, residual = _reference_unit_phase(m._rows)
-    unit_cols = {p for p, _ in units}
-    cols = [c for c in range(m.ncols) if c not in unit_cols]
-    ech, pivots = _echelon([[row.get(c, ZERO) for c in cols] for row in residual])
+    ech, pivots = _echelon(residual)
+    bound = {p for p, _ in units}.union(pivots)
     basis = []
-    for res in _echelon_kernel(ech, pivots, len(cols)):
-        vec = [ZERO] * m.ncols
-        for c, x in zip(cols, res):
-            vec[c] = x
+    for vec in _echelon_kernel(ech, pivots, [c for c in range(m.ncols) if c not in bound]):
         for p, row in units:
-            vec[p] = -sum((e * vec[j] for j, e in row.items() if j != p), ZERO)
-        basis.append(CoeffVector(_normalize_kernel_vector(vec)))
+            vec[p] = -sum((e * vec[j] for j, e in row.items() if j != p and j in vec), ZERO)
+        dense = [vec.get(c, ZERO) for c in range(m.ncols)]
+        basis.append(CoeffVector(_normalize_kernel_vector(dense)))
     return basis
 
 
@@ -373,3 +373,116 @@ def test_fill_in_reaches_the_column_index():
     units, residual = _unit_phase(m._rows)
     assert [p for p, _ in units] == [0, 1]
     assert residual == [{2: L("4"), 3: L("2")}] == _reference_unit_phase(m._rows)[1]
+
+
+# The dense Bareiss elimination and back substitution that the sparse ones
+# replaced, kept as the reference they must reproduce exactly.
+
+
+def _dense_echelon(rows):
+    """Fraction-free row echelon form; returns (rows, pivot column list).
+
+    One-step Bareiss: entries stay in the ring, each elimination divides by
+    the previous pivot exactly (Sylvester identity guarantees divisibility).
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    prev = ONE
+    r = 0
+    for c in range(ncols):
+        if r >= nrows:
+            break
+        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        piv = rows[r][c]
+        for i in range(r + 1, nrows):
+            ric = rows[i][c]
+            row_i = rows[i]
+            row_r = rows[r]
+            if ric:
+                for j in range(c, ncols):
+                    row_i[j] = lau_div_exact(piv * row_i[j] - ric * row_r[j], prev)
+            else:
+                for j in range(c, ncols):
+                    if row_i[j]:
+                        row_i[j] = lau_div_exact(piv * row_i[j], prev)
+        pivots.append(c)
+        prev = piv
+        r += 1
+    return rows, pivots
+
+
+def _dense_echelon_kernel(ech, pivots, ncols):
+    """Kernel of an echelon form, one vector per free column, by
+    fraction-free back substitution."""
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [ZERO] * ncols
+        vec[free] = ONE
+        # bottom-up: rows below a pivot row have zeros left of their own
+        # pivot, so scaling the whole vector keeps them satisfied
+        for i in range(len(pivots) - 1, -1, -1):
+            p = pivots[i]
+            if p > free:
+                continue
+            row = ech[i]
+            t = ZERO
+            for j in range(p + 1, ncols):
+                if row[j] and vec[j]:
+                    t = t + row[j] * vec[j]
+            piv = row[p]
+            vec = [piv * x for x in vec]
+            vec[p] = -t
+        basis.append(vec)
+    return basis
+
+
+def _dense_nullspace(m):
+    """nullspace as it ran on a dense copy of the residual over the columns
+    that are not unit pivots, re-indexed."""
+    units, residual = _unit_phase(m._rows)
+    unit_cols = {p for p, _ in units}
+    cols = [c for c in range(m.ncols) if c not in unit_cols]
+    ech, pivots = _dense_echelon([[row.get(c, ZERO) for c in cols] for row in residual])
+    basis = []
+    for res in _dense_echelon_kernel(ech, pivots, len(cols)):
+        vec = [ZERO] * m.ncols
+        for c, x in zip(cols, res):
+            vec[c] = x
+        for p, row in reversed(units):
+            t = ZERO
+            for j, e in row.items():
+                if j != p and vec[j]:
+                    t = t + e * vec[j]
+            vec[p] = -t
+        basis.append(CoeffVector(_normalize_kernel_vector(vec)))
+    return basis
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(matrices(), unit_rich_matrices))
+def test_sparse_bareiss_reproduces_the_dense_one(m):
+    dense_ech, dense_pivots = _dense_echelon(m.rows)
+    ech, pivots = _echelon(m._rows)
+    assert pivots == dense_pivots
+    assert [[row.get(j, ZERO) for j in range(m.ncols)] for row in ech] == dense_ech
+    free = [c for c in range(m.ncols) if c not in pivots]
+    sparse_ker = [[v.get(j, ZERO) for j in range(m.ncols)] for v in _echelon_kernel(ech, pivots, free)]
+    assert sparse_ker == _dense_echelon_kernel(dense_ech, dense_pivots, m.ncols)
+    # the input rows are left as they were
+    assert CoeffMatrix(m.rows) == m
+    # after the unit phase, in the matrix's own columns, against the dense
+    # copy over the re-indexed non-pivot columns
+    units, residual = _unit_phase(m._rows)
+    cols = [c for c in range(m.ncols) if c not in {p for p, _ in units}]
+    _, res_pivots = _dense_echelon([[row.get(c, ZERO) for c in cols] for row in residual])
+    assert pivot_columns(m) == sorted([p for p, _ in units] + [cols[i] for i in res_pivots])
+    assert rank(m) == len(units) + len(res_pivots)
+    assert nullspace(m) == _dense_nullspace(m)

@@ -14,6 +14,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qmatalg import invariants
 from qmatalg.exactla import CoeffMatrix, _span_matrix, nullspace, pivot_columns, rank
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
@@ -473,8 +474,25 @@ def test_sft_check_counts_the_kernel_by_rank():
 def test_sft_check_rejects_bad_requests():
     with pytest.raises(ValueError, match="minor-ideal"):
         sft_check((1, 1, 1, 1, 1, 1), 2, minor_ideal=True)
+    # odd rows, where the increasing-row minors miss generators, and a
+    # minor size m + 1 above min(k, r), where there are no minors at all
+    for params in ((1, 1, 1, 1, 1, 0), (1, 1, 1, 1, 2, 0), (0, 2, 0, 2, 1, 0), (1, 0, 1, 0, 1, 0)):
+        with pytest.raises(ValueError, match="minor-ideal"):
+            sft_check(params, 3, minor_ideal=True)
     with pytest.raises(ValueError):
         sft_check(PM1, -1)
+
+
+def test_sft_check_requires_the_generators_in_the_kernel(monkeypatch):
+    # Tt[1,1] Tt[2,2] spans an ideal of the kernel's dimensions, but psi
+    # does not kill it, so it is not the kernel
+    mt = presentation_Mtilde(2, 0, 2, 0)
+    fake = multiply(mt.generator("Tt", 1, 1), mt.generator("Tt", 2, 2), mt)
+    monkeypatch.setattr(invariants, "_critical_minors", lambda p: [fake])
+    rep = sft_check(PM1, 7, minor_ideal=True)
+    assert [rec["ideal_dim"] for rec in rep["degrees"]] == [0, 0, 1, 4, 10, 20, 35, 56]
+    assert all(rec["ideal_dim"] == rec["dim_ker"] for rec in rep["degrees"])
+    assert rep["overall_pass"] is False
 
 
 def test_classical_limit():
