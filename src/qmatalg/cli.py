@@ -29,15 +29,14 @@ import sys
 from .hookcomb import emit_dimension_table, supermatrix_monomial_count
 from .invariants import (
     InvariantParams,
+    _context,
     _rules_hold,
     classical_presentation,
-    classical_psi,
     fft_check,
     sft_check,
 )
 from .laurent import Q, QINV, LaurentInt
 from .qalgebra import (
-    NCElement,
     _check_ranges,
     _sign,
     _unresolved_overlaps,
@@ -91,8 +90,11 @@ def _write_report(report, args):
     """Write the report to --json PATH when one was given; return its text."""
     text = json.dumps(report, indent=2)
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise ValueError(f"cannot write --json {args.json_path}: {exc.strerror}") from None
     return text
 
 
@@ -209,8 +211,9 @@ def cmd_classical(args):
         )
     ]
     cmt, cp = classical[2], classical[3]
+    cpsi = _context(params.astuple()).classical()
     # the q = 1 limit of X_ab, indexed like the tilde generator t~_ab
-    xs = [classical_psi(NCElement.from_word((g,)), params) for g in range(cmt.ngens)]
+    xs = cpsi.x_elements
 
     super_ok = all(
         multiply(x1, x2, cp) == multiply(x2, x1, cp).scaled(_sign(g1.parity * g2.parity))
@@ -223,9 +226,7 @@ def cmd_classical(args):
         "rules_supercommute_at_q1": all(_classical_rules_ok(c) for c in classical),
         "classical_X_supercommute": super_ok,
         "associativity": not any(bad for _, bad in resolved),
-        "homomorphism": _rules_hold(
-            cmt.rules, lambda word: classical_psi(NCElement.from_word(word), params)
-        ),
+        "homomorphism": _rules_hold(cmt.rules, cpsi.word_image),
     }
     report = {
         "schema": SCHEMA,

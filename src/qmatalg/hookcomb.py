@@ -61,6 +61,21 @@ def lambda_natural(lam, m: int, n: int):
     return mu, nu
 
 
+def _hook_cell_ok(filling, r, c, v, k: int) -> bool:
+    """May letter v sit in cell (r, c) of a hook semistandard tableau, given
+    the letters of `filling` ({(row, col): letter}) left of it and above it?
+    Letters 1..k are even; the rule is the one in the module docstring."""
+    left = filling.get((r, c - 1))
+    if left is not None:
+        if v < left or (v == left and v > k):
+            return False
+    above = filling.get((r - 1, c))
+    if above is not None:
+        if v < above or (v == above and v <= k):
+            return False
+    return True
+
+
 def hook_tableaux_dim(lam, k: int, l: int) -> int:
     """Number of hook semistandard tableaux of shape lam over alphabet (k, l)."""
     lam = tuple(lam)
@@ -76,17 +91,6 @@ def hook_tableaux_dim(lam, k: int, l: int) -> int:
     cells = [(r, c) for r, row_len in enumerate(lam) for c in range(row_len)]
     filling = {}
 
-    def ok(r, c, v):
-        left = filling.get((r, c - 1))
-        if left is not None:
-            if v < left or (v == left and v > k):
-                return False
-        above = filling.get((r - 1, c))
-        if above is not None:
-            if v < above or (v == above and v <= k):
-                return False
-        return True
-
     def rec(idx):
         nonlocal count
         if idx == len(cells):
@@ -94,7 +98,7 @@ def hook_tableaux_dim(lam, k: int, l: int) -> int:
             return
         r, c = cells[idx]
         for v in range(1, nletters + 1):
-            if ok(r, c, v):
+            if _hook_cell_ok(filling, r, c, v, k):
                 filling[(r, c)] = v
                 rec(idx + 1)
         filling.pop((r, c), None)

@@ -19,8 +19,10 @@ literally zero or the ranks literally agree.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
-words, and the symmetrizer polynomials of `sergeev_polynomial`; only
-`classical_psi`, the q = 1 psi, sits next to `psi`.
+words, and the symmetrizer polynomials of `sergeev_polynomial`.  The q = 1
+psi is not written again there: it is the same substitution map,
+`_Context`, over the q = 1 degeneration of P and the q = 1 limits of the
+X's (`_Context.classical()`), and `classical_psi` sits next to `psi`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from .exactla import _span_matrix, nullspace, pivot_columns, rank
-from .hookcomb import kernel_dim_prediction
+from .hookcomb import _hook_cell_ok, kernel_dim_prediction
 from .laurent import Q_MINUS_QINV, LaurentInt
 from .qalgebra import (
     AlgebraPresentation,
@@ -93,35 +95,38 @@ def _pres(kind, k, l, r, s):
     return builder(k, l, r, s)
 
 
-class _Context:
-    """Per-parameter state shared by the invariant operations.
-
-    Holds the tilde presentation (domain of psi), the mixed presentation P
-    (codomain), the table of X elements indexed by tilde generator id, and a
-    prefix-keyed memo of normalized word images so that long products are
-    never recomputed from scratch.
-    """
-
-    def __init__(self, pt):
-        self.pt = pt
-        k, l, r, s, m, n = pt
-        self.mt = _pres("Mt", k, l, r, s)
-        self.p = presentation_P(k, l, r, s, m, n)
-        self.x_elements = [
-            self._make_x(g.row, g.col, k, r, m, n) for g in self.mt.generators
-        ]
-        self._images = {(): NCElement.one()}
-        self._classical = None
-
-    def _make_x(self, a, b, k, r, m, n):
-        pa = _index_parity(a, k)
-        pb = _index_parity(b, r)
+def _x_elements(mt, p):
+    """X_ab in P, normalized, for each tilde generator t~_ab of mt in order."""
+    k, _, r, _, m, n = p.params
+    out = []
+    for g in mt.generators:
+        pa = _index_parity(g.row, k)
+        pb = _index_parity(g.col, r)
         terms = []
         for i in range(1, m + n + 1):
             sign = _sign(pa * (pb + _index_parity(i, m)))
-            word = (self.p.gen_id("T", a, i), self.p.gen_id("Tb", b, i))
-            terms.append((word, sign))
-        return normal_form(NCElement(terms), self.p)
+            terms.append(((p.gen_id("T", g.row, i), p.gen_id("Tb", g.col, i)), sign))
+        out.append(normal_form(NCElement(terms), p))
+    return out
+
+
+class _Context:
+    """The substitution map psi: the tilde presentation mt (its domain),
+    a presentation p of P (its codomain), the image in p of each tilde
+    generator indexed by generator id, and a prefix-keyed memo of
+    normalized word images so that long products are never recomputed
+    from scratch.
+
+    At generic q the images are the X elements; `classical()` gives the
+    same map at q = 1.
+    """
+
+    def __init__(self, mt, p, x_elements):
+        self.mt = mt
+        self.p = p
+        self.x_elements = x_elements
+        self._images = {(): NCElement.one()}
+        self._classical = None
 
     def word_image(self, word):
         images = self._images
@@ -138,10 +143,11 @@ class _Context:
         return acc
 
     def classical(self):
-        """The q = 1 presentation of P and the q = 1 limits of the X
-        elements, built on first use."""
+        """psi at q = 1: a `_Context` over the q = 1 degeneration of P and
+        the q = 1 limits of the X elements, built on first use."""
         if self._classical is None:
-            self._classical = (
+            self._classical = _Context(
+                self.mt,
                 classical_presentation(self.p),
                 [classical_limit(x) for x in self.x_elements],
             )
@@ -158,7 +164,9 @@ class _Context:
 
 @lru_cache(maxsize=None)
 def _context(pt):
-    return _Context(pt)
+    mt = _pres("Mt", *pt[:4])
+    p = presentation_P(*pt)
+    return _Context(mt, p, _x_elements(mt, p))
 
 
 def build_X(a, b, params) -> NCElement:
@@ -192,20 +200,13 @@ def classical_psi(e: NCElement, params) -> NCElement:
     """psi at q = 1: substitute the q = 1 limit of X_ab for each tilde
     generator and normalize in the q = 1 degeneration of P.
 
-    Words are read with the tilde generator ids, which the presentations
-    M and Mtilde of the same (k,l,r,s) share.  That the map respects the
-    q = 1 tilde rules is checked by `qmatalg classical`, not assumed here.
+    This is the classical `_Context` of the parameters, the same memoized
+    substitution map as psi over the q = 1 presentation.  Words are read
+    with the tilde generator ids, which the presentations M and Mtilde of
+    the same (k,l,r,s) share.  That the map respects the q = 1 tilde rules
+    is checked by `qmatalg classical`, not assumed here.
     """
-    ctx = _context(_params(params).astuple())
-    _validate_words(e, ctx.mt)
-    cp, xs = ctx.classical()
-    out = NCElement.zero()
-    for word, coeff in e.terms.items():
-        acc = NCElement.one()
-        for g in word:
-            acc = multiply(acc, xs[g], cp)
-        out = out + acc.scaled(coeff)
-    return out
+    return _context(_params(params).astuple()).classical().image_of(e)
 
 
 def _rules_hold(rules, image):
@@ -343,8 +344,12 @@ def fft_check(params, max_degree) -> dict:
     prediction for it.  A degree passes when the image span lies inside the
     invariants with equal dimension and the kernel matches the prediction.
     Since every X has bidegree (1,1), invariants can only live in balanced
-    bidegrees; the report also checks that unbalanced components up to total
-    degree max_degree + 1 carry no invariants at all.
+    bidegrees.  The report also lists the unbalanced components up to total
+    degree max_degree + 1 with their invariant dimensions, which must be 0.
+    These records restate the K-weight argument rather than test it:
+    `invariant_subspace` pairs T-words only with Tb-words of opposite
+    column weight, and in an unbalanced bidegree no such pair exists, so it
+    has no candidate word to start from.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -609,20 +614,6 @@ def _permutations_fixing_blocks(blocks, size):
     return out
 
 
-def _is_tableau_semistandard(rows, seq, even_count):
-    filling = [[seq[x - 1] for x in row] for row in rows]
-    for row in filling:
-        for x, y in zip(row, row[1:]):
-            if y < x or (x == y and x > even_count):
-                return False
-    for c in range(len(filling[0])):
-        col = [row[c] for row in filling if len(row) > c]
-        for x, y in zip(col, col[1:]):
-            if y < x or (x == y and x <= even_count):
-                return False
-    return True
-
-
 def sergeev_polynomial(tableau, I, J, K, L) -> NCElement:
     """Classical symmetrizer polynomial attached to a numbered tableau.
 
@@ -649,7 +640,8 @@ def sergeev_polynomial(tableau, I, J, K, L) -> NCElement:
     if any(not isinstance(x, int) or not 1 <= x <= K + L for x in I + J):
         raise ValueError(f"sequence entries must lie in 1..{K + L}")
     for name, seq in (("I", I), ("J", J)):
-        if not _is_tableau_semistandard(rows, seq, K):
+        filling = {(i, j): seq[x - 1] for i, row in enumerate(rows) for j, x in enumerate(row)}
+        if not all(_hook_cell_ok(filling, i, j, v, K) for (i, j), v in filling.items()):
             raise ValueError(f"sequence {name} does not fill the tableau semistandardly")
     cols = []
     for c in range(len(rows[0])):

@@ -95,7 +95,6 @@ def chevalley_generators(m, n):
 
 @dataclass(frozen=True)
 class HopfData:
-    coproduct: tuple  # pairs (left monomial, right monomial) of ChevalleyGen tuples
     counit: int
     antipode_sign: int
     antipode_monomial: tuple  # of ChevalleyGen
@@ -106,25 +105,15 @@ def hopf_data(x):
     ka = ChevalleyGen(K, a, 0)
     kainv = ChevalleyGen(KINV, a, 0)
     if x.kind == K:
-        return HopfData((((ka,), (ka,)),), 1, 1, (kainv,))
+        return HopfData(1, 1, (kainv,))
     if x.kind == KINV:
-        return HopfData((((kainv,), (kainv,)),), 1, 1, (ka,))
+        return HopfData(1, 1, (ka,))
     kb = ChevalleyGen(K, a + 1, 0)
     kbinv = ChevalleyGen(KINV, a + 1, 0)
     if x.kind == ERAISE:
-        return HopfData(
-            (((x,), (ka, kbinv)), ((), (x,))),
-            0,
-            -1,
-            (x, kainv, kb),
-        )
+        return HopfData(0, -1, (x, kainv, kb))
     if x.kind == ELOWER:
-        return HopfData(
-            (((x,), ()), ((kainv, kb), (x,))),
-            0,
-            -1,
-            (ka, kbinv, x),
-        )
+        return HopfData(0, -1, (ka, kbinv, x))
     raise ValueError(f"unknown generator kind {x.kind!r}")
 
 

@@ -277,6 +277,22 @@ def test_vacuous_request_exits_2(argv, message, capsys):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["hecke", "-k", "1"], ()),
+        (["nf", "M:1,1,1,1", "T[2,1] T[1,1]"], ("missing", "x.json")),
+    ],
+    ids=["directory", "missing-directory"],
+)
+def test_unwritable_json_path_exits_2(argv, target, tmp_path, capsys):
+    path = tmp_path.joinpath(*target)
+    code, out, err = run(argv + ["--json", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write --json {path}: ")
+
+
 def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):

@@ -530,6 +530,26 @@ def test_classical_X_elements_supercommute():
             assert lhs == rhs, ((a, b), (c, d))
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        (1, 1, 1, 1, 1, 1),
+        (2, 0, 2, 0, 1, 0),
+        (2, 1, 1, 1, 1, 1),
+        (1, 1, 1, 1, 2, 1),
+        (2, 1, 2, 1, 1, 1),
+    ],
+)
+def test_classical_psi_is_the_q1_limit_of_psi(params):
+    # setting q = 1 commutes with the substitution, on normal words and on
+    # the left side of every rule
+    mt = _context(params).mt
+    words = [w for N in range(4) for w in graded_basis(mt, N)] + list(mt.rules)
+    for w in words:
+        e = NCElement.from_word(w)
+        assert classical_psi(e, params) == classical_limit(psi(e, params)), w
+
+
 def test_sergeev_polynomial_frozen():
     cm = classical_presentation(presentation_M(2, 0, 2, 0))
     assert sergeev_polynomial(((1,),), (2,), (1,), 2, 0) == cm.generator("T", 2, 1)
