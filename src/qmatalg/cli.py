@@ -23,7 +23,9 @@ hold, 1 on a failed check, 2 on bad input.
 """
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .hookcomb import emit_dimension_table, supermatrix_monomial_count
@@ -84,6 +86,21 @@ def parse_presentation_spec(text):
     except ValueError:
         raise ValueError(f"non-integer size in presentation spec {text!r}") from None
     return builder(*sizes)
+
+
+def _check_json_path(path):
+    """Fail before the computation when --json PATH cannot be written;
+    nothing is created or truncated."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ValueError(f"cannot write --json {path}: {os.strerror(code)}")
 
 
 def _write_report(report, args):
@@ -283,6 +300,8 @@ def main(argv=None):
         max_degree = getattr(args, "max_degree", 0)
         if max_degree < 0:
             raise ValueError(f"-N must be nonnegative, got {max_degree}")
+        if args.json_path:
+            _check_json_path(args.json_path)
         return args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,7 +43,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .laurent import ONE, ZERO, LaurentInt, _add_term, lau_div_exact
+from .laurent import ONE, ZERO, LaurentInt, _add_product, _add_scaled, _add_term, lau_div_exact
 
 
 class CoeffVector:
@@ -176,8 +176,7 @@ class CoeffMatrix:
         for r in self._rows:
             row = {}
             for k, a in r.items():
-                for j, b in brows[k].items():
-                    _add_term(row, j, a * b)
+                _add_scaled(row, brows[k], a)
             out.append(row)
         return CoeffMatrix._raw(out, other.ncols)
 
@@ -307,7 +306,7 @@ def _unit_phase(rows):
                 if j != p:
                     if j not in other:
                         holders[j].append(h)
-                    _add_term(other, j, f * e)
+                    _add_product(other, j, f, e)
             if not other:
                 del active[h]
                 continue

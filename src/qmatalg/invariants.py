@@ -33,7 +33,7 @@ from itertools import combinations, permutations, product
 
 from .exactla import _span_matrix, nullspace, pivot_columns, rank
 from .hookcomb import _hook_cell_ok, kernel_dim_prediction
-from .laurent import Q_MINUS_QINV, LaurentInt
+from .laurent import Q_MINUS_QINV, LaurentInt, _add_scaled
 from .qalgebra import (
     AlgebraPresentation,
     NCElement,
@@ -155,11 +155,10 @@ class _Context:
 
     def image_of(self, e):
         _validate_words(e, self.mt)
-        total = []
+        total = {}
         for word, coeff in e.terms.items():
-            for w, c in self.word_image(word).terms.items():
-                total.append((w, coeff * c))
-        return NCElement(total)
+            _add_scaled(total, self.word_image(word).terms, coeff)
+        return NCElement._raw(total)
 
 
 @lru_cache(maxsize=None)
@@ -218,10 +217,10 @@ def _rules_hold(rules, image):
     """
     for lhs, rhs in rules.items():
         got = image(lhs)
-        acc = NCElement.zero()
+        acc = {}
         for c, w in rhs:
-            acc = acc + image(w).scaled(c)
-        if got != acc:
+            _add_scaled(acc, image(w).terms, c)
+        if got.terms != acc:
             return False
     return True
 

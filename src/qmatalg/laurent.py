@@ -8,6 +8,13 @@ generators already exceeds 64 bits).  Exponents are machine integers,
 validated to |e| <= 2**31 - 1 on construction; desk-scale computations in
 this package stay below a few hundred.
 
+Sparse dicts keyed by words, columns or exponents are added into through
+two helpers.  `_add_term` adds a coefficient.  `_add_product` is the one
+fused accumulation: every `terms[key] += a*b` in the package goes through
+it (or through `_add_scaled`, which calls it key by key), and it adds the
+product without building it first.  Its product loop, `_mul_into`, is also
+the loop of `LaurentInt.__mul__`.
+
 Text format: a signed sparse sum of monomials ``c*q^e``, printed with
 exponents descending, e.g. ``q^2 - 2 + q^-2``.  ``parse_laurent`` and
 ``format_laurent`` round-trip bit-exactly.
@@ -33,6 +40,40 @@ def _add_term(terms, key, coeff):
         terms[key] = acc
     elif prev is not None:
         del terms[key]
+
+
+def _mul_into(out, a, b):
+    """out += a*b on {exponent: int} dicts with no zero coefficients,
+    dropping a zero sum; returns out.  The one product loop of the ring."""
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            s = out.get(e, 0) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+    return out
+
+
+def _add_product(terms, key, a, b):
+    """terms[key] += a*b in a sparse dict of LaurentInt coefficients, with
+    no product LaurentInt built first: the sum is one new LaurentInt (the
+    previous coefficient is not written), and a zero sum is dropped."""
+    prev = terms.get(key)
+    out = _mul_into({} if prev is None else dict(prev.terms), a.terms, b.terms)
+    if out:
+        terms[key] = LaurentInt._raw(out)
+    elif prev is not None:
+        del terms[key]
+
+
+def _add_scaled(terms, other, c):
+    """terms += other * c key by key, for sparse dicts of LaurentInt
+    coefficients and a LaurentInt c; returns terms."""
+    for key, coeff in other.items():
+        _add_product(terms, key, coeff, c)
+    return terms
 
 
 class LaurentInt:
@@ -113,20 +154,7 @@ class LaurentInt:
             return LaurentInt._raw({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentInt):
             return NotImplemented
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return _ZERO
-        out = {}
-        # inline, not _add_term: the call costs measurable time in this hot loop
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentInt._raw(out)
+        return LaurentInt._raw(_mul_into({}, self.terms, other.terms))
 
     __rmul__ = __mul__
 

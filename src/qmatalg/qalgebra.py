@@ -35,7 +35,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _add_term, format_laurent, parse_laurent
+from .laurent import (ONE, Q_MINUS_QINV, LaurentInt, _add_product, _add_scaled, _add_term,
+                      format_laurent, parse_laurent)
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,7 @@ class NCElement:
         return NCElement._raw(out)
 
     def __sub__(self, other):
-        return self + other.scaled(-1)
+        return NCElement._raw(_add_scaled(dict(self.terms), other.terms, -ONE))
 
     def __neg__(self):
         return self.scaled(-1)
@@ -108,9 +109,7 @@ class NCElement:
     def scaled(self, c):
         if not isinstance(c, LaurentInt):
             c = LaurentInt.from_int(c)
-        if not c:
-            return NCElement()
-        return NCElement._raw({w: coeff * c for w, coeff in self.terms.items()})
+        return NCElement._raw(_add_scaled({}, self.terms, c))
 
     def __repr__(self):
         return f"NCElement({self.terms!r})"
@@ -365,7 +364,7 @@ def normal_form_stats(e, pres):
             head = word[:p]
             tail = word[p + 2:]
             for rc, rw in rhs:
-                _add_term(agenda, head + rw + tail, coeff * rc)
+                _add_product(agenda, head + rw + tail, coeff, rc)
         else:
             _add_term(agenda, word, coeff)
     return NCElement._raw(out), steps
@@ -403,7 +402,7 @@ def multiply(a, b, pres):
     prod = {}
     for wa, ca in a.terms.items():
         for wb, cb in b.terms.items():
-            _add_term(prod, wa + wb, ca * cb)
+            _add_product(prod, wa + wb, ca, cb)
     return normal_form(NCElement._raw(prod), pres)
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import CoeffMatrix, _span_matrix, nullspace
-from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _add_term
+from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _add_product, _add_scaled
 from .qalgebra import (
     NCElement,
     _half_bases,
@@ -228,9 +228,9 @@ def _act_word(x, word, pres, m, table):
     for j, (exp, parity, img) in enumerate(entries):
         if img:
             e = total_exp - prefix_exp - exp if raising else prefix_exp
-            scal = _sign(x.parity * prefix_parity) * LaurentInt.q_power(e)
+            scal = LaurentInt.q_power(e, _sign(x.parity * prefix_parity))
             for w1, c1 in img:
-                _add_term(out, word[:j] + w1 + word[j + 1:], c1 * scal)
+                _add_product(out, word[:j] + w1 + word[j + 1:], c1, scal)
         prefix_parity ^= parity
         prefix_exp += exp
     return out
@@ -254,8 +254,7 @@ def act(x, e, pres):
     """Action on an element, linear over words, result in canonical form."""
     total = {}
     for coeff, image in zip(e.terms.values(), _act_on_words(x, e.terms, pres)):
-        for w1, c1 in image.items():
-            _add_term(total, w1, coeff * c1)
+        _add_scaled(total, image, coeff)
     return normal_form(NCElement._raw(total), pres)
 
 

@@ -1,0 +1,116 @@
+"""Guards on sparse accumulation: no shared Laurent coefficient is written in
+place, no element handed to the algebra is changed by it, and the rewrite
+order (step counts and the term order of normal forms) stays pinned."""
+
+import hashlib
+import sys
+
+from qmatalg import laurent, qalgebra, uqaction
+from qmatalg.cli import main
+from qmatalg.invariants import (
+    _context,
+    _pres,
+    classical_presentation,
+    fft_check,
+    sft_check,
+    verify_X_relations,
+)
+from qmatalg.laurent import LaurentInt, format_laurent
+from qmatalg.qalgebra import NCElement, multiply, presentation_P
+
+CONSTANTS = ("ONE", "ZERO", "Q", "QINV", "Q_MINUS_QINV")
+XRELATION_TUPLES = [(1, 0, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1), (2, 1, 1, 0, 1, 1)]
+CONTEXT_TUPLES = [(1, 1, 1, 1, 2, 1), (2, 0, 2, 0, 1, 0)] + XRELATION_TUPLES
+
+
+def _snapshot(value):
+    """A copy of an element's terms in word order, or of a coefficient's,
+    with each coefficient's exponents sorted."""
+    if isinstance(value, NCElement):
+        return [(w, sorted(c.terms.items())) for w, c in value.terms.items()]
+    if isinstance(value, LaurentInt):
+        return sorted(value.terms.items())
+    return value
+
+
+def _rule_table(pres):
+    return {
+        lhs: [(sorted(c.terms.items()), w) for c, w in rhs] for lhs, rhs in pres.rules.items()
+    }
+
+
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    original = getattr(module, name)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qmatalg") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+def _count_steps(monkeypatch, total):
+    original = qalgebra.normal_form_stats
+
+    def counted(e, pres):
+        out = original(e, pres)
+        total[0] += out[1]
+        return out
+
+    _patch_everywhere(monkeypatch, qalgebra, "normal_form_stats", counted)
+
+
+def _watch_inputs(monkeypatch, changed):
+    def watch(fn, name):
+        def watched(*args):
+            before = [_snapshot(a) for a in args]
+            out = fn(*args)
+            if [_snapshot(a) for a in args] != before:
+                changed.append(name)
+            return out
+
+        return watched
+
+    for module, name in ((qalgebra, "multiply"), (qalgebra, "normal_form"), (uqaction, "act")):
+        _patch_everywhere(monkeypatch, module, name, watch(getattr(module, name), name))
+    monkeypatch.setattr(NCElement, "scaled", watch(NCElement.scaled, "scaled"))
+
+
+def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
+    # fresh word-image memos, so that the step count does not depend on earlier tests
+    _context.cache_clear()
+    constants = {name: sorted(getattr(laurent, name).terms.items()) for name in CONSTANTS}
+    changed = []
+    steps = [0]
+    _watch_inputs(monkeypatch, changed)
+    _count_steps(monkeypatch, steps)
+
+    assert fft_check((1, 1, 1, 1, 2, 1), 2)["overall_pass"] is True
+    assert sft_check((2, 0, 2, 0, 1, 0), 4, minor_ideal=True)["overall_pass"] is True
+    for t in XRELATION_TUPLES:
+        assert verify_X_relations(t) is True
+    assert main(["classical", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-m", "1", "-n", "1"]) == 0
+    capsys.readouterr()
+
+    assert changed == []
+    assert {name: sorted(getattr(laurent, name).terms.items()) for name in CONSTANTS} == constants
+    for t in CONTEXT_TUPLES:
+        ctx = _context(t)
+        fresh_p = presentation_P(*t)
+        assert _rule_table(ctx.p) == _rule_table(fresh_p)
+        assert _rule_table(ctx.mt) == _rule_table(_pres.__wrapped__("Mt", *t[:4]))
+        if ctx._classical is not None:
+            assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
+    # recorded from the rewriting before sparse accumulation was fused
+    assert steps[0] == 1652
+
+
+def test_x_products_keep_their_steps_and_term_order(monkeypatch):
+    steps = [0]
+    _count_steps(monkeypatch, steps)
+    ctx = _context((2, 1, 2, 1, 2, 1))
+    digest = hashlib.sha256()
+    for xa in ctx.x_elements:
+        for xb in ctx.x_elements:
+            prod = multiply(xa, xb, ctx.p)
+            digest.update(repr([(w, format_laurent(c)) for w, c in prod.terms.items()]).encode())
+    # recorded from the rewriting before sparse accumulation was fused
+    assert steps[0] == 2025
+    assert digest.hexdigest() == "f437e631aa995aae221f270a7ec49397ae616169113cb88629b4363d2b680129"

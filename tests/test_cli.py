@@ -293,6 +293,55 @@ def test_unwritable_json_path_exits_2(argv, target, tmp_path, capsys):
     assert err.startswith(f"error: cannot write --json {path}: ")
 
 
+FFT_ARGV = ["fft", "-k", "2", "-l", "1", "-r", "2", "-s", "1", "-m", "2", "-n", "1", "-N", "3"]
+
+
+def _fft_check_must_not_run(monkeypatch, exc=AssertionError):
+    def refused(*args):
+        raise exc("fft_check ran")
+
+    monkeypatch.setattr(cli, "fft_check", refused)
+
+
+def test_unwritable_json_path_fails_before_the_computation(monkeypatch, tmp_path, capsys):
+    _fft_check_must_not_run(monkeypatch)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep\n")
+    for path in (tmp_path, tmp_path / "missing" / "x.json", blocker / "x.json"):
+        code, out, err = run(FFT_ARGV + ["--json", str(path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write --json {path}: ")
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == "keep\n"
+
+
+def test_read_only_json_path_fails_before_the_computation(monkeypatch, tmp_path, capsys):
+    # os.access stands in for file modes, which do not bind a superuser
+    _fft_check_must_not_run(monkeypatch)
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    existing = tmp_path / "old.json"
+    existing.write_text("keep\n")
+    for path in (existing, tmp_path / "new.json"):
+        code, out, err = run(FFT_ARGV + ["--json", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write --json {path}: Permission denied\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert existing.read_text() == "keep\n"
+
+
+def test_json_path_check_creates_and_truncates_nothing(monkeypatch, tmp_path, capsys):
+    # the check passes and the run then fails: no file may have been opened
+    _fft_check_must_not_run(monkeypatch, ValueError)
+    existing = tmp_path / "old.json"
+    existing.write_text("keep\n")
+    for path in (existing, tmp_path / "new.json"):
+        code, out, err = run(FFT_ARGV + ["--json", str(path)], capsys)
+        assert (code, out, err) == (2, "", "error: fft_check ran\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert existing.read_text() == "keep\n"
+
+
 def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):

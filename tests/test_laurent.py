@@ -10,6 +10,8 @@ from qmatalg.laurent import (
     ZERO,
     ExactDivisionError,
     LaurentInt,
+    _add_product,
+    _add_term,
     format_laurent,
     lau_div_exact,
     parse_laurent,
@@ -152,3 +154,27 @@ def test_text_round_trip(a):
 def test_div_exact_inverts_mul(a, b):
     if b:
         assert lau_div_exact(a * b, b) == a
+
+
+@given(laurents, laurents, laurents, st.sampled_from(["absent", "given", "cancelling"]))
+def test_add_product_is_adding_the_product(a, b, c, prev_kind):
+    prev = {"absent": None, "given": c, "cancelling": -(a * b)}[prev_kind]
+    terms = {"before": Q}
+    if prev:
+        terms["key"] = prev
+    terms["after"] = QINV
+    plain = dict(terms)
+    _add_term(plain, "key", a * b)
+    inputs = [a, b, c] + ([prev] if prev is not None else [])
+    before = [list(x.terms.items()) for x in inputs]
+    _add_product(terms, "key", a, b)
+    # same keys in the same order, with equal sums
+    assert list(terms.items()) == list(plain.items())
+    assert [list(x.terms.items()) for x in inputs] == before
+    if "key" in terms:
+        assert terms["key"] is not prev
+        assert 0 not in terms["key"].terms.values()
+    if not prev and not a * b:
+        assert "key" not in terms
+    if prev_kind == "cancelling":
+        assert "key" not in terms
