@@ -9,11 +9,14 @@ validated to |e| <= 2**31 - 1 on construction; desk-scale computations in
 this package stay below a few hundred.
 
 Sparse dicts keyed by words, columns or exponents are added into through
-two helpers.  `_add_term` adds a coefficient.  `_add_product` is the one
-fused accumulation: every `terms[key] += a*b` in the package goes through
-it (or through `_add_scaled`, which calls it key by key), and it adds the
-product without building it first.  Its product loop, `_mul_into`, is also
-the loop of `LaurentInt.__mul__`.
+a few helpers.  `_add_term` adds a coefficient.  `_add_product` is the
+fused accumulation for dicts of LaurentInt values: `terms[key] += a*b`
+(or `_add_scaled`, which calls it key by key) adds the product without
+building it first.  Two loops work on raw {exponent: int} dicts in place:
+`_mul_into` adds a product (it is also the loop of `LaurentInt.__mul__`)
+and `_add_into` adds one dict into another (it is also the loop of
+`LaurentInt.__add__`).  The rewriter in qalgebra keeps its coefficients as
+such raw dicts and wraps each output coefficient in a LaurentInt once.
 
 Text format: a signed sparse sum of monomials ``c*q^e``, printed with
 exponents descending, e.g. ``q^2 - 2 + q^-2``.  ``parse_laurent`` and
@@ -53,6 +56,18 @@ def _mul_into(out, a, b):
                 out[e] = s
             else:
                 del out[e]
+    return out
+
+
+def _add_into(out, a):
+    """out += a on {exponent: int} dicts with no zero coefficients,
+    dropping a zero sum; returns out.  The one sum loop of the ring."""
+    for e, c in a.items():
+        s = out.get(e, 0) + c
+        if s:
+            out[e] = s
+        else:
+            del out[e]
     return out
 
 
@@ -128,14 +143,13 @@ class LaurentInt:
         return LaurentInt._raw({e: -c for e, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = LaurentInt.from_int(other)
-        elif not isinstance(other, LaurentInt):
+        if isinstance(other, LaurentInt):
+            other = other.terms
+        elif isinstance(other, int):
+            other = {0: other} if other else {}
+        else:
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            _add_term(out, e, c)
-        return LaurentInt._raw(out)
+        return LaurentInt._raw(_add_into(dict(self.terms), other))
 
     __radd__ = __add__
 

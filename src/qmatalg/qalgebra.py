@@ -27,6 +27,13 @@ _unresolved_overlaps resolves every overlap of two rules (the diamond
 lemma).  The test suite runs it on M, Mbar and Mtilde over the whole
 (k,l,r,s) grid and on P over every seventh tuple, and `qmatalg classical`
 runs it on the q = 1 presentations of the requested tuple.
+
+normal_form_stats is the one rewriting loop.  It takes an NCElement, which
+it validates and copies, or a raw {word: {exponent: int}} agenda that an
+in-package caller built and hands over, which it consumes unvalidated.  It
+adds into the agenda's coefficient dicts in place and wraps each output
+coefficient in a LaurentInt once.  Words from outside are validated where
+they enter: normal_form, multiply (its two factors) and uqaction.act.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .laurent import (ONE, Q_MINUS_QINV, LaurentInt, _add_product, _add_scaled, _add_term,
-                      format_laurent, parse_laurent)
+from .laurent import (ONE, Q_MINUS_QINV, LaurentInt, _add_into, _add_scaled, _add_term,
+                      _mul_into, format_laurent, parse_laurent)
 
 
 @dataclass(frozen=True)
@@ -306,7 +313,12 @@ def _validate_words(e, pres):
 def normal_form_stats(e, pres):
     """Normal form plus the number of rewrite steps taken.
 
-    Words wait in an agenda dict and are popped last-in first-out.  A
+    e is an NCElement, validated and copied, or a raw agenda that the
+    caller hands over: a {word: {exponent: int}} dict with no zero
+    coefficients, which is consumed and not validated.  Its coefficient
+    dicts must belong to no LaurentInt, since they are written in place.
+
+    Words wait in the agenda and are popped last-in first-out.  A
     popped word is rewritten at its leftmost redex for as long as that
     redex is a +-q^e single-term rule: the word is rebuilt in place, the
     exponent and sign accumulate as ints, and the scan resumes one letter
@@ -319,10 +331,13 @@ def normal_form_stats(e, pres):
     and its term order match that loop, and `steps` still counts one
     step per rule application.
     """
-    _validate_words(e, pres)
+    if isinstance(e, NCElement):
+        _validate_words(e, pres)
+        agenda = {word: dict(c.terms) for word, c in e.terms.items()}
+    else:
+        agenda = e
     grid = pres._grid
     swaps = pres._swaps
-    agenda = dict(e.terms)
     out = {}
     steps = 0
     limit = _STEP_LIMIT
@@ -357,17 +372,23 @@ def normal_form_stats(e, pres):
                 p -= 1
         if shift or sign != 1:
             # times sign * q^shift: a monomial factor shifts exponents and merges no terms
-            coeff = LaurentInt._raw({ex + shift: cf * sign for ex, cf in coeff.terms.items()})
-        if rhs is None:
-            _add_term(out, word, coeff)
-        elif swap is None:
+            coeff = {ex + shift: cf * sign for ex, cf in coeff.items()}
+        if rhs is not None and swap is None:
             head = word[:p]
             tail = word[p + 2:]
             for rc, rw in rhs:
-                _add_product(agenda, head + rw + tail, coeff, rc)
+                key = head + rw + tail
+                if not _mul_into(agenda.setdefault(key, {}), coeff, rc.terms):
+                    del agenda[key]
         else:
-            _add_term(agenda, word, coeff)
-    return NCElement._raw(out), steps
+            # a normal word goes to the output, a pending one merges in the agenda
+            pending = out if rhs is None else agenda
+            acc = pending.get(word)
+            if acc is None:
+                pending[word] = coeff
+            elif not _add_into(acc, coeff):
+                del pending[word]
+    return NCElement._raw({word: LaurentInt._raw(c) for word, c in out.items()}), steps
 
 
 def normal_form(e, pres):
@@ -399,11 +420,16 @@ def is_normal(word, pres):
 
 
 def multiply(a, b, pres):
+    _validate_words(a, pres)
+    _validate_words(b, pres)
     prod = {}
     for wa, ca in a.terms.items():
+        ca = ca.terms
         for wb, cb in b.terms.items():
-            _add_product(prod, wa + wb, ca, cb)
-    return normal_form(NCElement._raw(prod), pres)
+            w = wa + wb
+            if not _mul_into(prod.setdefault(w, {}), ca, cb.terms):
+                del prod[w]
+    return normal_form(prod, pres)
 
 
 def _normal_words_in(ids, parities, degree):

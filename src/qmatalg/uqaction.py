@@ -37,13 +37,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactla import CoeffMatrix, _span_matrix, nullspace
-from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _add_product, _add_scaled
+from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _mul_into
 from .qalgebra import (
     NCElement,
     _half_bases,
     _index_parity,
     _q_power_of_index,
     _sign,
+    _validate_words,
     graded_basis,
     normal_form,
 )
@@ -195,7 +196,7 @@ def _k_exponent(a, asign, g, m):
 
 def _letter_entry(x, gid, pres, m):
     """What x does to one letter: (q-exponent of its K-part, the letter's
-    parity, the image as (word, coeff) pairs, empty for a K)."""
+    parity, the image as (word, {exponent: int}) pairs, empty for a K)."""
     g = pres.generators[gid]
     if x.kind in (K, KINV):
         return _k_exponent(x.index, 1 if x.kind == K else -1, g, m), g.parity, ()
@@ -204,11 +205,12 @@ def _letter_entry(x, gid, pres, m):
     # the letters before it do.  Both use K_u^s K_{u+1}^-s, s = +1 or -1.
     s = 1 if x.kind == ERAISE else -1
     exp = _k_exponent(x.index, s, g, m) + _k_exponent(x.index + 1, -s, g, m)
-    return exp, g.parity, tuple(act_on_generator(x, g, pres).terms.items())
+    return exp, g.parity, tuple((w, c.terms) for w, c in act_on_generator(x, g, pres).terms.items())
 
 
 def _act_word(x, word, pres, m, table):
-    """Raw action on one word; returns {word: LaurentInt}, not normalized.
+    """Raw action on one word, not normalized: a fresh {word: {exponent:
+    int}} dict, which normal_form takes as a raw agenda.
 
     table maps a letter id to its _letter_entry under x, filled on first use.
     """
@@ -220,7 +222,7 @@ def _act_word(x, word, pres, m, table):
         entries.append(entry)
     total_exp = sum(exp for exp, _, _ in entries)
     if x.kind in (K, KINV):
-        return {word: LaurentInt.q_power(total_exp)}
+        return {word: {total_exp: 1}}
     raising = x.kind == ERAISE
     out = {}
     prefix_parity = 0
@@ -228,9 +230,11 @@ def _act_word(x, word, pres, m, table):
     for j, (exp, parity, img) in enumerate(entries):
         if img:
             e = total_exp - prefix_exp - exp if raising else prefix_exp
-            scal = LaurentInt.q_power(e, _sign(x.parity * prefix_parity))
+            scal = {e: _sign(x.parity * prefix_parity)}
             for w1, c1 in img:
-                _add_product(out, word[:j] + w1 + word[j + 1:], c1, scal)
+                key = word[:j] + w1 + word[j + 1:]
+                if not _mul_into(out.setdefault(key, {}), c1, scal):
+                    del out[key]
         prefix_parity ^= parity
         prefix_exp += exp
     return out
@@ -238,7 +242,7 @@ def _act_word(x, word, pres, m, table):
 
 def _act_on_words(x, words, pres):
     """Raw actions of one generator on many words: an iterator of
-    {word: LaurentInt} dicts in the order of words, not normalized.
+    {word: {exponent: int}} dicts in the order of words, not normalized.
 
     A letter's image depends only on (x, letter), so it is built once, on
     first use, into a table that lives only as long as the returned
@@ -251,11 +255,17 @@ def _act_on_words(x, words, pres):
 
 
 def act(x, e, pres):
-    """Action on an element, linear over words, result in canonical form."""
+    """Action on an element, linear over words, result in canonical form.
+    e's words are validated here; the sum of the word images goes to
+    normal_form as a raw agenda."""
+    _validate_words(e, pres)
     total = {}
     for coeff, image in zip(e.terms.values(), _act_on_words(x, e.terms, pres)):
-        _add_scaled(total, image, coeff)
-    return normal_form(NCElement._raw(total), pres)
+        coeff = coeff.terms
+        for w, c in image.items():
+            if not _mul_into(total.setdefault(w, {}), c, coeff):
+                del total[w]
+    return normal_form(total, pres)
 
 
 def is_invariant(e, pres):
@@ -330,7 +340,7 @@ def invariant_subspace(pres, bidegree):
         img = {}
         for h in halves:
             raw = _act_word(x, h, pres, m, table)
-            img[h] = normal_form(NCElement._raw(raw), pres).terms, sum(table[g][0] for g in h)
+            img[h] = normal_form(raw, pres).terms, sum(table[g][0] for g in h)
         images.append((x.kind == ERAISE, x.parity, img))
     out = []
     for key in sorted(sectors):
@@ -358,7 +368,7 @@ def invariant_subspace(pres, bidegree):
 
 
 def _action_matrix(x, pres, basis):
-    images = [normal_form(NCElement._raw(i), pres).terms for i in _act_on_words(x, basis, pres)]
+    images = [normal_form(i, pres).terms for i in _act_on_words(x, basis, pres)]
     return CoeffMatrix.from_columns(images, basis)
 
 

@@ -1,5 +1,6 @@
 """Guards on sparse accumulation: no shared Laurent coefficient is written in
-place, no element handed to the algebra is changed by it, and the rewrite
+place, no element handed to the algebra is changed by it, no two returned
+coefficients share one terms dict (nor one with an input), and the rewrite
 order (step counts and the term order of normal forms) stays pinned."""
 
 import hashlib
@@ -57,20 +58,47 @@ def _count_steps(monkeypatch, total):
     _patch_everywhere(monkeypatch, qalgebra, "normal_form_stats", counted)
 
 
-def _watch_inputs(monkeypatch, changed):
+RETURNS_WATCHED = ("multiply", "normal_form", "act")
+
+
+def _watch_inputs(monkeypatch, changed, returned):
+    """Record in changed the name of each call that wrote an argument, and in
+    returned the (arguments, result) of each multiply, normal_form and act."""
     def watch(fn, name):
         def watched(*args):
             before = [_snapshot(a) for a in args]
             out = fn(*args)
             if [_snapshot(a) for a in args] != before:
                 changed.append(name)
+            if name in RETURNS_WATCHED:
+                returned.append((args, out))
             return out
 
         return watched
 
-    for module, name in ((qalgebra, "multiply"), (qalgebra, "normal_form"), (uqaction, "act")):
+    for module, name in ((qalgebra, "multiply"), (qalgebra, "normal_form"), (uqaction, "act"),
+                         (uqaction, "is_invariant"), (uqaction, "invariant_subspace")):
         _patch_everywhere(monkeypatch, module, name, watch(getattr(module, name), name))
     monkeypatch.setattr(NCElement, "scaled", watch(NCElement.scaled, "scaled"))
+
+
+def _coefficient_dicts(value):
+    if isinstance(value, NCElement):
+        return [id(c.terms) for c in value.terms.values()]
+    return []
+
+
+def _assert_no_shared_terms(returned):
+    # every element stays alive in returned, so equal ids are the same dict;
+    # multiply and act return normal_form's result, so elements repeat
+    seen = set()
+    for out in {id(out): out for _, out in returned}.values():
+        for d in _coefficient_dicts(out):
+            assert d not in seen
+            seen.add(d)
+    for args, out in returned:
+        inputs = {d for a in args for d in _coefficient_dicts(a)}
+        assert inputs.isdisjoint(_coefficient_dicts(out))
 
 
 def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
@@ -78,8 +106,9 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     _context.cache_clear()
     constants = {name: sorted(getattr(laurent, name).terms.items()) for name in CONSTANTS}
     changed = []
+    returned = []
     steps = [0]
-    _watch_inputs(monkeypatch, changed)
+    _watch_inputs(monkeypatch, changed, returned)
     _count_steps(monkeypatch, steps)
 
     assert fft_check((1, 1, 1, 1, 2, 1), 2)["overall_pass"] is True
@@ -90,6 +119,8 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     capsys.readouterr()
 
     assert changed == []
+    assert len(returned) > 900
+    _assert_no_shared_terms(returned)
     assert {name: sorted(getattr(laurent, name).terms.items()) for name in CONSTANTS} == constants
     for t in CONTEXT_TUPLES:
         ctx = _context(t)

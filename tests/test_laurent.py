@@ -10,6 +10,7 @@ from qmatalg.laurent import (
     ZERO,
     ExactDivisionError,
     LaurentInt,
+    _add_into,
     _add_product,
     _add_term,
     format_laurent,
@@ -178,3 +179,25 @@ def test_add_product_is_adding_the_product(a, b, c, prev_kind):
         assert "key" not in terms
     if prev_kind == "cancelling":
         assert "key" not in terms
+
+
+@given(laurents, laurents, st.integers(-9, 9))
+def test_add_is_the_termwise_sum(a, b, n):
+    before = [dict(a.terms), dict(b.terms)]
+    want = {e: a.terms.get(e, 0) + b.terms.get(e, 0) for e in set(a.terms) | set(b.terms)}
+    got = a + b
+    assert got.terms == {e: c for e, c in want.items() if c}
+    assert 0 not in got.terms.values()
+    assert (a + -a).terms == {}
+    assert (n + a).terms == (a + LaurentInt.from_int(n)).terms
+    # neither operand is written, and the sum shares no dict with them
+    assert [a.terms, b.terms] == before
+    assert got.terms is not a.terms and got.terms is not b.terms
+
+
+@given(st.dictionaries(st.integers(-6, 6), st.integers(-9, 9).filter(bool), max_size=6),
+       laurents)
+def test_add_into_adds_in_place(out, a):
+    want = (LaurentInt(out) + a).terms
+    assert _add_into(out, a.terms) is out
+    assert out == want

@@ -411,6 +411,33 @@ def test_foreign_word_rejected():
         normal_form(e, M11)
 
 
+def test_multiply_rejects_a_foreign_word_on_either_side():
+    good = word_of(M11, "T", (1, 1))
+    for bad in ((17,), (-1,)):
+        for left, right in ((NCElement.from_word(bad), good), (good, NCElement.from_word(bad))):
+            with pytest.raises(ValueError, match="outside presentation"):
+                multiply(left, right, M11)
+
+
+def test_a_raw_agenda_is_rewritten_like_its_element_and_consumed():
+    e = parse_element(
+        "Tb[2,1] T[2,1] Tb[1,2] T[1,1] + (q + q^-1) * Tb[2,2] T[2,2] Tb[1,1] T[1,1]"
+        " - T[2,1] T[1,1] Tb[1,2] Tb[2,1] + T[1,1] T[2,1] Tb[1,2] Tb[2,1]",
+        P1111,
+    )
+    before = [(w, dict(c.terms)) for w, c in e.terms.items()]
+    agenda = {w: dict(c.terms) for w, c in e.terms.items()}
+    got, steps = normal_form_stats(agenda, P1111)
+    assert agenda == {}
+    want, want_steps = normal_form_stats(e, P1111)
+    assert (list(got.terms.items()), steps) == (list(want.terms.items()), want_steps)
+    assert steps > 4 and len(got.terms) > 2
+    # the element path copies its input: e is unchanged and shares no dict with the result
+    assert [(w, dict(c.terms)) for w, c in e.terms.items()] == before
+    inputs = {id(c.terms) for c in e.terms.values()}
+    assert not inputs & {id(c.terms) for c in want.terms.values()}
+
+
 def test_unknown_generator_rejected():
     with pytest.raises(KeyError):
         M11.gen_id("T", 3, 1)

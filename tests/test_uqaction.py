@@ -163,6 +163,15 @@ def test_act_mismatched_alphabet():
         act(ChevalleyGen("Eraise", 2, 1), NCElement.one(), P20)
 
 
+def test_act_rejects_a_generator_id_outside_the_presentation():
+    # a negative id would index the letter table from the end
+    pres = presentation_P(1, 0, 1, 0, 2, 0)
+    for bad in ((-1,), (pres.ngens,)):
+        for x in (E("Elower", 1, 2), KA(1)):
+            with pytest.raises(ValueError, match="outside presentation"):
+                act(x, NCElement.from_word(bad), pres)
+
+
 # ------------------------------------------------------------- properties
 
 
@@ -303,7 +312,8 @@ def _reference_invariant_subspace(pres, bidegree):
         for _ in domain:
             col = {}
             for e, stream in enumerate(streams):
-                for w1, c in normal_form(NCElement._raw(next(stream)), pres).terms.items():
+                raw = {w: LaurentInt(d) for w, d in next(stream).items()}
+                for w1, c in normal_form(NCElement._raw(raw), pres).terms.items():
                     col[e, w1] = c
             cols.append(col)
         keys = sorted(set().union(*cols))
