@@ -22,12 +22,12 @@ and Bareiss pivot columns together are a column basis (pivot_columns): on
 the eliminated matrix they form a block-triangular submatrix with a
 nonsingular diagonal, and row operations keep column dependencies, so the
 same columns of the input are independent, rank-many of them.  Kernel
-vectors come from fraction-free back substitution on the residual, one
-sparse vector per free column, lifted through the unit rows, last pivot first
-(x_p = -sum_{j != p} row_p[j] x_j), then normalized: divided by the gcd of
-their integer coefficients and by the lowest common power of q, and
-sign-fixed so the first nonzero entry has a positive leading
-(highest-exponent) coefficient.  No polynomial gcd is
+vectors come from one back-substitution loop (_back_substitute), one per
+free column, through the Bareiss rows left of it, then the unit rows, last
+pivot first, scaling the vector by each pivot that is not 1; they are then
+normalized: divided by the gcd of their integer coefficients and by the
+lowest common power of q, and sign-fixed so the first nonzero entry has a
+positive leading (highest-exponent) coefficient.  No polynomial gcd is
 taken beyond that.  Pivoting is deterministic, so kernel bases are
 reproducible for golden tests; they span the same space as plain Bareiss
 would, but the pivot columns may differ, so the individual vectors may too
@@ -43,7 +43,7 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from math import gcd
 
-from .laurent import ONE, ZERO, LaurentInt, _add_product, _add_scaled, _add_term, lau_div_exact
+from .laurent import ONE, ZERO, LaurentInt, _add_product, _add_scaled, _mul_into, lau_div_exact
 
 
 class CoeffVector:
@@ -151,13 +151,8 @@ class CoeffMatrix:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        out = []
-        for ra, rb in zip(self._rows, other._rows):
-            row = dict(ra)
-            for j, e in rb.items():
-                _add_term(row, j, e)
-            out.append(row)
-        return CoeffMatrix._raw(out, self.ncols)
+        rows = zip(self._rows, other._rows)
+        return CoeffMatrix._raw([_add_scaled(dict(ra), rb, ONE) for ra, rb in rows], self.ncols)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -360,29 +355,30 @@ def _normalize_kernel_vector(vec):
     ]
 
 
+def _back_substitute(vec, solved):
+    """Solve the (pivot column, row) pairs of solved into the sparse vector
+    vec, last pair first: row[p] x_p = -sum_{j != p} row[j] x_j, summed on
+    one raw dict, fraction-free (vec is multiplied by row[p] unless that is
+    1).  A row reads only columns vec holds or later pairs' pivots."""
+    for p, row in reversed(solved):
+        acc = {}
+        for j, e in row.items():
+            if j != p and j in vec:
+                _mul_into(acc, e.terms, vec[j].terms)
+        piv = row[p]
+        if piv != ONE:
+            vec = {j: piv * x for j, x in vec.items()}
+        if acc:
+            vec[p] = LaurentInt._raw({e: -c for e, c in acc.items()})
+    return vec
+
+
 def _echelon_kernel(ech, pivots, free_columns):
     """Kernel of a sparse echelon form, one sparse {col: entry} vector per
-    free column, by fraction-free back substitution."""
-    basis = []
-    for free in free_columns:
-        vec = {free: ONE}
-        # bottom-up: rows below a pivot row have zeros left of their own
-        # pivot, so scaling the whole vector keeps them satisfied
-        for i in range(len(pivots) - 1, -1, -1):
-            p = pivots[i]
-            if p > free:
-                continue
-            row = ech[i]
-            t = ZERO
-            for j, e in row.items():
-                if j != p and j in vec:
-                    t = t + e * vec[j]
-            piv = row[p]
-            vec = {j: piv * x for j, x in vec.items()}
-            if t:
-                vec[p] = -t
-        basis.append(vec)
-    return basis
+    free column, through the rows whose pivot lies left of it: rows below a
+    pivot row are zero left of their own pivot, so scaling keeps them solved."""
+    rows = list(zip(pivots, ech))
+    return [_back_substitute({f: ONE}, [(p, r) for p, r in rows if p < f]) for f in free_columns]
 
 
 def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
@@ -398,15 +394,7 @@ def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
     free = [c for c in range(matrix.ncols) if c not in bound]
     basis = []
     for vec in _echelon_kernel(ech, pivots, free):
-        # reversed: a unit row holds no earlier pivot column, so the pivot
-        # columns it reads are already set
-        for p, row in reversed(units):
-            t = ZERO
-            for j, e in row.items():
-                if j != p and j in vec:
-                    t = t + e * vec[j]
-            if t:
-                vec[p] = -t
+        vec = _back_substitute(vec, units)
         dense = [vec.get(c, ZERO) for c in range(matrix.ncols)]
         basis.append(CoeffVector(_normalize_kernel_vector(dense)))
     return basis

@@ -319,8 +319,8 @@ def verify_X_relations(params) -> bool:
 
 
 def _span_dim(columns):
-    """Rank of the sparse columns; no elimination for none."""
-    return rank(_span_matrix(columns)) if columns else 0
+    """Rank of the sparse columns."""
+    return rank(_span_matrix(columns))
 
 
 def _psi_columns(ctx, N):
@@ -590,6 +590,8 @@ def symmetric_group_action(perm, seq, even_count):
     as each adjacent swap of two odd letters does; the test suite checks
     the composition law directly.
     """
+    if sorted(perm) != list(range(1, len(seq) + 1)):
+        raise ValueError(f"{tuple(perm)} is not a permutation of 1..{len(seq)}")
     out = list(seq)
     odd_swaps = 0
     for p, x in enumerate(seq):

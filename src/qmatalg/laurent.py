@@ -8,15 +8,15 @@ generators already exceeds 64 bits).  Exponents are machine integers,
 validated to |e| <= 2**31 - 1 on construction; desk-scale computations in
 this package stay below a few hundred.
 
-Sparse dicts keyed by words, columns or exponents are added into through
-a few helpers.  `_add_term` adds a coefficient.  `_add_product` is the
-fused accumulation for dicts of LaurentInt values: `terms[key] += a*b`
-(or `_add_scaled`, which calls it key by key) adds the product without
-building it first.  Two loops work on raw {exponent: int} dicts in place:
-`_mul_into` adds a product (it is also the loop of `LaurentInt.__mul__`)
-and `_add_into` adds one dict into another (it is also the loop of
-`LaurentInt.__add__`).  The rewriter in qalgebra keeps its coefficients as
-such raw dicts and wraps each output coefficient in a LaurentInt once.
+Sparse sums go through one helper per kind.  On raw {exponent: int} dicts,
+in place, `_mul_into` adds a product and `_add_into` a dict: the loops of
+`LaurentInt.__mul__` and `__add__`, of `lau_div_exact`'s remainder, of the
+rewriter in qalgebra and of the kernel back substitution in exactla, which
+wrap each result in a LaurentInt once.  On keyed dicts of LaurentInt values
+(element and matrix sums), `_add_product` adds `terms[key] += a*b` without
+building the product, and `_add_scaled` a whole dict times a scalar.
+`_add_term` is used only where a coefficient that may be zero enters
+(building an element, parsing).
 
 Text format: a signed sparse sum of monomials ``c*q^e``, printed with
 exponents descending, e.g. ``q^2 - 2 + q^-2``.  ``parse_laurent`` and
@@ -224,8 +224,7 @@ def lau_div_exact(a: LaurentInt, b: LaurentInt) -> LaurentInt:
             raise ExactDivisionError("inexact Laurent division")
         c = ca // cb
         quot[e] = c
-        for e2, c2 in b.terms.items():
-            _add_term(rem, e + e2, -c * c2)
+        _mul_into(rem, {e: -c}, b.terms)
     return LaurentInt._raw(quot)
 
 

@@ -102,10 +102,7 @@ class NCElement:
         return self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for word, coeff in other.terms.items():
-            _add_term(out, word, coeff)
-        return NCElement._raw(out)
+        return NCElement._raw(_add_scaled(dict(self.terms), other.terms, ONE))
 
     def __sub__(self, other):
         return NCElement._raw(_add_scaled(dict(self.terms), other.terms, -ONE))

@@ -390,14 +390,13 @@ def verify_operator_relations(m, n, pres, bidegree):
     kmat = lambda a: amat[ChevalleyGen(K, a, 0)]
     kinv = lambda a: amat[ChevalleyGen(KINV, a, 0)]
     ident = CoeffMatrix.identity(len(basis))
-    failures = []
+    r1, r2, r3 = [], [], []
     for a in range(1, sz + 1):
         if kmat(a) @ kinv(a) != ident:
-            failures.append(f"R1: K[{a}] K^-1[{a}] != id")
+            r1.append(f"R1: K[{a}] K^-1[{a}] != id")
         for b in range(a + 1, sz + 1):
             if kmat(a) @ kmat(b) != kmat(b) @ kmat(a):
-                failures.append(f"R1: K[{a}] and K[{b}] do not commute")
-    r1_ok = not failures
+                r1.append(f"R1: K[{a}] and K[{b}] do not commute")
 
     def root_sign(a, col):
         return _sign(_index_parity(a, m)) if a == col else 0
@@ -412,8 +411,7 @@ def verify_operator_relations(m, n, pres, bidegree):
             lhs = kmat(a) @ amat[x] @ kinv(a)
             rhs = amat[x].scale(LaurentInt.q_power(e))
             if lhs != rhs:
-                failures.append(f"R2: K[{a}] {x} K^-1[{a}] != q^{e} {x}")
-    r2_ok = not [f for f in failures if f.startswith("R2")]
+                r2.append(f"R2: K[{a}] {x} K^-1[{a}] != q^{e} {x}")
     for a in range(1, sz):
         ea = ChevalleyGen(ERAISE, a, _expected_parity(ERAISE, a, m))
         pa = _index_parity(a, m)
@@ -428,14 +426,14 @@ def verify_operator_relations(m, n, pres, bidegree):
             else:
                 rhs = CoeffMatrix.zeros(len(basis), len(basis))
             if lhs != rhs:
-                failures.append(f"R3: [E[{a},{a + 1}], E[{b + 1},{b}]] mismatch")
-    r3_ok = not [f for f in failures if f.startswith("R3")]
+                r3.append(f"R3: [E[{a},{a + 1}], E[{b + 1},{b}]] mismatch")
+    failures = r1 + r2 + r3
     return {
         "m": m,
         "n": n,
         "bidegree": list(bidegree),
         "component_dim": len(basis),
-        "checks": {"R1": r1_ok, "R2": r2_ok, "R3": r3_ok},
+        "checks": {"R1": not r1, "R2": not r2, "R3": not r3},
         "failures": failures,
         "pass": not failures,
     }

@@ -6,6 +6,7 @@ share no code with the implementation.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.utilities.iterables import partitions as sympy_partitions
@@ -157,6 +158,48 @@ def test_dimension_table_shape():
     assert shapes == [(2,), (1, 1)]
     for p in table["partitions"]:
         assert p["dim_left"] == p["dim_right"] == 2
+
+
+def test_contains_rectangle_rejects_a_negative_side():
+    with pytest.raises(ValueError):
+        contains_rectangle((2, 1), -1, 1)
+    with pytest.raises(ValueError):
+        contains_rectangle((2, 1), 1, -1)
+
+
+def test_howe_dim_sum_rejects_a_negative_alphabet():
+    with pytest.raises(ValueError):
+        howe_dim_sum(-1, 0, 1, 0, 2)
+    # a negative degree is an empty graded piece, not an error
+    assert howe_dim_sum(1, 0, 1, 0, -1) == 0
+
+
+def test_hook_tableaux_dim_rejects_a_negative_alphabet():
+    with pytest.raises(ValueError):
+        hook_tableaux_dim((2, 1), -1, 0)
+    with pytest.raises(ValueError):
+        hook_tableaux_dim((2, 1), 1, -1)
+
+
+def test_kernel_dim_prediction_rejects_a_negative_rectangle():
+    with pytest.raises(ValueError):
+        kernel_dim_prediction(2, 0, 2, 0, -1, 0, 2)
+    with pytest.raises(ValueError):
+        kernel_dim_prediction(2, 0, 2, 0, 1, -1, 2)
+    assert kernel_dim_prediction(2, 0, 2, 0, 1, 0, -1) == 0
+
+
+def test_the_other_counters_reject_a_negative_alphabet():
+    with pytest.raises(ValueError):
+        enumerate_hook_partitions(-1, 1, 2)
+    with pytest.raises(ValueError):
+        supermatrix_monomial_count(1, 1, -1, 1, 2)
+    with pytest.raises(ValueError):
+        emit_dimension_table(1, 1, 1, -1, 2)
+    with pytest.raises(ValueError):
+        lambda_natural((2, 1), -1, 1)
+    assert enumerate_hook_partitions(1, 1, -1) == []
+    assert supermatrix_monomial_count(1, 1, 1, 1, -1) == 0
 
 
 # -------------------------------------------------------------- properties

@@ -617,6 +617,12 @@ def test_symmetric_group_action_is_a_representation(data):
     assert g_seq == tuple(seq[ginv[a] - 1] for a in range(size))
 
 
+def test_symmetric_group_action_rejects_a_non_permutation():
+    for perm in [(1, 1, 3), (2, 1), (1, 2, 4), (1, 2, 3, 4)]:
+        with pytest.raises(ValueError):
+            symmetric_group_action(perm, (1, 2, 3), 1)
+
+
 def test_params_accept_any_six_sequence():
     a = build_X(1, 1, [1, 0, 1, 0, 1, 0])
     b = build_X(1, 1, InvariantParams(1, 0, 1, 0, 1, 0))
