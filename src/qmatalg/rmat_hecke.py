@@ -4,10 +4,15 @@ induced Hecke algebra action on tensor powers.
 Conventions: the basis of V^{k|l} is v_1..v_{k+l} with the first k letters
 even; the tensor basis of a power is ordered lexicographically and a tuple
 (a_1,..,a_r) flattens to sum (a_t - 1) d^{r-t}.  Matrices act on coordinate
-columns, so column (c,d) of r_matrix holds the image of v_c x v_d.  The
-checked operator differs from the plain R-matrix by the graded flip, and its
-two eigenvalues q and -q^{-1} split V x V into the quantum symmetric and
-antisymmetric squares returned by sym_skew_bases.
+columns, so column (c,d) of r_matrix holds the image of v_c x v_d.  With
+the graded flip P(v_i x v_j) = (-1)^{[i][j]} v_j x v_i, the checked operator
+equals P r_matrix on a purely even or purely odd alphabet.  On a mixed one
+they differ in exactly one entry per even letter a and odd letter b: the
+diagonal entry at v_b x v_a, which is q - q^{-1} in the checked operator
+and -(q - q^{-1}) in P r_matrix, and there P r_matrix fails the Hecke
+quadratic.  The checked operator's two eigenvalues q and -q^{-1} split
+V x V into the quantum symmetric and antisymmetric squares returned by
+sym_skew_bases.
 """
 
 from itertools import product
@@ -105,37 +110,26 @@ def hecke_act(word, vec, k, l, r) -> CoeffVector:
     """Apply checked-R operators at the listed adjacent slots, first first.
 
     `word` is a sequence of slot numbers in 1..r-1; slot i couples tensor
-    factors i and i+1 of V^{k|l} tensored r times.  `vec` holds coordinates
-    over the lexicographic tensor basis.
+    factors i and i+1 of V^{k|l} tensored r times.  `vec` holds LaurentInt
+    coordinates over the lexicographic tensor basis.  Slot i acts as
+    1 x rcheck_operator x 1, with identities on the d^(i-1) and d^(r-i-1)
+    letters around it: kron orders its rows (i1, i2) lexicographically, as
+    the tensor basis is.
     """
     _check_ranges("V", ("letters", (k, l)))
     if r < 1:
         raise ValueError("tensor power must be at least 1")
+    vec = CoeffVector(vec)
     d = k + l
-    size = d**r
-    entries = list(vec)
-    if len(entries) != size:
-        raise ValueError(f"expected {size} coordinates, got {len(entries)}")
-    letters = list(product(range(1, d + 1), repeat=r))
+    if len(vec) != d**r:
+        raise ValueError(f"expected {d**r} coordinates, got {len(vec)}")
+    rc = rcheck_operator(k, l)
     for i in word:
         if not 1 <= i <= r - 1:
             raise ValueError(f"slot index {i} out of range 1..{r - 1}")
-        out = [ZERO] * size
-        for pos, t in enumerate(letters):
-            c = entries[pos]
-            if not c:
-                continue
-            x, y = t[i - 1], t[i]
-            px, py = _index_parity(x, k), _index_parity(y, k)
-            if x == y:
-                out[pos] = out[pos] + c * (_q_power_of_index(px, 1) * _sign(px))
-            else:
-                swapped = tensor_index(t[: i - 1] + (y, x) + t[i + 1 :], d)
-                out[swapped] = out[swapped] + c * _sign(px * py)
-                if x > y:
-                    out[pos] = out[pos] + c * Q_MINUS_QINV
-        entries = out
-    return CoeffVector(entries)
+        op = CoeffMatrix.identity(d ** (i - 1)).kron(rc).kron(CoeffMatrix.identity(d ** (r - i - 1)))
+        vec = op @ vec
+    return vec
 
 
 def sym_skew_bases(k, l):

@@ -6,29 +6,14 @@ modelled: K_a^{±1} for every column a, and E_{b,b+1} / E_{b+1,b} for
 adjacent column pairs.  Words of generators act by sequential
 application, which is all invariance testing needs.
 
-A word in P is acted on through the coproduct, unrolled letter by
-letter: the K's are grouplike and act diagonally on PBW words, while an
-E hits one letter at a time, the complementary tensor factor
-contributing a K-eigenvalue on the untouched prefix or suffix and the
-super sign tracking the parity of the letters the E jumped over.  A
+A word in P is acted on through the coproduct, unrolled over the parts of
+the word by _unroll, the one place the formula is written out.  A
 letter's image depends only on (generator, letter), so every action of one
 generator on a whole basis (act on an element's words, invariant_subspace,
 the operator matrices) reads it from one letter-image table built for that
 call and dropped on return.  invariant_subspace returns the invariants of
 a graded component as sparse NCElements, each on the zero-weight words of
-one row sector.
-
-Every normal word of P is a T-word u times a Tb-word v, and unrolling the
-coproduct over the product gives, for each E,
-
-    E(u.v) = E(u).v.q^K(v) + (-1)^([E][u]) q^K'(u) u.E(v),
-
-with K(v) the K-exponent of v's letters when E raises (0 when it lowers)
-and K'(u) that of u's when E lowers (0 when it raises).  The rules of P
-rewrite two T's into T's, two Tb's into Tb's, and a Tb before a T; none
-fires on a T before a Tb, so a T-word times a normal Tb-word normalizes
-in its T part alone, and the other way round.  invariant_subspace
-therefore acts on and normalizes each half once per E, not each product.
+one row sector; it unrolls over the two halves of each word.
 """
 
 from __future__ import annotations
@@ -195,49 +180,65 @@ def _k_exponent(a, asign, g, m):
 
 
 def _letter_entry(x, gid, pres, m):
-    """What x does to one letter: (q-exponent of its K-part, the letter's
-    parity, the image as (word, {exponent: int}) pairs, empty for a K)."""
+    """What x does to one letter, as a part for _unroll: (1, q-exponent of
+    its K-part, parity, image as (word, {exponent: int}) pairs, () for a K)."""
     g = pres.generators[gid]
     if x.kind in (K, KINV):
-        return _k_exponent(x.index, 1 if x.kind == K else -1, g, m), g.parity, ()
+        return 1, _k_exponent(x.index, 1 if x.kind == K else -1, g, m), g.parity, ()
     # Delta(E_{u,u+1}) = E (x) K_u K_{u+1}^{-1} + 1 (x) E: the letters after
     # the hit one scale it.  Delta(E_{u+1,u}) = E (x) 1 + K_u^{-1} K_{u+1} (x) E:
     # the letters before it do.  Both use K_u^s K_{u+1}^-s, s = +1 or -1.
     s = 1 if x.kind == ERAISE else -1
     exp = _k_exponent(x.index, s, g, m) + _k_exponent(x.index + 1, -s, g, m)
-    return exp, g.parity, tuple((w, c.terms) for w, c in act_on_generator(x, g, pres).terms.items())
+    return 1, exp, g.parity, tuple((w, c.terms) for w, c in act_on_generator(x, g, pres).terms.items())
+
+
+def _unroll(x, word, parts):
+    """Raw image of word under x through the coproduct, not normalized: a
+    fresh {word: {exponent: int}} dict.  word is cut into consecutive parts
+    p_1 ... p_t, each given as (length, K-exponent, parity, raw image under
+    x).  A K is grouplike and scales word by q^K(p_1 ... p_t); an E hits one
+    part at a time,
+
+        E(p_1 ... p_t) = sum_j (-1)^([E][p_1 ... p_{j-1}]) q^K_j p_1 ... E(p_j) ... p_t,
+
+    with K_j the K-exponent of p_{j+1} ... p_t when E raises and of
+    p_1 ... p_{j-1} when it lowers.
+    """
+    total = sum(part[1] for part in parts)
+    if x.kind in (K, KINV):
+        return {word: {total: 1}}
+    raising = x.kind == ERAISE
+    out = {}
+    start = prefix_parity = prefix_exp = 0
+    for length, exp, parity, img in parts:
+        end = start + length
+        if img:
+            e = total - prefix_exp - exp if raising else prefix_exp
+            scal = {e: _sign(x.parity * prefix_parity)}
+            head, tail = word[:start], word[end:]
+            for w1, c1 in img:
+                key = head + w1 + tail
+                if not _mul_into(out.setdefault(key, {}), c1, scal):
+                    del out[key]
+        prefix_parity += parity
+        prefix_exp += exp
+        start = end
+    return out
 
 
 def _act_word(x, word, pres, m, table):
-    """Raw action on one word, not normalized: a fresh {word: {exponent:
-    int}} dict, which normal_form takes as a raw agenda.
+    """Raw action on one word, not normalized: _unroll over its letters.
 
     table maps a letter id to its _letter_entry under x, filled on first use.
     """
-    entries = []
+    parts = []
     for gid in word:
         entry = table.get(gid)
         if entry is None:
             entry = table[gid] = _letter_entry(x, gid, pres, m)
-        entries.append(entry)
-    total_exp = sum(exp for exp, _, _ in entries)
-    if x.kind in (K, KINV):
-        return {word: {total_exp: 1}}
-    raising = x.kind == ERAISE
-    out = {}
-    prefix_parity = 0
-    prefix_exp = 0
-    for j, (exp, parity, img) in enumerate(entries):
-        if img:
-            e = total_exp - prefix_exp - exp if raising else prefix_exp
-            scal = {e: _sign(x.parity * prefix_parity)}
-            for w1, c1 in img:
-                key = word[:j] + w1 + word[j + 1:]
-                if not _mul_into(out.setdefault(key, {}), c1, scal):
-                    del out[key]
-        prefix_parity ^= parity
-        prefix_exp += exp
-    return out
+        parts.append(entry)
+    return _unroll(x, word, parts)
 
 
 def _act_on_words(x, words, pres):
@@ -307,17 +308,12 @@ def invariant_subspace(pres, bidegree):
     A zero-weight word is a normal T-word u times a normal Tb-word v of
     opposite column weight, so the words come from pairing the T-words and
     the Tb-words of the bidegree by weight; an unbalanced bidegree pairs
-    none.  Unrolling the coproduct over u.v gives
-
-        E(u.v) = E(u).v.q^K(v) + (-1)^([E][u]) q^K'(u) u.E(v),
-
-    where K(v) is the sum of v's letter K-exponents when E raises (0 when
-    it lowers) and K'(u) that of u when E lowers (0 when it raises).  No
-    rule rewrites a T before a Tb, and the T-rules and Tb-rules keep their
+    none.  A column is _unroll over the two parts u and v.  No rule
+    rewrites a T before a Tb, and the T-rules and Tb-rules keep their
     family, so the normal form of E(u).v is NF(E(u)).v and that of u.E(v)
     is u.NF(E(v)).  Each half is therefore acted on and normalized once
-    per E, and a column is assembled from the two half images; its u'.v
-    and u.v' words never collide, since E moves the weight of the T part.
+    per E, and a part's image is that normal form; the u'.v and u.v'
+    words never collide, since E moves the weight of the T part.
     """
     k, l, r, s, m, n = _require_P(pres)
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
@@ -330,18 +326,19 @@ def invariant_subspace(pres, bidegree):
         wt = _word_weight(u, pres, m, n)
         for v in by_weight.get(tuple(-c for c in wt), ()):
             sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
-    # per E, the normal-form image of each half that occurs in some pair
-    # and the sum of its letters' K-exponents, both read from one letter
-    # table per E
+    # per E, each half that occurs in some pair as a part for _unroll, its
+    # K-exponent and parity read from the letter table
     halves = dict.fromkeys(h for pairs in sectors.values() for pair in pairs for h in pair)
     images = []
     for x in egens:
         table = {}
-        img = {}
+        part = {}
         for h in halves:
-            raw = _act_word(x, h, pres, m, table)
-            img[h] = normal_form(raw, pres).terms, sum(table[g][0] for g in h)
-        images.append((x.kind == ERAISE, x.parity, img))
+            img = normal_form(_act_word(x, h, pres, m, table), pres).terms
+            letters = [table[g] for g in h]
+            part[h] = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
+                       tuple((w, c.terms) for w, c in img.items()))
+        images.append((x, part))
     out = []
     for key in sorted(sectors):
         domain = sectors[key]
@@ -350,17 +347,10 @@ def invariant_subspace(pres, bidegree):
         # E's, or nothing hit) is a matrix with no rows: all of it invariant
         cols = []
         for u, v in domain:
-            u_parity = sum(pres.generators[g].parity for g in u)
             col = {}
-            for e, (raising, parity, img) in enumerate(images):
-                # E(u.v) = E(u).v.q^K(v) + (-1)^([E][u]) q^K'(u) u.E(v)
-                (u_img, u_exp), (v_img, v_exp) = img[u], img[v]
-                t_scal = LaurentInt.q_power(v_exp if raising else 0)
-                b_scal = LaurentInt.q_power(0 if raising else u_exp, _sign(parity * u_parity))
-                for w1, c in u_img.items():
-                    col[e, w1 + v] = c if t_scal == 1 else c * t_scal
-                for w2, c in v_img.items():
-                    col[e, u + w2] = c if b_scal == 1 else c * b_scal
+            for e, (x, part) in enumerate(images):
+                for w, c in _unroll(x, u + v, (part[u], part[v])).items():
+                    col[e, w] = LaurentInt._raw(c)
             cols.append(col)
         for vec in nullspace(_span_matrix(cols)):
             out.append(NCElement._raw({u + v: e for (u, v), e in zip(domain, vec) if e}))

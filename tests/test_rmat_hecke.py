@@ -106,6 +106,37 @@ def test_rcheck_matches_hecke_act():
             assert list(image) == [rc.rows[i][col] for i in range(d * d)]
 
 
+def graded_flip(k, l):
+    d = k + l
+    rows = [[ZERO] * (d * d) for _ in range(d * d)]
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            sign = -1 if i > k and j > k else 1
+            rows[tensor_index((j, i), d)][tensor_index((i, j), d)] = ONE * sign
+    return CoeffMatrix(rows)
+
+
+def test_rcheck_is_the_graded_flip_times_r_but_on_the_mixed_diagonal():
+    # Rcheck - P R is 2(q - q^-1) on the diagonal at v_b x v_a for every even
+    # letter a and odd letter b, and zero everywhere else; P R satisfies the
+    # Hecke quadratic exactly when that gap is empty
+    for k in range(4):
+        for l in range(4 - k):
+            if k + l == 0:
+                continue
+            d = k + l
+            gap = [[ZERO] * (d * d) for _ in range(d * d)]
+            for a in range(1, k + 1):
+                for b in range(k + 1, d + 1):
+                    pos = tensor_index((b, a), d)
+                    gap[pos][pos] = QMQ * 2
+            pr = graded_flip(k, l) @ r_matrix(k, l)
+            assert rcheck_operator(k, l) - pr == CoeffMatrix(gap), (k, l)
+            ident = CoeffMatrix.identity(d * d)
+            quadratic = ((pr - ident.scale(Q)) @ (pr + ident.scale(QINV))).is_zero()
+            assert quadratic == (k * l == 0), (k, l)
+
+
 def test_quadratic_and_braid_relations():
     for k in range(4):
         for l in range(4 - k):
@@ -130,6 +161,13 @@ def test_hecke_act_errors():
         hecke_act([2], unit_vector(size, 0), 1, 1, 2)
     with pytest.raises(ValueError):
         hecke_act([], CoeffVector([]), 1, 1, 0)
+
+
+def test_hecke_act_requires_laurent_coordinates():
+    # the vector is checked on entry, whether or not any slot acts on it
+    for word in ([1], []):
+        with pytest.raises(TypeError):
+            hecke_act(word, [1, 0, 0, 0], 1, 1, 2)
 
 
 HECKE_CASES = [(1, 1, 3), (2, 1, 3), (2, 0, 3), (1, 1, 4)]

@@ -32,9 +32,11 @@ from qmatalg.uqaction import (
     ERAISE,
     ChevalleyGen,
     _act_on_words,
+    _act_word,
     _action_matrix,
     _require_P,
     _row_sector,
+    _unroll,
     _word_weight,
     act,
     act_on_generator,
@@ -330,7 +332,7 @@ def test_invariant_subspace_matches_the_whole_word_oracle():
     # same invariants in the same order, each with the same words in the
     # same order and the same coefficients
     cases = [(p, (d1, d2)) for p in PARAM_GRID[::5] for d1 in range(3) for d2 in range(3)]
-    cases.append(((1, 1, 1, 1, 2, 1), (3, 3)))
+    cases += [(p, (3, 3)) for p in ((1, 1, 1, 1, 2, 1), (2, 1, 2, 1, 2, 1), (1, 1, 1, 1, 2, 2))]
     hits = 0
     for params, bidegree in cases:
         pres = presentation_P(*params)
@@ -338,6 +340,28 @@ def test_invariant_subspace_matches_the_whole_word_oracle():
         assert _term_lists(invariant_subspace(pres, bidegree)) == want, (params, bidegree)
         hits += len(want)
     assert hits > 2000
+
+
+def test_unrolling_over_two_parts_matches_the_letter_by_letter_action():
+    # every cut u|v of every normal word up to total degree 4, cuts inside
+    # the T part included; each part carries its raw, unnormalized image
+    pres = presentation_P(1, 1, 1, 1, 2, 1)
+    m, n = pres.params[4:]
+    words = [w for d1 in range(5) for d2 in range(5 - d1) for w in graded_basis(pres, (d1, d2))]
+    egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
+    assert any(x.parity for x in egens)
+    for x in egens:
+        table = {}
+
+        def part(h):
+            raw = _act_word(x, h, pres, m, table)
+            letters = [table[g] for g in h]
+            return len(h), sum(t[1] for t in letters), sum(t[2] for t in letters), tuple(raw.items())
+
+        for w in words:
+            whole = _act_word(x, w, pres, m, table)
+            for cut in range(len(w) + 1):
+                assert _unroll(x, w, (part(w[:cut]), part(w[cut:]))) == whole, (x, w, cut)
 
 
 def test_an_unbalanced_bidegree_has_no_invariants():
