@@ -141,6 +141,8 @@ class CoeffMatrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not 0 <= i < len(self._rows):
+            raise IndexError("row index out of range")
         if not 0 <= j < self.ncols:
             raise IndexError("column index out of range")
         return self._rows[i].get(j, ZERO)

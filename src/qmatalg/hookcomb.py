@@ -10,12 +10,15 @@ letters even, the last l odd) fill the diagram so that
   * odd letters strictly increase along rows.
 
 Counting them gives the graded dimensions that every flatness and kernel
-check in the rest of the package is measured against.
+check in the rest of the package is measured against; `dims_check`, the
+`qmatalg dims` report, compares their sum with the monomial count.
 """
 
 from __future__ import annotations
 
 from math import comb
+
+from .qalgebra import _check_ranges
 
 
 def _check_sizes(*sizes):
@@ -184,3 +187,22 @@ def emit_dimension_table(k: int, l: int, r: int, s: int, size: int) -> dict:
         "partitions": partitions,
         "total": sum(p["dim_left"] * p["dim_right"] for p in partitions),
     }
+
+
+def dims_check(k: int, l: int, r: int, s: int, max_degree: int) -> dict:
+    """Degree-by-degree report of the dimension identity: for each size up
+    to max_degree, the monomial count of the (k+l) x (r+s) supermatrix grid
+    against the Howe sum of emit_dimension_table, with its shapes."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    if not any((k, l, r, s)):
+        raise ValueError("dims needs at least one nonzero size among -k -l -r -s")
+    _check_ranges("dims", ("rows -k -l", (k, l)), ("cols -r -s", (r, s)))
+    sizes = []
+    for size in range(max_degree + 1):
+        table = emit_dimension_table(k, l, r, s, size)
+        count = supermatrix_monomial_count(k, l, r, s, size)
+        sizes.append({"size": size, "monomial_count": count, "howe_sum": table["total"],
+                      "partitions": table["partitions"], "pass": count == table["total"]})
+    return {"params": [k, l, r, s], "sizes": sizes,
+            "overall_pass": all(rec["pass"] for rec in sizes)}

@@ -22,7 +22,8 @@ The classical q = 1 layer sits at the bottom: `classical_limit`,
 words, and the symmetrizer polynomials of `sergeev_polynomial`.  The q = 1
 psi is not written again there: it is the same substitution map,
 `_Context`, over the q = 1 degeneration of P and the q = 1 limits of the
-X's (`_Context.classical()`), and `classical_psi` sits next to `psi`.
+X's (`_Context.classical()`), and `classical_psi` sits next to `psi`;
+`classical_check` builds the `qmatalg classical` report on it.
 """
 
 from __future__ import annotations
@@ -40,12 +41,14 @@ from .qalgebra import (
     _index_parity,
     _q_power_of_index,
     _sign,
+    _unresolved_overlaps,
     _validate_words,
     format_element,
     graded_basis,
     multiply,
     normal_form,
     presentation_M,
+    presentation_Mbar,
     presentation_Mtilde,
     presentation_P,
 )
@@ -223,6 +226,57 @@ def _rules_hold(rules, image):
         if got.terms != acc:
             return False
     return True
+
+
+def _classical_rules_ok(cp):
+    """True when the q = 1 rules are exactly free supercommutation: x_i x_j
+    -> (-1)^{p_i p_j} x_j x_i for i > j, and x_i x_i -> 0 for odd i."""
+    par = [g.parity for g in cp.generators]
+    table = {
+        (i, j): ((LaurentInt.from_int(_sign(par[i] * par[j])), (j, i)),)
+        for i in range(len(par))
+        for j in range(i)
+    }
+    table.update({(i, i): () for i, p in enumerate(par) if p})
+    return cp.rules == table
+
+
+def classical_check(params) -> dict:
+    """The q = 1 report, every check exhaustive.
+
+    The q = 1 degenerations of M, Mbar, Mtilde and P must be free
+    supercommutation and resolve every overlap (associativity, with the
+    overlap count); the q = 1 limits of the X's must supercommute in P;
+    and classical_psi must respect every q = 1 tilde rule (homomorphism).
+    """
+    p = _params(params)
+    k, l, r, s, m, n = p.astuple()
+    classical = [classical_presentation(pres) for pres in (
+        presentation_M(k, l, r, s), presentation_Mbar(k, l, r, s),
+        presentation_Mtilde(k, l, r, s), presentation_P(k, l, r, s, m, n))]
+    cmt, cp = classical[2:]
+    cpsi = _context(p.astuple()).classical()
+    # the q = 1 limit of X_ab, indexed like the tilde generator t~_ab
+    xs = cpsi.x_elements
+    super_ok = all(
+        multiply(x1, x2, cp) == multiply(x2, x1, cp).scaled(_sign(g1.parity * g2.parity))
+        for x1, g1 in zip(xs, cmt.generators)
+        for x2, g2 in zip(xs, cmt.generators)
+    )
+    resolved = [_unresolved_overlaps(c) for c in classical]
+    checks = {
+        "rules_supercommute_at_q1": all(_classical_rules_ok(c) for c in classical),
+        "classical_X_supercommute": super_ok,
+        "associativity": not any(bad for _, bad in resolved),
+        "homomorphism": _rules_hold(cmt.rules, cpsi.word_image),
+    }
+    return {
+        "params": list(p.astuple()),
+        "overlaps": sum(count for count, _ in resolved),
+        "tilde_rules": len(cmt.rules),
+        "checks": checks,
+        "overall_pass": all(checks.values()),
+    }
 
 
 def verify_X_relations(params) -> bool:

@@ -135,13 +135,12 @@ def _sign(exponent):
 class AlgebraPresentation:
     """Immutable generator table plus oriented rewrite rules."""
 
-    __slots__ = ("kind", "params", "generators", "ids", "rules", "_grid", "_swaps", "_by_index")
+    __slots__ = ("kind", "params", "generators", "rules", "_grid", "_swaps", "_by_index")
 
     def __init__(self, kind, params, generators, rules):
         self.kind = kind
         self.params = params
         self.generators = tuple(generators)
-        self.ids = {g: i for i, g in enumerate(self.generators)}
         self._by_index = {(g.family, g.row, g.col): i for i, g in enumerate(self.generators)}
         self.rules = rules
         n = len(self.generators)
@@ -477,6 +476,8 @@ def verify_presentation_flatness(pres, max_degree):
     """
     from .hookcomb import howe_dim_sum, supermatrix_monomial_count
 
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
     report = {"kind": pres.kind, "params": list(pres.params), "degrees": [], "pass": True}
     if pres.kind == "P":
         k, l, r, s, m, n = pres.params
@@ -601,6 +602,9 @@ def parse_element(text, pres):
         coeff_text = coeff_text.strip()
         if coeff_text.endswith("*"):
             coeff_text = coeff_text[:-1].strip()
+            if not coeff_text or not word_text:
+                raise ValueError(f"'*' needs a coefficient before it and a word after it "
+                                 f"near position {base}")
         if not coeff_text:
             coeff = ONE
         elif coeff_text.startswith("("):

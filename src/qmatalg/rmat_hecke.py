@@ -204,3 +204,26 @@ def verify_frt(k, l) -> bool:
         if normal_form(NCElement(lhs), pres) != normal_form(NCElement(rhs), pres):
             return False
     return True
+
+
+def hecke_check(k, l) -> dict:
+    """The R-matrix report for V^{k|l}: the Hecke quadratic, the braid
+    identity, the FRT cross-check, and both eigenbases of sym_skew_bases.
+    An eigenbasis passes when the checked operator scales each vector by
+    its eigenvalue (q, or -q^{-1}) and the counts are right: k(k+1)/2 +
+    l(l-1)/2 + kl symmetric vectors, and (k+l)^2 vectors in all."""
+    sym, skew = sym_skew_bases(k, l)
+    sym_ok = all(
+        hecke_act([1], v, k, l, 2) == CoeffVector([Q * e for e in v]) for v in sym
+    )
+    skew_ok = all(
+        hecke_act([1], v, k, l, 2) == CoeffVector([-QINV * e for e in v]) for v in skew
+    )
+    checks = {
+        "quadratic": verify_hecke_quadratic(k, l),
+        "braid": verify_braid(k, l),
+        "sym_eigenbasis": sym_ok and len(sym) == k * (k + 1) // 2 + l * (l - 1) // 2 + k * l,
+        "skew_eigenbasis": skew_ok and len(sym) + len(skew) == (k + l) ** 2,
+        "frt": verify_frt(k, l),
+    }
+    return {"k": k, "l": l, "checks": checks, "overall_pass": all(checks.values())}

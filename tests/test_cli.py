@@ -1,6 +1,7 @@
 """CLI behavior: frozen outputs for the documented examples, exit codes,
 JSON shape and byte-stability."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,10 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from qmatalg import cli
+from qmatalg import cli, invariants
 from qmatalg.cli import build_parser, main
 from qmatalg.invariants import classical_presentation
-from qmatalg.qalgebra import AlgebraPresentation
+from qmatalg.qalgebra import AlgebraPresentation, presentation_P
 
 
 def run(argv, capsys):
@@ -174,9 +175,15 @@ def test_classical_report_counts_what_it_checked(capsys):
     assert rep["overall_pass"] is True
 
 
-def _flip_classical_rule(kind, index):
-    """classical_presentation, but with the sign of the index-th nonempty
-    q = 1 rule of the `kind` presentation flipped."""
+def _flip_classical_rule(kind, index, monkeypatch):
+    """Make invariants.classical_presentation flip the sign of the index-th
+    nonempty q = 1 rule of the `kind` presentation.
+
+    The memoized q = 1 psi of CLASSICAL_1S is built first, from the real
+    rules, so the flip reaches only the presentations the report builds and
+    never the `_context` cache that later tests share."""
+    invariants._context((1, 1, 1, 1, 1, 1)).classical()
+
     def flipped(pres):
         cp = classical_presentation(pres)
         if pres.kind != kind:
@@ -186,23 +193,31 @@ def _flip_classical_rule(kind, index):
         (c, w), = rules[lhs]
         rules[lhs] = ((-c, w),)
         return AlgebraPresentation(cp.kind, cp.params, cp.generators, rules)
-    return flipped
+
+    monkeypatch.setattr(invariants, "classical_presentation", flipped)
+
+
+def _cached_classical_P_is_unflipped():
+    cached = invariants._context((1, 1, 1, 1, 1, 1)).classical().p
+    return cached.rules == classical_presentation(presentation_P(1, 1, 1, 1, 1, 1)).rules
 
 
 def test_a_flipped_classical_P_rule_is_not_supercommutation(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "classical_presentation", _flip_classical_rule("P", 0))
+    _flip_classical_rule("P", 0, monkeypatch)
     code, out, _ = run(CLASSICAL_1S, capsys)
     assert code == 1
     assert json.loads(out)["checks"]["rules_supercommute_at_q1"] is False
+    assert _cached_classical_P_is_unflipped()
 
 
 @pytest.mark.parametrize("index", range(6))
 def test_a_flipped_classical_Mtilde_rule_breaks_the_homomorphism(index, monkeypatch, capsys):
     # Mtilde(1,1,1,1) has six rules with a nonempty right side
-    monkeypatch.setattr(cli, "classical_presentation", _flip_classical_rule("Mtilde", index))
+    _flip_classical_rule("Mtilde", index, monkeypatch)
     code, out, _ = run(CLASSICAL_1S, capsys)
     assert code == 1
     assert json.loads(out)["checks"]["homomorphism"] is False
+    assert _cached_classical_P_is_unflipped()
 
 
 @pytest.mark.parametrize(
@@ -346,3 +361,10 @@ def test_parser_rejects_unknown_command():
     parser = build_parser()
     with pytest.raises(SystemExit):
         parser.parse_args(["bogus"])
+
+
+def test_cli_imports_no_private_name_from_the_package():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.level > 0 for alias in node.names]
+    assert imported and not [name for name in imported if name.startswith("_")]

@@ -186,6 +186,15 @@ def test_from_columns():
         m[0, 3]
 
 
+def test_getitem_rejects_an_out_of_range_row_like_a_column():
+    m = M([["q", "1"], ["0", "q^-1"]])
+    assert m[1, 1] == L("q^-1")
+    for i, j, which in [(-1, 0, "row"), (2, 0, "row"), (5, 0, "row"),
+                        (0, -1, "column"), (0, 2, "column")]:
+        with pytest.raises(IndexError, match=f"^{which} index out of range$"):
+            m[i, j]
+
+
 def test_from_columns_leaves_untouched_rows_empty():
     keys = ["a", "b", "c", "d"]
     cols = [{"a": Q, "c": ONE}, {"c": L("q^-2")}, {"a": ONE, "c": Q}]

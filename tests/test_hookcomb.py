@@ -13,6 +13,7 @@ from sympy.utilities.iterables import partitions as sympy_partitions
 
 from qmatalg.hookcomb import (
     contains_rectangle,
+    dims_check,
     emit_dimension_table,
     enumerate_hook_partitions,
     hook_tableaux_dim,
@@ -158,6 +159,23 @@ def test_dimension_table_shape():
     assert shapes == [(2,), (1, 1)]
     for p in table["partitions"]:
         assert p["dim_left"] == p["dim_right"] == 2
+
+
+def test_dims_check_compares_the_monomial_grid_with_the_howe_sum():
+    rep = dims_check(1, 1, 1, 1, 2)
+    assert [(rec["monomial_count"], rec["howe_sum"]) for rec in rep["sizes"]] == [
+        (1, 1), (4, 4), (8, 8)]
+    assert rep["sizes"][2]["partitions"] == emit_dimension_table(1, 1, 1, 1, 2)["partitions"]
+    assert rep["overall_pass"] is True
+
+
+def test_dims_check_never_passes_an_empty_check():
+    with pytest.raises(ValueError, match="max_degree"):
+        dims_check(1, 1, 1, 1, -1)
+    with pytest.raises(ValueError, match="at least one nonzero size"):
+        dims_check(0, 0, 0, 0, 2)
+    with pytest.raises(ValueError, match="index range cols -r -s"):
+        dims_check(1, 0, 0, 0, 2)
 
 
 def test_contains_rectangle_rejects_a_negative_side():

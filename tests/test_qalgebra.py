@@ -366,6 +366,13 @@ def test_flatness_reports():
     assert rep["pass"], rep
 
 
+def test_flatness_rejects_a_negative_degree():
+    # range(0) would otherwise report an empty check as a pass
+    for pres in (M11, P1111):
+        with pytest.raises(ValueError, match="max_degree"):
+            verify_presentation_flatness(pres, -1)
+
+
 def _product_span_rank(pres, left_deg, right_deg, target_deg):
     lbasis = graded_basis(pres, left_deg)
     rbasis = graded_basis(pres, right_deg)
@@ -455,6 +462,14 @@ def test_parse_errors():
     for bad in ["", "q +", "T[3,1]", "(q", "q)", "T[1,1] garbage", "Tb[1,1]"]:
         with pytest.raises(ValueError):
             parse_element(bad, M11)
+
+
+def test_parse_rejects_a_star_without_a_coefficient_and_a_word():
+    for bad in ["2 *", "q*", "(q + 1) *", "T[1,1] - q^-1 *", "* T[1,1]", "T[1,1] + * T[2,1]"]:
+        with pytest.raises(ValueError, match="position"):
+            parse_element(bad, M11)
+    assert parse_element("2 * T[1,1]", M11) == parse_element("2 T[1,1]", M11)
+    assert parse_element("(q + 1)", M11) == NCElement({(): Q + ONE})
 
 
 # ------------------------------------------------------------- text format

@@ -397,7 +397,7 @@ def test_each_letter_image_is_built_once_per_call(monkeypatch):
     original = uqaction.act_on_generator
 
     def counted(x, g, pres):
-        seen[x, pres.ids[g]] += 1
+        seen[x, pres.gen_id(g.family, g.row, g.col)] += 1
         return original(x, g, pres)
 
     monkeypatch.setattr(uqaction, "act_on_generator", counted)
