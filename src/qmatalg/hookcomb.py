@@ -49,29 +49,6 @@ def enumerate_hook_partitions(k: int, l: int, size: int) -> list[tuple[int, ...]
     return out
 
 
-def transpose_partition(lam: tuple[int, ...]) -> tuple[int, ...]:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > i) for i in range(lam[0]))
-
-
-def lambda_natural(lam, m: int, n: int):
-    """Split a hook shape into its (m, n) row/column halves.
-
-    Returns (mu, nu): mu = (lambda_1, ..., lambda_m) and
-    nu_j = max(lambda'_j - m, 0) for j = 1..n.  Valid input is an
-    (m, n)-hook partition; its diagram is exactly mu plus the transposed nu.
-    """
-    _check_sizes(m, n)
-    lam = tuple(lam)
-    if len(lam) > m and lam[m] > n:
-        raise ValueError(f"{lam} is not an ({m}, {n})-hook partition")
-    mu = tuple(lam[i] if i < len(lam) else 0 for i in range(m))
-    lamt = transpose_partition(lam)
-    nu = tuple(max((lamt[j] if j < len(lamt) else 0) - m, 0) for j in range(n))
-    return mu, nu
-
-
 def _hook_cell_ok(filling, r, c, v, k: int) -> bool:
     """May letter v sit in cell (r, c) of a hook semistandard tableau, given
     the letters of `filling` ({(row, col): letter}) left of it and above it?
@@ -195,9 +172,7 @@ def dims_check(k: int, l: int, r: int, s: int, max_degree: int) -> dict:
     against the Howe sum of emit_dimension_table, with its shapes."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    if not any((k, l, r, s)):
-        raise ValueError("dims needs at least one nonzero size among -k -l -r -s")
-    _check_ranges("dims", ("rows -k -l", (k, l)), ("cols -r -s", (r, s)))
+    _check_ranges("dims", ("rows (k, l)", (k, l)), ("cols (r, s)", (r, s)))
     sizes = []
     for size in range(max_degree + 1):
         table = emit_dimension_table(k, l, r, s, size)

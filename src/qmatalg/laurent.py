@@ -20,7 +20,8 @@ building the product, and `_add_scaled` a whole dict times a scalar.
 
 Text format: a signed sparse sum of monomials ``c*q^e``, printed with
 exponents descending, e.g. ``q^2 - 2 + q^-2``.  ``parse_laurent`` and
-``format_laurent`` round-trip bit-exactly.
+``format_laurent`` round-trip bit-exactly.  The monomial syntax is written
+once, as ``_MONOMIAL``; qalgebra's element parser builds its terms on it.
 """
 
 from __future__ import annotations
@@ -252,51 +253,29 @@ def format_laurent(a: LaurentInt) -> str:
     return " ".join(parts)
 
 
-_TERM_RE = re.compile(
-    r"""\s*
-        (?:
-            (?P<coeff>\d+)\s*(?:\*\s*q(?:\^(?P<exp1>-?\d+))?)?
-          | q(?:\^(?P<exp2>-?\d+))?
-        )
-    """,
-    re.VERBOSE,
-)
-_SIGN_RE = re.compile(r"\s*([+-])")
+# One monomial ``c``, ``q^e`` or ``c*q^e``, the ``^e`` optional, with no
+# space inside ``q^e``.  It can match the empty string: a scanner built on it
+# rejects a term with no monomial.
+_MONOMIAL = r"(?P<coeff>\d+)?(?P<q>(?(coeff)\s*\*\s*)q(?:\^(?P<exp>-?\d+))?)?"
+_SIGNED_MONOMIAL = re.compile(rf"\s*(?P<sign>[+-]?)\s*{_MONOMIAL}\s*")
 
 
 def parse_laurent(text: str) -> LaurentInt:
-    """Parse the ``c*q^e`` sum format produced by format_laurent."""
-    pos = 0
-    n = len(text)
+    """Parse the sum format produced by format_laurent: monomials ``c``,
+    ``q^e`` or ``c*q^e`` (``^e`` optional), each after a sign ``+`` or ``-``,
+    the first one's optional.  Raises ValueError naming the position of a
+    bad term, and OverflowError for an exponent past EXPONENT_BOUND."""
     out = {}
-    first = True
+    pos = 0
     while True:
-        sign = 1
-        m = _SIGN_RE.match(text, pos)
-        if m:
-            sign = -1 if m.group(1) == "-" else 1
-            pos = m.end()
-        elif not first:
-            break
-        m = _TERM_RE.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad Laurent polynomial syntax at {text[pos:]!r}")
-        pos = m.end()
-        first = False
-        if m.group("coeff") is not None:
-            c = int(m.group("coeff"))
-            e = 0
-            rest = text[m.start():m.end()]
-            if "q" in rest:
-                e = int(m.group("exp1")) if m.group("exp1") is not None else 1
-        else:
-            c = 1
-            e = int(m.group("exp2")) if m.group("exp2") is not None else 1
+        m = _SIGNED_MONOMIAL.match(text, pos)
+        if not (m["coeff"] or m["q"]) or (pos and not m["sign"]):
+            raise ValueError(f"bad Laurent polynomial term at position {pos}: {text[pos:]!r}")
+        e = int(m["exp"] or 1) if m["q"] else 0
         if abs(e) > EXPONENT_BOUND:
             raise OverflowError(f"exponent {e} out of documented bound")
-        _add_term(out, e, sign * c)
-        if pos >= n:
-            break
-    if text[pos:].strip():
-        raise ValueError(f"trailing junk in Laurent polynomial: {text[pos:]!r}")
-    return LaurentInt._raw(out)
+        c = int(m["coeff"] or 1)
+        _add_term(out, e, -c if m["sign"] == "-" else c)
+        pos = m.end()
+        if pos == len(text):
+            return LaurentInt._raw(out)

@@ -42,8 +42,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .laurent import (ONE, Q_MINUS_QINV, LaurentInt, _add_into, _add_scaled, _add_term,
-                      _mul_into, format_laurent, parse_laurent)
+from .laurent import (_MONOMIAL, ONE, Q_MINUS_QINV, LaurentInt, _add_into, _add_scaled,
+                      _add_term, _mul_into, format_laurent, parse_laurent)
 
 
 @dataclass(frozen=True)
@@ -545,88 +545,40 @@ def format_element(e, pres):
     return " ".join(pieces)
 
 
-_GEN_RE = re.compile(r"([A-Za-z]+)\[(\d+),(\d+)\]")
-
-
-def _split_top_level_terms(text):
-    """Split on +/- outside parentheses; yields (sign, chunk, position)."""
-    terms = []
-    depth = 0
-    sign = 1
-    start = None
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ValueError(f"unbalanced ')' at position {pos}")
-        if depth == 0 and ch in "+-" and start is not None:
-            before = text[start:pos].strip()
-            # binary operator only if something nonblank came before and we
-            # are not inside an exponent like q^-1
-            if before and not before.endswith("^"):
-                terms.append((sign, text[start:pos], start))
-                sign = 1 if ch == "+" else -1
-                start = pos + 1
-                continue
-        if start is None:
-            if ch == "-":
-                sign = -1
-                continue
-            if ch == "+" or ch.isspace():
-                continue
-            start = pos
-    if depth != 0:
-        raise ValueError("unbalanced '(' in element text")
-    if start is None or not text[start:].strip():
-        raise ValueError("empty trailing term in element text")
-    terms.append((sign, text[start:], start))
-    return terms
+# A generator Fam[row,col].  Its family name may not follow a letter, so
+# ``qT[1,1]`` is not read as q times T[1,1].
+_GEN_RE = re.compile(r"(?<![A-Za-z])([A-Za-z]+)\[(\d+),(\d+)\]")
+_ELEMENT_TERM_RE = re.compile(
+    rf"\s*(?P<sign>[+-]?)\s*(?:\((?P<paren>[^()]*)\)|(?P<mono>{_MONOMIAL}))"
+    rf"(?P<star>\s*\*)?(?P<word>(?:\s*{_GEN_RE.pattern})*)\s*"
+)
 
 
 def parse_element(text, pres):
-    """Inverse of format_element; raises ValueError with a position on bad input."""
+    """Inverse of format_element: a sum of terms, each a sign (optional on
+    the first term), an optional coefficient ``(Laurent)`` or Laurent
+    monomial (see parse_laurent), an optional ``*`` that needs a coefficient
+    before it and a word after it, and a word of generators ``Fam[row,col]``
+    separated by optional spaces.  A term has a coefficient or a word or
+    both.  Raises ValueError naming the position and text of a bad term."""
     text = text.strip()
     if not text:
         raise ValueError("empty element text")
-    if text == "0":
-        return NCElement.zero()
     total = {}
-    for sign, chunk, base in _split_top_level_terms(text):
-        first = _GEN_RE.search(chunk)
-        if first is None:
-            coeff_text, word_text = chunk, ""
-        else:
-            coeff_text, word_text = chunk[: first.start()], chunk[first.start():]
-        coeff_text = coeff_text.strip()
-        if coeff_text.endswith("*"):
-            coeff_text = coeff_text[:-1].strip()
-            if not coeff_text or not word_text:
-                raise ValueError(f"'*' needs a coefficient before it and a word after it "
-                                 f"near position {base}")
-        if not coeff_text:
-            coeff = ONE
-        elif coeff_text.startswith("("):
-            if not coeff_text.endswith(")"):
-                raise ValueError(f"malformed coefficient near position {base}")
-            coeff = parse_laurent(coeff_text[1:-1])
-        else:
-            coeff = parse_laurent(coeff_text)
-        word = []
-        cursor = 0
-        for match in _GEN_RE.finditer(word_text):
-            if word_text[cursor: match.start()].strip():
-                raise ValueError(
-                    f"unexpected text {word_text[cursor:match.start()]!r} near position {base}"
-                )
-            fam, row, col = match.group(1), int(match.group(2)), int(match.group(3))
-            try:
-                word.append(pres.gen_id(fam, row, col))
-            except KeyError as exc:
-                raise ValueError(str(exc)) from None
-            cursor = match.end()
-        if word_text[cursor:].strip():
-            raise ValueError(f"trailing junk {word_text[cursor:]!r} near position {base}")
-        _add_term(total, tuple(word), coeff if sign > 0 else -coeff)
+    pos = 0
+    while pos < len(text):
+        m = _ELEMENT_TERM_RE.match(text, pos)
+        coeff_text, word = m["mono"] or m["paren"], m["word"]  # coeff_text None: no coefficient
+        has_coeff = coeff_text is not None
+        if (not (has_coeff or word) or (pos and not m["sign"])
+                or (m["star"] and not (has_coeff and word))):
+            raise ValueError(f"bad term at position {pos}: {text[pos:]!r}")
+        try:
+            coeff = parse_laurent(coeff_text) if has_coeff else ONE
+            ids = tuple(pres.gen_id(fam, int(row), int(col))
+                        for fam, row, col in _GEN_RE.findall(word))
+        except (ValueError, OverflowError, KeyError) as exc:
+            raise ValueError(f"bad term at position {pos}: {m[0].strip()!r}: {exc.args[0]}") from None
+        _add_term(total, ids, -coeff if m["sign"] == "-" else coeff)
+        pos = m.end()
     return NCElement._raw(total)

@@ -75,6 +75,21 @@ def test_nf_error_paths(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "element, detail",
+    [
+        ("q^99999999999 * T[1,1]", "'q^99999999999 * T[1,1]': exponent 99999999999"),
+        ("--T[1,1]", "'--T[1,1]'"),
+    ],
+    ids=["exponent-past-the-bound", "stacked-signs"],
+)
+def test_nf_rejects_a_bad_term_with_its_position(element, detail, capsys):
+    code, out, err = run(["nf", "M:1,1,1,1", "--", element], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad term at position 0: {detail}")
+    assert err.count("\n") == 1
+
+
 def test_dims_report(capsys):
     code, out, _ = run(["dims", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-N", "2"], capsys)
     assert code == 0
@@ -266,14 +281,14 @@ def test_invalid_params_exit_2(capsys):
     "argv, message",
     [
         (["dims", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-N", "-1"], "-N"),
-        (["dims", "-N", "2"], "nonzero size"),
+        (["dims", "-N", "2"], "index range rows (k, l) must be nonempty"),
         (["fft", "-k", "1", "-l", "0", "-r", "1", "-s", "0",
           "-m", "1", "-n", "0", "-N", "-1"], "-N"),
         (["sft", "-k", "2", "-l", "0", "-r", "2", "-s", "0",
           "-m", "1", "-n", "0", "-N", "-3", "--minor-ideal"], "-N"),
-        (["dims", "-k", "-1", "-r", "1", "-N", "1"], "index range rows"),
-        (["dims", "-k", "1", "-N", "2"], "index range cols"),
-        (["dims", "-r", "1", "-N", "1"], "index range rows"),
+        (["dims", "-k", "-1", "-r", "1", "-N", "1"], "index range rows (k, l)"),
+        (["dims", "-k", "1", "-N", "2"], "index range cols (r, s)"),
+        (["dims", "-r", "1", "-N", "1"], "index range rows (k, l)"),
         # odd rows: the increasing-row minors miss the kernel generators
         (["sft", "-k", "1", "-l", "1", "-r", "1", "-s", "1",
           "-m", "1", "-n", "0", "-N", "3", "--minor-ideal"], "minor-ideal"),

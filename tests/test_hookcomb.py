@@ -5,6 +5,7 @@ share no code with the implementation.
 """
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -19,9 +20,7 @@ from qmatalg.hookcomb import (
     hook_tableaux_dim,
     howe_dim_sum,
     kernel_dim_prediction,
-    lambda_natural,
     supermatrix_monomial_count,
-    transpose_partition,
 )
 
 
@@ -96,22 +95,6 @@ def test_enumerate_hook_partitions_small():
     assert lams == sorted(lams, reverse=True)
 
 
-def test_transpose():
-    assert transpose_partition((4, 2, 1)) == (3, 2, 1, 1)
-    assert transpose_partition(()) == ()
-
-
-def test_lambda_natural():
-    assert lambda_natural((3, 2, 1), 1, 2) == ((3,), (2, 1))
-    assert lambda_natural((2, 2), 2, 1) == ((2, 2), (0,))
-    try:
-        lambda_natural((2, 2), 1, 1)
-    except ValueError:
-        pass
-    else:
-        raise AssertionError("(2,2) is not a (1,1)-hook")
-
-
 def test_tableaux_dims_frozen():
     assert hook_tableaux_dim((2,), 1, 1) == 2
     assert hook_tableaux_dim((1, 1), 1, 1) == 2
@@ -172,9 +155,9 @@ def test_dims_check_compares_the_monomial_grid_with_the_howe_sum():
 def test_dims_check_never_passes_an_empty_check():
     with pytest.raises(ValueError, match="max_degree"):
         dims_check(1, 1, 1, 1, -1)
-    with pytest.raises(ValueError, match="at least one nonzero size"):
+    with pytest.raises(ValueError, match=re.escape("index range rows (k, l) must be nonempty")):
         dims_check(0, 0, 0, 0, 2)
-    with pytest.raises(ValueError, match="index range cols -r -s"):
+    with pytest.raises(ValueError, match=re.escape("index range cols (r, s) must be nonempty")):
         dims_check(1, 0, 0, 0, 2)
 
 
@@ -214,8 +197,6 @@ def test_the_other_counters_reject_a_negative_alphabet():
         supermatrix_monomial_count(1, 1, -1, 1, 2)
     with pytest.raises(ValueError):
         emit_dimension_table(1, 1, 1, -1, 2)
-    with pytest.raises(ValueError):
-        lambda_natural((2, 1), -1, 1)
     assert enumerate_hook_partitions(1, 1, -1) == []
     assert supermatrix_monomial_count(1, 1, 1, 1, -1) == 0
 
@@ -258,16 +239,6 @@ def test_monomial_count_matches_oracle(k, l, r, s, size):
     assert supermatrix_monomial_count(k, l, r, s, size) == oracle_monomials(
         k, l, r, s, size
     )
-
-
-@given(
-    lam=st.lists(st.integers(1, 4), min_size=0, max_size=4).map(
-        lambda xs: tuple(sorted(xs, reverse=True))
-    )
-)
-def test_transpose_involution(lam):
-    assert transpose_partition(transpose_partition(lam)) == lam
-    assert sum(transpose_partition(lam)) == sum(lam)
 
 
 @given(

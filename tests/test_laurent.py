@@ -87,6 +87,21 @@ def test_parse_rejects_junk():
         parse_laurent("2q")
     with pytest.raises(ValueError):
         parse_laurent("")
+    # stacked signs, and a term after a term with no sign between them
+    for bad in ["- -1", "--q", "1 - - 1", "+-q", "q q", "2 q", "q*q", "q^ 2"]:
+        with pytest.raises(ValueError, match="position"):
+            parse_laurent(bad)
+
+
+def test_the_exponent_bound_is_pinned():
+    makers = (lambda e: LaurentInt({e: 1}), LaurentInt.q_power,
+              lambda e: parse_laurent(f"q^{e}"))
+    for make in makers:
+        for e in (2**31, -(2**31)):
+            with pytest.raises(OverflowError):
+                make(e)
+        for e in (2**31 - 1, -(2**31 - 1)):
+            assert make(e).terms == {e: 1}
 
 
 def test_div_exact_basic():

@@ -459,9 +459,43 @@ def test_vector_outside_basis_rejected():
 
 
 def test_parse_errors():
-    for bad in ["", "q +", "T[3,1]", "(q", "q)", "T[1,1] garbage", "Tb[1,1]"]:
-        with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty element text"):
+        parse_element("", M11)
+    for bad in ["q +", "T[3,1]", "(q", "q)", "T[1,1] garbage", "Tb[1,1]",
+                # stacked signs: none of these is -q, -T[1,1] or 2
+                "--q", "- - T[1,1]", "1 - - 1",
+                "T[1,1] * 2", "(q) (q) T[1,1]", "T[1,1] (q)", "q ^ 2", "()", "() T[1,1]",
+                "((q))", "2 q", "q*q", "qT[1,1]", "T[1, 1]", "T[1,1] + (q", "q^3 * T[1,1] +",
+                "q^2147483648 * T[1,1]", "(q^-2147483648) T[1,1]"]:
+        with pytest.raises(ValueError, match="position"):
             parse_element(bad, M11)
+
+
+def test_a_parse_error_names_the_position_and_text_of_the_bad_term():
+    with pytest.raises(ValueError, match=r"^bad term at position 7: '- - T\[1,1\]'$"):
+        parse_element("T[2,1] - - T[1,1]", M11)
+    with pytest.raises(ValueError, match=r"^bad term at position 7: '\+ \(\) T\[2,1\]': "):
+        parse_element("T[1,1] + () T[2,1]", M11)
+    with pytest.raises(ValueError, match=r"^bad term at position 0: 'q\^2147483648': exponent"):
+        parse_element("q^2147483648 - T[1,1]", M11)
+
+
+def test_parse_accepts_each_form_of_a_term():
+    t11, t21 = (M11.gen_id("T", a, 1) for a in (1, 2))
+    cases = {
+        "q^-1 T[1,1]": {(t11,): QINV},
+        "+q + T[1,1]": {(): Q, (t11,): ONE},
+        "-(q + 1) * T[1,1]": {(t11,): -Q - ONE},
+        "2*q*T[1,1]": {(t11,): 2 * Q},
+        "q^2-2+q^-2": {(): Q * Q - 2 + QINV * QINV},
+        "(q^-1 - q)T[1,1]T[2,1]": {(t11, t21): QINV - Q},
+        "0 + T[1,1]": {(t11,): ONE},
+        "T[1,1] - T[1,1]": {},
+        "(q - q^-1)": {(): QMQI},
+        "2T[1,1] - 0": {(t11,): 2 * ONE},
+    }
+    for text, terms in cases.items():
+        assert parse_element(text, M11) == NCElement(terms), text
 
 
 def test_parse_rejects_a_star_without_a_coefficient_and_a_word():
