@@ -35,6 +35,12 @@ class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
 
 
+def _check_exponent(e):
+    """Raise OverflowError for an exponent past EXPONENT_BOUND."""
+    if abs(e) > EXPONENT_BOUND:
+        raise OverflowError(f"exponent {e} out of documented bound")
+
+
 def _add_term(terms, key, coeff):
     """terms[key] += coeff in a sparse dict of int or LaurentInt
     coefficients, dropping a zero sum."""
@@ -100,8 +106,7 @@ class LaurentInt:
         for e, c in list(d.items()):
             if not isinstance(e, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be ints")
-            if abs(e) > EXPONENT_BOUND:
-                raise OverflowError(f"exponent {e} out of documented bound")
+            _check_exponent(e)
             if c == 0:
                 del d[e]
         self.terms = d
@@ -118,8 +123,7 @@ class LaurentInt:
 
     @classmethod
     def q_power(cls, e, coeff=1):
-        if abs(e) > EXPONENT_BOUND:
-            raise OverflowError(f"exponent {e} out of documented bound")
+        _check_exponent(e)
         return cls._raw({e: coeff} if coeff else {})
 
     def __bool__(self):
@@ -272,8 +276,7 @@ def parse_laurent(text: str) -> LaurentInt:
         if not (m["coeff"] or m["q"]) or (pos and not m["sign"]):
             raise ValueError(f"bad Laurent polynomial term at position {pos}: {text[pos:]!r}")
         e = int(m["exp"] or 1) if m["q"] else 0
-        if abs(e) > EXPONENT_BOUND:
-            raise OverflowError(f"exponent {e} out of documented bound")
+        _check_exponent(e)
         c = int(m["coeff"] or 1)
         _add_term(out, e, -c if m["sign"] == "-" else c)
         pos = m.end()

@@ -34,6 +34,7 @@ in-package caller built and hands over, which it consumes unvalidated.  It
 adds into the agenda's coefficient dicts in place and wraps each output
 coefficient in a LaurentInt once.  Words from outside are validated where
 they enter: normal_form, multiply (its two factors) and uqaction.act.
+_add_word_products is the one product loop, which fills such an agenda.
 """
 
 from __future__ import annotations
@@ -415,17 +416,32 @@ def is_normal(word, pres):
     return all(grid[word[p]][word[p + 1]] is None for p in range(len(word) - 1))
 
 
+def _add_word_products(agenda, u, v, c=ONE):
+    """agenda += c*u*v, word by word, with no rewriting; returns agenda.
+
+    agenda is a raw {word: {exponent: int}} agenda that normal_form_stats
+    consumes: its coefficient dicts are fresh, written in place, and a zero
+    sum is dropped.  u and v are NCElements and c a LaurentInt, none of them
+    written or validated.  The one product loop of the algebra: multiply
+    normalizes one such agenda, and since normal_form is linear, a relation
+    sum c_k*u_k*v_k = 0 holds exactly when the agenda of all its terms
+    normalizes to zero.
+    """
+    c = c.terms
+    unit = c == {0: 1}  # as in every multiply: u's coefficients go in unscaled
+    for wu, cu in u.terms.items():
+        cu = cu.terms if unit else _mul_into({}, cu.terms, c)
+        for wv, cv in v.terms.items():
+            w = wu + wv
+            if not _mul_into(agenda.setdefault(w, {}), cu, cv.terms):
+                del agenda[w]
+    return agenda
+
+
 def multiply(a, b, pres):
     _validate_words(a, pres)
     _validate_words(b, pres)
-    prod = {}
-    for wa, ca in a.terms.items():
-        ca = ca.terms
-        for wb, cb in b.terms.items():
-            w = wa + wb
-            if not _mul_into(prod.setdefault(w, {}), ca, cb.terms):
-                del prod[w]
-    return normal_form(prod, pres)
+    return normal_form(_add_word_products({}, a, b), pres)
 
 
 def _normal_words_in(ids, parities, degree):

@@ -20,7 +20,7 @@ from qmatalg.laurent import LaurentInt, format_laurent
 from qmatalg.qalgebra import NCElement, multiply, presentation_P
 
 CONSTANTS = ("ONE", "ZERO", "Q", "QINV", "Q_MINUS_QINV")
-XRELATION_TUPLES = [(1, 0, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1), (2, 1, 1, 0, 1, 1)]
+XRELATION_TUPLES = [(1, 0, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1), (2, 1, 1, 0, 1, 1), (1, 2, 2, 1, 1, 1)]
 CONTEXT_TUPLES = [(1, 1, 1, 1, 2, 1), (2, 0, 2, 0, 1, 0)] + XRELATION_TUPLES
 
 
@@ -62,8 +62,9 @@ RETURNS_WATCHED = ("multiply", "normal_form", "act")
 
 
 def _watch_inputs(monkeypatch, changed, returned):
-    """Record in changed the name of each call that wrote an argument, and in
-    returned the (arguments, result) of each multiply, normal_form and act."""
+    """Record in changed the name of each call that wrote an argument (the
+    agenda that _add_word_products fills is its output, not an input), and
+    in returned the (arguments, result) of each multiply, normal_form and act."""
     def watch(fn, name):
         def watched(*args):
             before = [_snapshot(a) for a in args]
@@ -76,7 +77,8 @@ def _watch_inputs(monkeypatch, changed, returned):
 
         return watched
 
-    for module, name in ((qalgebra, "multiply"), (qalgebra, "normal_form"), (uqaction, "act"),
+    for module, name in ((qalgebra, "multiply"), (qalgebra, "normal_form"),
+                         (qalgebra, "_add_word_products"), (uqaction, "act"),
                          (uqaction, "is_invariant"), (uqaction, "invariant_subspace")):
         _patch_everywhere(monkeypatch, module, name, watch(getattr(module, name), name))
     monkeypatch.setattr(NCElement, "scaled", watch(NCElement.scaled, "scaled"))
@@ -111,12 +113,20 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     _watch_inputs(monkeypatch, changed, returned)
     _count_steps(monkeypatch, steps)
 
+    phase_steps = []
+
+    def phase_done():
+        phase_steps.append(steps[0] - sum(phase_steps))
+
     assert fft_check((1, 1, 1, 1, 2, 1), 2)["overall_pass"] is True
     assert sft_check((2, 0, 2, 0, 1, 0), 4, minor_ideal=True)["overall_pass"] is True
+    phase_done()
     for t in XRELATION_TUPLES:
         assert verify_X_relations(t) is True
+    phase_done()
     assert main(["classical", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-m", "1", "-n", "1"]) == 0
     capsys.readouterr()
+    phase_done()
 
     assert changed == []
     assert len(returned) > 900
@@ -129,8 +139,10 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
         assert _rule_table(ctx.mt) == _rule_table(_pres.__wrapped__("Mt", *t[:4]))
         if ctx._classical is not None:
             assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
-    # recorded from the rewriting before sparse accumulation was fused
-    assert steps[0] == 1652
+    # fft + sft, then classical: recorded from the rewriting before sparse
+    # accumulation was fused; the X relations: recorded when each exchange
+    # relation became one normal form of its difference
+    assert phase_steps == [467, 1794, 722]
 
 
 def test_x_products_keep_their_steps_and_term_order(monkeypatch):

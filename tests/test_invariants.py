@@ -37,7 +37,7 @@ from qmatalg.invariants import (
     symmetric_group_action,
     verify_X_relations,
 )
-from qmatalg.laurent import ONE, Q, QINV
+from qmatalg.laurent import ONE, Q, QINV, ZERO
 from qmatalg.qalgebra import (
     NCElement,
     format_element,
@@ -166,6 +166,41 @@ def test_verify_X_relations():
         (0, 1, 1, 0, 1, 1),
     ]:
         assert verify_X_relations(params), params
+
+
+# Each mutant below must make verify_X_relations reject, so that C04 can fail.
+
+
+def test_verify_X_relations_needs_the_bracket_tail(monkeypatch):
+    # a lower first (and second) row index exists at (2,0,2,0,1,0), so the
+    # bracket relations have a (q - q^-1) tail, which the mutant drops
+    params = (2, 0, 2, 0, 1, 0)
+    assert verify_X_relations(params) is True
+    monkeypatch.setattr(invariants, "Q_MINUS_QINV", ZERO)
+    assert verify_X_relations(params) is False
+
+
+def test_verify_X_relations_rejects_a_sign_flipped_X_term(monkeypatch):
+    # Mtilde(1,0,1,0) has one generator and no rules, so only the exchange
+    # relations can reject X_11 = T[1,1] Tb[1,1] - T[1,2] Tb[1,2]
+    params = (1, 0, 1, 0, 2, 0)
+    assert verify_X_relations(params) is True
+    mt, p = pres_pair(params)
+    (x,) = _context(params).x_elements
+    word = (p.gen_id("T", 1, 2), p.gen_id("Tb", 1, 2))
+    flipped = x - NCElement.from_word(word, x.terms[word] * 2)
+    assert flipped != x
+    fresh = invariants._Context(mt, p, [flipped])
+    monkeypatch.setattr(invariants, "_context", lambda pt: fresh)
+    assert verify_X_relations(params) is False
+
+
+def test_verify_X_relations_rejects_an_inverted_same_row_q_power(monkeypatch):
+    params = (1, 0, 1, 0, 1, 0)
+    assert verify_X_relations(params) is True
+    original = invariants._q_power_of_index
+    monkeypatch.setattr(invariants, "_q_power_of_index", lambda parity, e: original(parity, -e))
+    assert verify_X_relations(params) is False
 
 
 def test_odd_X_squares_to_zero():

@@ -23,6 +23,7 @@ from qmatalg.qalgebra import (
     AlgebraPresentation,
     GenIndex,
     NCElement,
+    _add_word_products,
     _unresolved_overlaps,
     format_element,
     graded_basis,
@@ -536,6 +537,10 @@ def pres_and_word(draw, max_len=6):
     return pres, word
 
 
+def _laurent(draw):
+    return LaurentInt(draw(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=2)))
+
+
 @st.composite
 def pres_and_element(draw, max_terms=3, max_len=4):
     pres = draw(st.sampled_from(ALL_PRES))
@@ -543,10 +548,7 @@ def pres_and_element(draw, max_terms=3, max_len=4):
     for _ in range(draw(st.integers(0, max_terms))):
         n = draw(st.integers(0, max_len))
         word = tuple(draw(st.integers(0, pres.ngens - 1)) for _ in range(n))
-        coeff = LaurentInt(
-            draw(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=2))
-        )
-        terms[word] = coeff
+        terms[word] = _laurent(draw)
     return pres, NCElement(terms)
 
 
@@ -616,6 +618,43 @@ def test_normal_form_linear(pe):
     for w, c in e.terms.items():
         total = total + nf(NCElement.from_word(w, c), pres)
     assert nf(e, pres) == total
+
+
+@st.composite
+def p_and_scaled_products(draw):
+    pres = draw(st.sampled_from([P1011, P1111]))
+
+    def normal_element():
+        terms = {}
+        for _ in range(draw(st.integers(0, 3))):
+            n = draw(st.integers(0, 3))
+            terms[tuple(draw(st.integers(0, pres.ngens - 1)) for _ in range(n))] = _laurent(draw)
+        return nf(NCElement(terms), pres)
+
+    return pres, [(_laurent(draw), normal_element(), normal_element()) for _ in range(2)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(p_and_scaled_products())
+def test_one_agenda_of_products_normalizes_like_the_sum_of_products(data):
+    # the oracle multiplies and scales each product on its own
+    pres, products = data
+
+    def snapshot():
+        return [(dict(c.terms), [(w, dict(x.terms)) for e in (u, v) for w, x in e.terms.items()])
+                for c, u, v in products]
+
+    before = snapshot()
+    agenda = {}
+    for c, u, v in products:
+        _add_word_products(agenda, u, v, c)
+    got = nf(agenda, pres)
+    want = NCElement.zero()
+    for c, u, v in products:
+        want = want + multiply(u, v, pres).scaled(c)
+    assert got == want
+    assert agenda == {}
+    assert snapshot() == before
 
 
 # ------------------------------------------------ the in-place rewrite runs
