@@ -34,7 +34,7 @@ from itertools import combinations, permutations, product
 
 from .exactla import _span_matrix, nullspace, pivot_columns, rank
 from .hookcomb import _hook_cell_ok, kernel_dim_prediction
-from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _add_scaled
+from .laurent import Q_MINUS_QINV, LaurentInt, _add_scaled
 from .qalgebra import (
     AlgebraPresentation,
     NCElement,
@@ -257,17 +257,12 @@ def classical_check(params) -> dict:
         presentation_Mtilde(k, l, r, s), presentation_P(k, l, r, s, m, n))]
     cmt, cp = classical[2:]
     cpsi = _context(p.astuple()).classical()
-    # the q = 1 limit of X_ab, indexed like the tilde generator t~_ab
-    xs = cpsi.x_elements
-    super_ok = all(
-        multiply(x1, x2, cp) == multiply(x2, x1, cp).scaled(_sign(g1.parity * g2.parity))
-        for x1, g1 in zip(xs, cmt.generators)
-        for x2, g2 in zip(xs, cmt.generators)
-    )
+    # the q = 1 limit of X_ab with its parity, indexed like the tilde generator t~_ab
+    xs = [(x, g.parity) for x, g in zip(cpsi.x_elements, cmt.generators)]
     resolved = [_unresolved_overlaps(c) for c in classical]
     checks = {
         "rules_supercommute_at_q1": all(_classical_rules_ok(c) for c in classical),
-        "classical_X_supercommute": super_ok,
+        "classical_X_supercommute": all(_supercommute(cp, x, y) for x in xs for y in xs),
         "associativity": not any(bad for _, bad in resolved),
         "homomorphism": _rules_hold(cmt.rules, cpsi.word_image),
     }
@@ -280,6 +275,24 @@ def classical_check(params) -> dict:
     }
 
 
+def _supercommute(pres, x, y, q_power=None, tail=None):
+    """True when x*y = (-1)^{|x||y|} q_power y*x + c*u*v in pres.
+
+    x, y, u and v are (element, parity) pairs of homogeneous elements,
+    q_power defaults to 1 and tail, if given, is (c, u, v).  The
+    difference of the two sides is one agenda of products, which must
+    normalize to zero.
+    """
+    (ex, px), (ey, py) = x, y
+    sign = -_sign(px * py)
+    c = LaurentInt.from_int(sign) if q_power is None else q_power * sign
+    agenda = _add_word_products(_add_word_products({}, ex, ey), ey, ex, c)
+    if tail is not None:
+        c, (u, _), (v, _) = tail
+        _add_word_products(agenda, u, v, -c)
+    return not normal_form(agenda, pres)
+
+
 def verify_X_relations(params) -> bool:
     """Check every quadratic relation satisfied by the X elements.
 
@@ -287,31 +300,29 @@ def verify_X_relations(params) -> bool:
     to zero:
       - the X's satisfy each defining relation of the tilde presentation
         (so psi is a well-defined superalgebra homomorphism);
-      - the six mixed exchange relations between an X and a single T or T~
-        generator.
-    Returns True only if every instance over the full index ranges holds.
+      - the exchange relations between an X and a single letter T_ai or
+        T~_bi, in two shapes on each side.  X_ac supercommutes with T_bi
+        for b <= a, on its own row up to q_a^{-1}, and X_ab with T~_ci for
+        c <= b, on its own row up to q_b.  A bracket with the letter of a
+        higher row collapses onto (q - q^{-1}) times one letter*X product.
+    Every sign in both shapes is the one super sign (-1)^{|x||y|} of the
+    two factors, which `_supercommute` applies.  Returns True only if every
+    instance over the full index ranges holds.
     """
     p = _params(params)
     ctx = _context(p.astuple())
     pres = ctx.p
     k, l, r, s, m, n = p.astuple()
-
-    def X(a, b):
-        return ctx.x_elements[ctx.mt.gen_id("Tt", a, b)]
-
-    def vanishes(*terms):
-        """True when sum c*u*v over the (c, u, v) terms normalizes to zero."""
-        agenda = {}
-        for c, u, v in terms:
-            _add_word_products(agenda, u, v, c)
-        return not normal_form(agenda, pres)
-
     if not _rules_hold(ctx.mt.rules, ctx.word_image):
         return False
 
-    rows1 = range(1, k + l + 1)
-    rows2 = range(1, r + s + 1)
-    cols = range(1, m + n + 1)
+    def X(a, b):
+        gid = ctx.mt.gen_id("Tt", a, b)
+        return ctx.x_elements[gid], ctx.mt.generators[gid].parity
+
+    def letter(family, row, i):
+        gid = pres.gen_id(family, row, i)
+        return NCElement.from_word((gid,)), pres.generators[gid].parity
 
     def pa(a):
         return _index_parity(a, k)
@@ -319,57 +330,37 @@ def verify_X_relations(params) -> bool:
     def pb(b):
         return _index_parity(b, r)
 
-    def pi(i):
-        return _index_parity(i, m)
+    rows1 = range(1, k + l + 1)
+    rows2 = range(1, r + s + 1)
+    cols = range(1, m + n + 1)
+    T = {(a, i): letter("T", a, i) for a in rows1 for i in cols}
+    Tb = {(b, i): letter("Tb", b, i) for b in rows2 for i in cols}
 
     for a in rows1:
         for c in rows2:
             xac = X(a, c)
             for i in cols:
-                tai = pres.generator("T", a, i)
-                # same first row: X_ac T_ai = +- q_a^{-1} T_ai X_ac
-                coeff = _q_power_of_index(pa(a), -1) * _sign((pa(a) + pi(i)) * (pa(a) + pb(c)))
-                if not vanishes((ONE, xac, tai), (-coeff, tai, xac)):
+                if not _supercommute(pres, xac, T[a, i], _q_power_of_index(pa(a), -1)):
                     return False
-                for b in rows1:
-                    if b >= a:
-                        continue
-                    tbi = pres.generator("T", b, i)
-                    # lower first row index commutes up to sign
-                    sg = _sign((pa(b) + pi(i)) * (pa(a) + pb(c)))
-                    if not vanishes((ONE, xac, tbi), (LaurentInt.from_int(-sg), tbi, xac)):
-                        return False
+                for b in range(1, a):
                     # the bracket of T_ai against X_bc collapses onto T_bi X_ac
-                    xbc = X(b, c)
-                    sg = _sign((pa(a) + pi(i)) * (pa(b) + pb(c)))
-                    tail = _sign(pb(c) * (pa(a) + pa(b)) + pa(a) * pa(b))
-                    if not vanishes((ONE, tai, xbc), (LaurentInt.from_int(-sg), xbc, tai),
-                                    (-tail * Q_MINUS_QINV, tbi, xac)):
+                    tail = _sign(pb(c) * (pa(a) + pa(b)) + pa(a) * pa(b)) * Q_MINUS_QINV
+                    if not (_supercommute(pres, xac, T[b, i])
+                            and _supercommute(pres, T[a, i], X(b, c), tail=(tail, T[b, i], xac))):
                         return False
 
     for a in rows1:
         for b in rows2:
             xab = X(a, b)
             for i in cols:
-                tbbi = pres.generator("Tb", b, i)
-                # same second row: X_ab T~_bi = +- q_b T~_bi X_ab
-                coeff = _q_power_of_index(pb(b), 1) * _sign((pa(a) + pb(b)) * (pb(b) + pi(i)))
-                if not vanishes((ONE, xab, tbbi), (-coeff, tbbi, xab)):
+                if not _supercommute(pres, xab, Tb[b, i], _q_power_of_index(pb(b), 1)):
                     return False
-                for c in rows2:
-                    if c >= b:
-                        continue
-                    tbci = pres.generator("Tb", c, i)
-                    # lower second row index commutes up to sign
-                    sg = _sign((pa(a) + pb(b)) * (pb(c) + pi(i)))
-                    if not vanishes((ONE, xab, tbci), (LaurentInt.from_int(-sg), tbci, xab)):
-                        return False
-                    # bracket of X_ac against T~_bi collapses onto T~_ci X_ab
-                    xac = X(a, c)
-                    sg = _sign((pb(b) + pi(i)) * (pa(a) + pb(c)))
-                    tail = _sign(pi(i) * (pa(a) + pb(c)) + pa(a) * pb(b))
-                    if not vanishes((ONE, xac, tbbi), (LaurentInt.from_int(-sg), tbbi, xac),
-                                    (-tail * Q_MINUS_QINV, tbci, xab)):
+                pi = _index_parity(i, m)
+                for c in range(1, b):
+                    # the bracket of X_ac against T~_bi collapses onto T~_ci X_ab
+                    tail = _sign(pi * (pa(a) + pb(c)) + pa(a) * pb(b)) * Q_MINUS_QINV
+                    if not (_supercommute(pres, xab, Tb[c, i])
+                            and _supercommute(pres, X(a, c), Tb[b, i], tail=(tail, Tb[c, i], xab))):
                         return False
     return True
 
@@ -387,6 +378,15 @@ def _psi_columns(ctx, N):
     """
     dom = graded_basis(ctx.mt, N)
     return dom, [ctx.word_image(w).terms for w in dom]
+
+
+def _degree_record(p, N, dim_ker, ok, dim_inv=None, dim_img=None, ideal_dim=None):
+    """The report record of degree N, with the hook-shape prediction
+    dim_pred for dim_ker; the degree passes when ok holds and dim_ker
+    equals dim_pred."""
+    dim_pred = kernel_dim_prediction(*p.astuple(), N)
+    return {"N": N, "dim_inv": dim_inv, "dim_img": dim_img, "dim_ker": dim_ker,
+            "dim_pred": dim_pred, "ideal_dim": ideal_dim, "pass": ok and dim_ker == dim_pred}
 
 
 def fft_check(params, max_degree) -> dict:
@@ -417,19 +417,8 @@ def fft_check(params, max_degree) -> dict:
         dim_inv = len(inv)
         dim_img = _span_dim(images)
         contained = _span_dim(images + inv) == dim_inv
-        dim_ker = len(dom) - dim_img
-        dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
-        degrees.append(
-            {
-                "N": N,
-                "dim_inv": dim_inv,
-                "dim_img": dim_img,
-                "dim_ker": dim_ker,
-                "dim_pred": dim_pred,
-                "ideal_dim": None,
-                "pass": contained and dim_img == dim_inv and dim_ker == dim_pred,
-            }
-        )
+        degrees.append(_degree_record(p, N, len(dom) - dim_img, contained and dim_img == dim_inv,
+                                      dim_inv=dim_inv, dim_img=dim_img))
     unbalanced = []
     for total in range(1, max_degree + 2):
         for d1 in range(total + 1):
@@ -509,20 +498,9 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     for N in range(max_degree + 1):
         dom, images = _psi_columns(ctx, N)
         dim_ker = len(dom) - _span_dim(images)
-        dim_pred = kernel_dim_prediction(p.k, p.l, p.r, p.s, p.m, p.n, N)
         ideal_dim = None if ideal is None else ideal[N]
-        ok = dim_ker == dim_pred and (ideal is None or (in_kernel and ideal_dim == dim_ker))
-        degrees.append(
-            {
-                "N": N,
-                "dim_inv": None,
-                "dim_img": None,
-                "dim_ker": dim_ker,
-                "dim_pred": dim_pred,
-                "ideal_dim": ideal_dim,
-                "pass": ok,
-            }
-        )
+        ok = ideal is None or (in_kernel and ideal_dim == dim_ker)
+        degrees.append(_degree_record(p, N, dim_ker, ok, ideal_dim=ideal_dim))
     return {
         "params": list(p.astuple()),
         "degrees": degrees,

@@ -171,9 +171,9 @@ def verify_frt(k, l) -> bool:
 
     Expanding the matrix identity in the superalgebra End(V) x End(V) x M
     gives, for each index quadruple (a,b,c,d), an equality of quadratic
-    elements; both sides are normalized and compared exactly.  This is an
-    independent consistency check between the R-matrix entries and the
-    quadratic rule table of the presentation.
+    elements; the difference of its two sides is normalized once and must
+    be exactly zero.  This is an independent consistency check between the
+    R-matrix entries and the quadratic rule table of the presentation.
     """
     _check_ranges("V", ("letters", (k, l)))
     pres = presentation_M(k, l, k, l)
@@ -188,20 +188,19 @@ def verify_frt(k, l) -> bool:
 
     letters = range(1, d + 1)
     for a, b, c, dd in product(letters, repeat=4):
-        lhs = []
-        rhs = []
+        diff = []  # lhs - rhs
         for ap, bp in product(letters, repeat=2):
             coeff = rentry(a, b, ap, bp)
             if coeff:
                 sign = _sign((par(ap) + par(c)) * (par(b) + par(dd)))
                 word = (pres.gen_id("T", ap, c), pres.gen_id("T", bp, dd))
-                lhs.append((word, coeff * sign))
+                diff.append((word, coeff * sign))
             coeff = rentry(ap, bp, c, dd)
             if coeff:
-                sign = _sign((par(ap) + par(c)) * (par(b) + par(bp)))
+                sign = -_sign((par(ap) + par(c)) * (par(b) + par(bp)))
                 word = (pres.gen_id("T", b, bp), pres.gen_id("T", a, ap))
-                rhs.append((word, coeff * sign))
-        if normal_form(NCElement(lhs), pres) != normal_form(NCElement(rhs), pres):
+                diff.append((word, coeff * sign))
+        if normal_form(NCElement(diff), pres):
             return False
     return True
 

@@ -139,10 +139,11 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
         assert _rule_table(ctx.mt) == _rule_table(_pres.__wrapped__("Mt", *t[:4]))
         if ctx._classical is not None:
             assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
-    # fft + sft, then classical: recorded from the rewriting before sparse
-    # accumulation was fused; the X relations: recorded when each exchange
-    # relation became one normal form of its difference
-    assert phase_steps == [467, 1794, 722]
+    # fft + sft: recorded from the rewriting before sparse accumulation was
+    # fused; the X relations: recorded when each exchange relation became
+    # one normal form of its difference; classical: recorded when the
+    # supercommutation of the q = 1 X's became one normal form per pair
+    assert phase_steps == [467, 1794, 678]
 
 
 def test_x_products_keep_their_steps_and_term_order(monkeypatch):

@@ -53,6 +53,7 @@ from qmatalg.qalgebra import (
 from qmatalg.uqaction import (
     ELOWER,
     ERAISE,
+    K,
     _row_sector,
     _word_weight,
     act,
@@ -202,6 +203,17 @@ def test_verify_X_relations_rejects_an_inverted_same_row_q_power(monkeypatch):
     monkeypatch.setattr(invariants, "_q_power_of_index", lambda parity, e: original(parity, -e))
     assert verify_X_relations(params) is False
 
+
+def test_the_super_sign_is_needed(monkeypatch):
+    # every X of (1,0,1,0,1,1) is even, so a sign-blind mutant passes there;
+    # (1,1,1,1,1,1) has odd X's and odd letters on both sides
+    params = (1, 1, 1, 1, 1, 1)
+    _context.cache_clear()
+    assert verify_X_relations(params) is True  # the X's are built with the real signs
+    assert invariants.classical_check(params)["checks"]["classical_X_supercommute"] is True
+    monkeypatch.setattr(invariants, "_sign", lambda e: 1)
+    assert verify_X_relations(params) is False
+    assert invariants.classical_check(params)["checks"]["classical_X_supercommute"] is False
 
 def test_odd_X_squares_to_zero():
     _, p = pres_pair(P11)
@@ -483,6 +495,28 @@ def test_fft_check_reports():
     assert rep["overall_pass"] is True
 
 
+def _k_exponent(x, w, p):
+    """The e with x(w) = q^e w; fails unless x scales the word w."""
+    ((got, c),) = act(x, NCElement.from_word(w), p).terms.items()
+    ((e, coeff),) = c.terms.items()
+    assert got == w and coeff == 1
+    return e
+
+
+@pytest.mark.parametrize("params", [P11, (1, 0, 1, 0, 2, 0), (2, 1, 1, 1, 1, 2)])
+def test_an_unbalanced_word_has_a_nonzero_K_weight(params):
+    # the lemma behind fft_check's unbalanced records: T_ai carries column
+    # weight +e_i and T~_bi carries -e_i, so a word of bidegree (d1, d2)
+    # has total weight d1 - d2, some K_a scales it by q^e with e != 0, and
+    # no K-invariant element lives in an unbalanced bidegree
+    _, p = pres_pair(params)
+    ks = [x for x in chevalley_generators(params[4], params[5]) if x.kind == K]
+    for d1 in range(4):
+        for d2 in range(4 - d1):
+            if d1 != d2:
+                for w in graded_basis(p, (d1, d2)):
+                    assert any(_k_exponent(x, w, p) for x in ks), (params, d1, d2, w)
+
 def test_fft_check_rejects_negative_degree():
     with pytest.raises(ValueError):
         fft_check(P22, -1)
@@ -517,6 +551,16 @@ def test_sft_check_rejects_bad_requests():
     with pytest.raises(ValueError):
         sft_check(PM1, -1)
 
+
+def test_a_kernel_off_the_prediction_fails_each_degree(monkeypatch):
+    # one more predicted kernel vector than exists fails every degree of
+    # both reports, through the one record that compares them
+    original = invariants.kernel_dim_prediction
+    monkeypatch.setattr(invariants, "kernel_dim_prediction", lambda *a: original(*a) + 1)
+    for rep in (fft_check(P11, 1), sft_check(PM1, 2, minor_ideal=True)):
+        assert [d["pass"] for d in rep["degrees"]] == [False] * len(rep["degrees"])
+        assert all(d["dim_pred"] == d["dim_ker"] + 1 for d in rep["degrees"])
+        assert rep["overall_pass"] is False
 
 def test_sft_check_requires_the_generators_in_the_kernel(monkeypatch):
     # Tt[1,1] Tt[2,2] spans an ideal of the kernel's dimensions, but psi

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qmatalg.exactla import CoeffMatrix, CoeffVector, rank
+from qmatalg import rmat_hecke
 from qmatalg.laurent import ONE, Q, QINV, ZERO
 from qmatalg.rmat_hecke import (
     hecke_act,
@@ -229,3 +230,19 @@ def test_sym_basis_frozen_1_1():
 def test_frt_cross_check():
     for k, l in [(1, 1), (2, 0), (2, 1), (2, 2)]:
         assert verify_frt(k, l), (k, l)
+
+
+def test_frt_rejects_a_sign_flipped_swap_entry(monkeypatch):
+    # negate the entry of R at v_1 x v_2, column v_2 x v_1: its q - q^{-1}
+    # swap term, so that verify_frt can fail
+    original = rmat_hecke.r_matrix
+
+    def flipped(m, n):
+        rows = [list(row) for row in original(m, n).rows]
+        i, j = tensor_index((1, 2), m + n), tensor_index((2, 1), m + n)
+        rows[i][j] = -rows[i][j]
+        return CoeffMatrix(rows)
+
+    monkeypatch.setattr(rmat_hecke, "r_matrix", flipped)
+    for k, l in [(2, 0), (1, 1), (0, 2), (2, 1)]:
+        assert verify_frt(k, l) is False, (k, l)
