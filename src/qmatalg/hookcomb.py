@@ -10,15 +10,17 @@ letters even, the last l odd) fill the diagram so that
   * odd letters strictly increase along rows.
 
 Counting them gives the graded dimensions that every flatness and kernel
-check in the rest of the package is measured against; `dims_check`, the
-`qmatalg dims` report, compares their sum with the monomial count.
+check in the rest of the package is measured against.  `dims_check`, the
+`qmatalg dims` report, compares their Howe sum with the monomial count
+size by size, and `verify_presentation_flatness` reads its records to
+check the PBW basis count of each presentation against both.
 """
 
 from __future__ import annotations
 
 from math import comb
 
-from .qalgebra import _check_ranges
+from .qalgebra import _check_ranges, graded_basis
 
 
 def _check_sizes(*sizes):
@@ -181,3 +183,31 @@ def dims_check(k: int, l: int, r: int, s: int, max_degree: int) -> dict:
                       "partitions": table["partitions"], "pass": count == table["total"]})
     return {"params": [k, l, r, s], "sizes": sizes,
             "overall_pass": all(rec["pass"] for rec in sizes)}
+
+
+def verify_presentation_flatness(pres, max_degree):
+    """Compare the PBW basis count of pres with the closed forms, degree by
+    degree up to max_degree.  A single-family count must equal both the
+    monomial grid and the Howe sum of its dims_check record; a P count in
+    bidegree (d_T, d_Tb) must equal the product of the monomial grids of
+    its T rows and its Tb rows over the shared columns."""
+    rows = []
+    if pres.kind == "P":
+        k, l, r, s, m, n = pres.params
+        grid_t, grid_b = ([rec["monomial_count"] for rec in dims_check(*ab, m, n, max_degree)["sizes"]]
+                          for ab in ((k, l), (r, s)))
+        for total in range(max_degree + 1):
+            for d1 in range(total + 1):
+                d2 = total - d1
+                count = len(graded_basis(pres, (d1, d2)))
+                grid = grid_t[d1] * grid_b[d2]
+                rows.append({"degree": [d1, d2], "basis_count": count, "grid_count": grid,
+                             "pass": count == grid})
+    else:
+        for rec in dims_check(*pres.params, max_degree)["sizes"]:
+            count = len(graded_basis(pres, rec["size"]))
+            grid, howe = rec["monomial_count"], rec["howe_sum"]
+            rows.append({"degree": rec["size"], "basis_count": count, "grid_count": grid,
+                         "howe_count": howe, "pass": count == grid == howe})
+    return {"kind": pres.kind, "params": list(pres.params), "degrees": rows,
+            "pass": all(row["pass"] for row in rows)}

@@ -165,8 +165,9 @@ class _Context:
         return NCElement._raw(total)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def _context(pt):
+    """psi's context; callers use one tuple at a time, so only the latest is kept."""
     mt = _pres("Mt", *pt[:4])
     p = presentation_P(*pt)
     return _Context(mt, p, _x_elements(mt, p))

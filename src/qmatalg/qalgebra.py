@@ -22,11 +22,12 @@ such swaps in place, collecting the monomial as two ints, and goes back
 to its agenda of pending words only for a rule with several terms (or
 none) or when the rewritten word is already pending.  The rewriting
 order, and so the step count, is that of plain leftmost reduction with
-one agenda round per step.  Confluence is not assumed but proven:
-_unresolved_overlaps resolves every overlap of two rules (the diamond
-lemma).  The test suite runs it on M, Mbar and Mtilde over the whole
-(k,l,r,s) grid and on P over every seventh tuple, and `qmatalg classical`
-runs it on the q = 1 presentations of the requested tuple.
+one agenda round per step.  Confluence is not assumed but proven by the
+diamond lemma, through its two premises: _misoriented finds any rule that
+does not rewrite into smaller words, and _unresolved_overlaps resolves
+every overlap of two rules.  The tests run both over the small-parameter
+grid, and `qmatalg classical` runs the overlap check on the q = 1
+presentations of the requested tuple.
 
 normal_form_stats is the one rewriting loop.  It takes an NCElement, which
 it validates and copies, or a raw {word: {exponent: int}} agenda that an
@@ -35,6 +36,7 @@ adds into the agenda's coefficient dicts in place and wraps each output
 coefficient in a LaurentInt once.  Words from outside are validated where
 they enter: normal_form, multiply (its two factors) and uqaction.act.
 _add_word_products is the one product loop, which fills such an agenda.
+This module imports only laurent; hookcomb checks its basis counts.
 """
 
 from __future__ import annotations
@@ -392,6 +394,12 @@ def normal_form(e, pres):
     return normal_form_stats(e, pres)[0]
 
 
+def _misoriented(rules):
+    """(left word, right word) pairs whose right word is not below the left
+    one in degree-lex order; none proves that leftmost reduction terminates."""
+    return [(lhs, w) for lhs, rhs in rules.items() for _, w in rhs if (len(w), w) >= (2, lhs)]
+
+
 def _unresolved_overlaps(pres):
     """Rewrite every ambiguity abc (a rule on ab and one on bc) at ab first
     and at bc first; returns the overlap count and the words whose two
@@ -481,52 +489,6 @@ def graded_basis(pres, degree):
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     return _normal_words_in(range(pres.ngens), parities, degree)
-
-
-def verify_presentation_flatness(pres, max_degree):
-    """Compare normal-word counts against the classical monomial grid.
-
-    For the single-family presentations the count must also equal the
-    hook-tableau pairing sum degree by degree; for P the grid count is the
-    product of the two family grids per bidegree.
-    """
-    from .hookcomb import howe_dim_sum, supermatrix_monomial_count
-
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    report = {"kind": pres.kind, "params": list(pres.params), "degrees": [], "pass": True}
-    if pres.kind == "P":
-        k, l, r, s, m, n = pres.params
-        for total in range(max_degree + 1):
-            for d1 in range(total + 1):
-                d2 = total - d1
-                count = len(graded_basis(pres, (d1, d2)))
-                grid = supermatrix_monomial_count(k, l, m, n, d1) * supermatrix_monomial_count(
-                    r, s, m, n, d2
-                )
-                ok = count == grid
-                report["degrees"].append(
-                    {"degree": [d1, d2], "basis_count": count, "grid_count": grid, "pass": ok}
-                )
-                report["pass"] = report["pass"] and ok
-        return report
-    k, l, r, s = pres.params
-    for deg in range(max_degree + 1):
-        count = len(graded_basis(pres, deg))
-        grid = supermatrix_monomial_count(k, l, r, s, deg)
-        howe = howe_dim_sum(k, l, r, s, deg)
-        ok = count == grid == howe
-        report["degrees"].append(
-            {
-                "degree": deg,
-                "basis_count": count,
-                "grid_count": grid,
-                "howe_count": howe,
-                "pass": ok,
-            }
-        )
-        report["pass"] = report["pass"] and ok
-    return report
 
 
 # ------------------------------------------------------------ text format

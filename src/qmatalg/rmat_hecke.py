@@ -18,6 +18,7 @@ sym_skew_bases.
 from itertools import product
 
 from .exactla import CoeffMatrix, CoeffVector
+from .hookcomb import hook_tableaux_dim
 from .laurent import LaurentInt, ONE, Q, QINV, Q_MINUS_QINV, ZERO
 from .qalgebra import (
     NCElement,
@@ -209,8 +210,8 @@ def hecke_check(k, l) -> dict:
     """The R-matrix report for V^{k|l}: the Hecke quadratic, the braid
     identity, the FRT cross-check, and both eigenbases of sym_skew_bases.
     An eigenbasis passes when the checked operator scales each vector by
-    its eigenvalue (q, or -q^{-1}) and the counts are right: k(k+1)/2 +
-    l(l-1)/2 + kl symmetric vectors, and (k+l)^2 vectors in all."""
+    its eigenvalue (q, or -q^{-1}) and its size is the hook tableau count
+    of its shape, (2) or (1,1)."""
     sym, skew = sym_skew_bases(k, l)
     sym_ok = all(
         hecke_act([1], v, k, l, 2) == CoeffVector([Q * e for e in v]) for v in sym
@@ -221,8 +222,8 @@ def hecke_check(k, l) -> dict:
     checks = {
         "quadratic": verify_hecke_quadratic(k, l),
         "braid": verify_braid(k, l),
-        "sym_eigenbasis": sym_ok and len(sym) == k * (k + 1) // 2 + l * (l - 1) // 2 + k * l,
-        "skew_eigenbasis": skew_ok and len(sym) + len(skew) == (k + l) ** 2,
+        "sym_eigenbasis": sym_ok and len(sym) == hook_tableaux_dim((2,), k, l),
+        "skew_eigenbasis": skew_ok and len(skew) == hook_tableaux_dim((1, 1), k, l),
         "frt": verify_frt(k, l),
     }
     return {"k": k, "l": l, "checks": checks, "overall_pass": all(checks.values())}

@@ -6,16 +6,11 @@ condition, so the -v listing doubles as the criterion report.  Wall-clock
 ceilings are asserted for the checks that must stay interactive-fast.
 """
 
-import random
 import time
 from itertools import combinations
 
 from qmatalg.exactla import CoeffVector
-from qmatalg.hookcomb import (
-    howe_dim_sum,
-    kernel_dim_prediction,
-    supermatrix_monomial_count,
-)
+from qmatalg.hookcomb import kernel_dim_prediction, verify_presentation_flatness
 from qmatalg.invariants import (
     build_X,
     classical_limit,
@@ -32,8 +27,8 @@ from qmatalg.invariants import (
 from qmatalg.laurent import Q, QINV, ZERO, ONE
 from qmatalg.qalgebra import (
     NCElement,
-    graded_basis,
-    multiply,
+    _misoriented,
+    _unresolved_overlaps,
     normal_form,
     presentation_M,
     presentation_Mbar,
@@ -69,37 +64,31 @@ def _criterion(cid, desc, ok, elapsed, budget=None):
 
 def test_c01_pbw_basis_counts_match_closed_forms():
     t0 = time.perf_counter()
-    ok = True
-    for k, l in NONZERO_PAIRS:
-        for r, s in NONZERO_PAIRS:
-            for build in (presentation_M, presentation_Mbar, presentation_Mtilde):
-                pres = build(k, l, r, s)
-                for N in range(5):
-                    nb = len(graded_basis(pres, N))
-                    ok = ok and nb == supermatrix_monomial_count(k, l, r, s, N)
-                    ok = ok and nb == howe_dim_sum(k, l, r, s, N)
+    ok = all(
+        verify_presentation_flatness(build(k, l, r, s), 4)["pass"]
+        for k, l in NONZERO_PAIRS
+        for r, s in NONZERO_PAIRS
+        for build in (presentation_M, presentation_Mbar, presentation_Mtilde)
+    )
     _criterion("C01", "PBW basis counts match closed forms", ok,
                time.perf_counter() - t0, budget=120)
 
 
-def test_c02_rewriting_is_confluent_on_random_triples():
+def test_c02_rewriting_is_confluent_on_every_overlap():
+    # the diamond lemma: every rule rewrites into smaller words, and every
+    # overlap of two rules resolves; the counts show the check is not empty
     t0 = time.perf_counter()
-    rng = random.Random(0xC02)
     families = [
-        presentation_M(2, 1, 1, 2),
-        presentation_Mbar(2, 1, 1, 2),
-        presentation_Mtilde(2, 1, 1, 2),
-        presentation_P(1, 1, 1, 1, 1, 1),
+        (presentation_M(2, 1, 1, 2), 129),
+        (presentation_Mbar(2, 1, 1, 2), 129),
+        (presentation_Mtilde(2, 1, 1, 2), 129),
+        (presentation_P(1, 1, 1, 1, 1, 1), 88),
     ]
     ok = True
-    for pres in families:
-        gens = [NCElement.from_word((g,)) for g in range(pres.ngens)]
-        for _ in range(1000):
-            a, b, c = (rng.choice(gens) for _ in range(3))
-            left = multiply(multiply(a, b, pres), c, pres)
-            right = multiply(a, multiply(b, c, pres), pres)
-            ok = ok and left == right
-    _criterion("C02", "rewriting is associative on 1000 random triples per family",
+    for pres, overlaps in families:
+        count, bad = _unresolved_overlaps(pres)
+        ok = ok and count == overlaps and bad == [] and _misoriented(pres.rules) == []
+    _criterion("C02", "rewriting is confluent: every rule oriented, every overlap resolves",
                ok, time.perf_counter() - t0, budget=60)
 
 

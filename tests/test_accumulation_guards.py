@@ -21,7 +21,6 @@ from qmatalg.qalgebra import NCElement, multiply, presentation_P
 
 CONSTANTS = ("ONE", "ZERO", "Q", "QINV", "Q_MINUS_QINV")
 XRELATION_TUPLES = [(1, 0, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1), (2, 1, 1, 0, 1, 1), (1, 2, 2, 1, 1, 1)]
-CONTEXT_TUPLES = [(1, 1, 1, 1, 2, 1), (2, 0, 2, 0, 1, 0)] + XRELATION_TUPLES
 
 
 def _snapshot(value):
@@ -103,6 +102,13 @@ def _assert_no_shared_terms(returned):
         assert inputs.isdisjoint(_coefficient_dicts(out))
 
 
+def _capture(contexts, t):
+    """Append (t, the context that the call just before left in the cache)."""
+    misses = _context.cache_info().misses
+    contexts.append((t, _context(t)))
+    assert _context.cache_info().misses == misses
+
+
 def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     # fresh word-image memos, so that the step count does not depend on earlier tests
     _context.cache_clear()
@@ -118,22 +124,28 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     def phase_done():
         phase_steps.append(steps[0] - sum(phase_steps))
 
+    # _context keeps one tuple, so each context is captured right after the
+    # call that used it (a cache hit, which takes no steps)
+    contexts = []
     assert fft_check((1, 1, 1, 1, 2, 1), 2)["overall_pass"] is True
+    _capture(contexts, (1, 1, 1, 1, 2, 1))
     assert sft_check((2, 0, 2, 0, 1, 0), 4, minor_ideal=True)["overall_pass"] is True
+    _capture(contexts, (2, 0, 2, 0, 1, 0))
     phase_done()
     for t in XRELATION_TUPLES:
         assert verify_X_relations(t) is True
+        _capture(contexts, t)
     phase_done()
     assert main(["classical", "-k", "1", "-l", "1", "-r", "1", "-s", "1", "-m", "1", "-n", "1"]) == 0
     capsys.readouterr()
+    _capture(contexts, (1, 1, 1, 1, 1, 1))
     phase_done()
 
     assert changed == []
     assert len(returned) > 900
     _assert_no_shared_terms(returned)
     assert {name: sorted(getattr(laurent, name).terms.items()) for name in CONSTANTS} == constants
-    for t in CONTEXT_TUPLES:
-        ctx = _context(t)
+    for t, ctx in contexts:
         fresh_p = presentation_P(*t)
         assert _rule_table(ctx.p) == _rule_table(fresh_p)
         assert _rule_table(ctx.mt) == _rule_table(_pres.__wrapped__("Mt", *t[:4]))

@@ -197,11 +197,15 @@ def test_verify_X_relations_rejects_a_sign_flipped_X_term(monkeypatch):
 
 
 def test_verify_X_relations_rejects_an_inverted_same_row_q_power(monkeypatch):
-    params = (1, 0, 1, 0, 1, 0)
-    assert verify_X_relations(params) is True
+    # inverting both powers fails on the T side first; inverting only the
+    # +1 power leaves the T side right, so the Tb side must reject it
+    tuples = [(1, 0, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1), (2, 1, 2, 1, 1, 1)]
+    assert all(verify_X_relations(params) is True for params in tuples)
     original = invariants._q_power_of_index
-    monkeypatch.setattr(invariants, "_q_power_of_index", lambda parity, e: original(parity, -e))
-    assert verify_X_relations(params) is False
+    for inverted in [(-1, 1), (1,)]:
+        monkeypatch.setattr(invariants, "_q_power_of_index",
+                            lambda parity, e: original(parity, -e if e in inverted else e))
+        assert all(verify_X_relations(params) is False for params in tuples), inverted
 
 
 def test_the_super_sign_is_needed(monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 
 from qmatalg import qalgebra
 from qmatalg.exactla import CoeffMatrix, rank
+from qmatalg.hookcomb import verify_presentation_flatness
 from qmatalg.invariants import classical_presentation
 from qmatalg.laurent import ONE, Q, QINV, LaurentInt, _add_term
 from qmatalg.qalgebra import (
@@ -24,6 +25,7 @@ from qmatalg.qalgebra import (
     GenIndex,
     NCElement,
     _add_word_products,
+    _misoriented,
     _unresolved_overlaps,
     format_element,
     graded_basis,
@@ -36,7 +38,6 @@ from qmatalg.qalgebra import (
     presentation_Mbar,
     presentation_Mtilde,
     presentation_P,
-    verify_presentation_flatness,
 )
 
 QMQI = Q - QINV
@@ -246,17 +247,6 @@ def test_relations_P(k, l, r, s, m, n):
 
 
 NONZERO_PAIRS = [(a, b) for a in range(3) for b in range(3) if a + b >= 1]
-
-
-def _misoriented(rules):
-    """(left word, right word) pairs whose right word is not strictly below
-    the left pair in degree-lex order, the order leftmost reduction needs."""
-    return [
-        (lhs, w)
-        for lhs, rhs in rules.items()
-        for _, w in rhs
-        if (len(w), w) >= (2, lhs)
-    ]
 
 
 def test_every_rule_rewrites_into_smaller_words():

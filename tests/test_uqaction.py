@@ -385,6 +385,10 @@ def test_operator_relations_reports():
     assert rep["pass"], rep["failures"]
     rep = verify_operator_relations(1, 1, P11, (2, 0))
     assert rep["pass"], rep["failures"]
+    # three column letters, so R3 also brackets E's of different roots (a != b)
+    for m, n in [(2, 1), (1, 2)]:
+        rep = verify_operator_relations(m, n, presentation_P(1, 1, 1, 1, m, n), (1, 1))
+        assert rep["pass"], rep["failures"]
     with pytest.raises(ValueError):
         verify_operator_relations(2, 2, P11, (1, 1))
 
