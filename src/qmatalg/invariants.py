@@ -93,12 +93,6 @@ def _params(params) -> InvariantParams:
     return InvariantParams(*values)
 
 
-@lru_cache(maxsize=None)
-def _pres(kind, k, l, r, s):
-    builder = presentation_M if kind == "M" else presentation_Mtilde
-    return builder(k, l, r, s)
-
-
 def _x_elements(mt, p):
     """X_ab in P, normalized, for each tilde generator t~_ab of mt in order."""
     k, _, r, _, m, n = p.params
@@ -119,10 +113,14 @@ class _Context:
     a presentation p of P (its codomain), the image in p of each tilde
     generator indexed by generator id, and a prefix-keyed memo of
     normalized word images so that long products are never recomputed
-    from scratch.
+    from scratch.  The memo starts with the empty word and the letters,
+    whose images are the given elements themselves, which must therefore
+    be in normal form in p.
 
-    At generic q the images are the X elements; `classical()` gives the
-    same map at q = 1.
+    At generic q the images are the X elements, and mt and p are the
+    presentations that presentation_Mtilde and presentation_P return for
+    the tuple, so a caller holding those holds the same objects;
+    `classical()` gives the same map at q = 1.
     """
 
     def __init__(self, mt, p, x_elements):
@@ -130,6 +128,7 @@ class _Context:
         self.p = p
         self.x_elements = x_elements
         self._images = {(): NCElement.one()}
+        self._images.update(((i,), x) for i, x in enumerate(x_elements))
         self._classical = None
 
     def word_image(self, word):
@@ -168,7 +167,7 @@ class _Context:
 @lru_cache(maxsize=1)
 def _context(pt):
     """psi's context; callers use one tuple at a time, so only the latest is kept."""
-    mt = _pres("Mt", *pt[:4])
+    mt = presentation_Mtilde(*pt[:4])
     p = presentation_P(*pt)
     return _Context(mt, p, _x_elements(mt, p))
 
@@ -520,12 +519,12 @@ def quantum_minor(rows, cols, target, params) -> NCElement:
     rows = tuple(rows)
     cols = tuple(cols)
     if target == "M":
-        pres = _pres("M", p.k, p.l, p.r, p.s)
+        pres = presentation_M(p.k, p.l, p.r, p.s)
         tag = "T"
         cols_ok = all(x < y for x, y in zip(cols, cols[1:]))
         col_rule = "strictly increasing"
     elif target == "Mtilde":
-        pres = _pres("Mt", p.k, p.l, p.r, p.s)
+        pres = presentation_Mtilde(p.k, p.l, p.r, p.s)
         tag = "Tt"
         cols_ok = all(x > y for x, y in zip(cols, cols[1:]))
         col_rule = "strictly decreasing"
@@ -682,7 +681,7 @@ def sergeev_polynomial(tableau, I, J, K, L) -> NCElement:
     cols = []
     for c in range(len(rows[0])):
         cols.append(tuple(row[c] for row in rows if len(row) > c))
-    pres = classical_presentation(_pres("M", K, L, K, L))
+    pres = classical_presentation(presentation_M(K, L, K, L))
     terms = []
     for sig in _permutations_fixing_blocks(rows, size):
         for tau in _permutations_fixing_blocks(cols, size):

@@ -29,6 +29,10 @@ every overlap of two rules.  The tests run both over the small-parameter
 grid, and `qmatalg classical` runs the overlap check on the q = 1
 presentations of the requested tuple.
 
+Each presentation constructor keeps its last result, so the callers that
+sweep one parameter tuple at a time share one presentation object, and
+with it the tables it holds for uqaction.
+
 normal_form_stats is the one rewriting loop.  It takes an NCElement, which
 it validates and copies, or a raw {word: {exponent: int}} agenda that an
 in-package caller built and hands over, which it consumes unvalidated.  It
@@ -43,6 +47,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .laurent import (_MONOMIAL, ONE, Q_MINUS_QINV, LaurentInt, _add_into, _add_scaled,
@@ -136,9 +141,15 @@ def _sign(exponent):
 
 
 class AlgebraPresentation:
-    """Immutable generator table plus oriented rewrite rules."""
+    """Immutable generator table plus oriented rewrite rules.
 
-    __slots__ = ("kind", "params", "generators", "rules", "_grid", "_swaps", "_by_index")
+    _letter_images belongs to uqaction: its letter images under each
+    Chevalley generator, built on first use and kept as long as the
+    presentation is.
+    """
+
+    __slots__ = ("kind", "params", "generators", "rules", "_grid", "_swaps", "_by_index",
+                 "_letter_images")
 
     def __init__(self, kind, params, generators, rules):
         self.kind = kind
@@ -158,6 +169,7 @@ class AlgebraPresentation:
                     swaps[i][j] = (exp, c, rhs[0][1])
         self._grid = grid
         self._swaps = swaps
+        self._letter_images = {}
 
     @property
     def ngens(self):
@@ -241,24 +253,28 @@ def _check_ranges(kind, *pairs):
             raise ValueError(f"{kind}: index range {label} must be nonempty, got ({even},{odd})")
 
 
+@lru_cache(maxsize=1)
 def presentation_M(k, l, r, s):
     _check_ranges("M", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("T", k + l, k, r + s, r)
     return AlgebraPresentation("M", (k, l, r, s), gens, _matrix_family_rules(gens, 0, k, r, "M"))
 
 
+@lru_cache(maxsize=1)
 def presentation_Mbar(k, l, r, s):
     _check_ranges("Mbar", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("Tb", k + l, k, r + s, r)
     return AlgebraPresentation("Mbar", (k, l, r, s), gens, _matrix_family_rules(gens, 0, k, r, "Mb"))
 
 
+@lru_cache(maxsize=1)
 def presentation_Mtilde(k, l, r, s):
     _check_ranges("Mtilde", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("Tt", k + l, k, r + s, r)
     return AlgebraPresentation("Mtilde", (k, l, r, s), gens, _matrix_family_rules(gens, 0, k, r, "Mt"))
 
 
+@lru_cache(maxsize=1)
 def presentation_P(k, l, r, s, m, n):
     """T_{ai} over rows (k,l) and Tb_{bj} over rows (r,s), columns (m,n).
 

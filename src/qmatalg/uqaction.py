@@ -9,11 +9,13 @@ application, which is all invariance testing needs.
 A word in P is acted on through the coproduct, unrolled over the parts of
 the word by _unroll, the one place the formula is written out.  A
 letter's image depends only on (generator, letter), so every action of one
-generator on a whole basis (act on an element's words, invariant_subspace,
-the operator matrices) reads it from one letter-image table built for that
-call and dropped on return.  invariant_subspace returns the invariants of
-a graded component as sparse NCElements, each on the zero-weight words of
-one row sector; it unrolls over the two halves of each word.
+generator (act and so is_invariant, invariant_subspace, the operator
+matrices) reads it from one letter-image table of that generator, built on
+first use into the presentation's private _letter_images slot.  The tables
+live and die with their presentation: none outlives it or keeps it alive.
+invariant_subspace returns the invariants of a graded component as sparse
+NCElements, each on the zero-weight words of one row sector; it unrolls
+over the two halves of each word.
 """
 
 from __future__ import annotations
@@ -227,6 +229,12 @@ def _unroll(x, word, parts):
     return out
 
 
+def _letter_table(x, pres):
+    """pres's table of x's letter images, which maps a letter id to its
+    _letter_entry under x; _act_word fills it on first use."""
+    return pres._letter_images.setdefault(x, {})
+
+
 def _act_word(x, word, pres, m, table):
     """Raw action on one word, not normalized: _unroll over its letters.
 
@@ -246,12 +254,12 @@ def _act_on_words(x, words, pres):
     {word: {exponent: int}} dicts in the order of words, not normalized.
 
     A letter's image depends only on (x, letter), so it is built once, on
-    first use, into a table that lives only as long as the returned
-    iterator: no cache outlives the call or keeps a presentation alive.
+    first use, into pres's letter table of x, which every later action of
+    x on pres reads; the table is dropped with pres.
     """
     k, l, r, s, m, n = _require_P(pres)
     _validate_gen(x, m, n)
-    table = {}
+    table = _letter_table(x, pres)
     return (_act_word(x, word, pres, m, table) for word in words)
 
 
@@ -331,7 +339,7 @@ def invariant_subspace(pres, bidegree):
     halves = dict.fromkeys(h for pairs in sectors.values() for pair in pairs for h in pair)
     images = []
     for x in egens:
-        table = {}
+        table = _letter_table(x, pres)
         part = {}
         for h in halves:
             img = normal_form(_act_word(x, h, pres, m, table), pres).terms

@@ -3,6 +3,7 @@ place, no element handed to the algebra is changed by it, no two returned
 coefficients share one terms dict (nor one with an input), and the rewrite
 order (step counts and the term order of normal forms) stays pinned."""
 
+import copy
 import hashlib
 import sys
 
@@ -10,14 +11,13 @@ from qmatalg import laurent, qalgebra, uqaction
 from qmatalg.cli import main
 from qmatalg.invariants import (
     _context,
-    _pres,
     classical_presentation,
     fft_check,
     sft_check,
     verify_X_relations,
 )
 from qmatalg.laurent import LaurentInt, format_laurent
-from qmatalg.qalgebra import NCElement, multiply, presentation_P
+from qmatalg.qalgebra import NCElement, multiply, presentation_Mtilde, presentation_P
 
 CONSTANTS = ("ONE", "ZERO", "Q", "QINV", "Q_MINUS_QINV")
 XRELATION_TUPLES = [(1, 0, 1, 0, 1, 0), (1, 1, 1, 1, 1, 1), (2, 1, 1, 0, 1, 1), (1, 2, 2, 1, 1, 1)]
@@ -145,10 +145,12 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     assert len(returned) > 900
     _assert_no_shared_terms(returned)
     assert {name: sorted(getattr(laurent, name).terms.items()) for name in CONSTANTS} == constants
+    # the constructors keep their last result, which is ctx.p or ctx.mt
+    # itself, so each is compared with a newly built one
     for t, ctx in contexts:
-        fresh_p = presentation_P(*t)
+        fresh_p = presentation_P.__wrapped__(*t)
         assert _rule_table(ctx.p) == _rule_table(fresh_p)
-        assert _rule_table(ctx.mt) == _rule_table(_pres.__wrapped__("Mt", *t[:4]))
+        assert _rule_table(ctx.mt) == _rule_table(presentation_Mtilde.__wrapped__(*t[:4]))
         if ctx._classical is not None:
             assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
     # fft + sft: recorded from the rewriting before sparse accumulation was
@@ -156,6 +158,22 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     # one normal form of its difference; classical: recorded when the
     # supercommutation of the q = 1 X's became one normal form per pair
     assert phase_steps == [467, 1794, 678]
+
+    # every later action on a presentation reads its letter tables, so a
+    # second round of act must leave them as the first left them
+    t, ctx = contexts[0]
+    gens = uqaction.chevalley_generators(*t[4:])
+
+    def act_round():
+        return [uqaction.act(x, e, ctx.p) for x in gens for e in ctx.x_elements]
+
+    first = act_round()
+    tables = copy.deepcopy(ctx.p._letter_images)
+    assert len(tables) == len(gens)
+    assert act_round() == first
+    assert ctx.p._letter_images == tables
+    assert changed == []
+    _assert_no_shared_terms(returned)
 
 
 def test_x_products_keep_their_steps_and_term_order(monkeypatch):

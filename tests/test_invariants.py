@@ -125,6 +125,24 @@ def test_psi_rejects_foreign_words():
         psi(e, (1, 0, 1, 0, 1, 0))
 
 
+def test_each_tuple_builds_its_presentations_once():
+    # a caller's P and Mtilde are psi's own, so they share one letter table
+    # and one rule grid; psi maps each letter to its X itself, and every
+    # constructor keeps only the tuple it built last
+    _context.cache_clear()
+    for t in [P11, (2, 1, 1, 0, 1, 1), PM1, (1, 0, 2, 1, 2, 0), P11]:
+        assert invariants.classical_check(t)["overall_pass"] is True
+        ctx = _context(t)
+        assert ctx.p is presentation_P(*t)
+        assert ctx.mt is presentation_Mtilde(*t[:4])
+        for i, x in enumerate(ctx.x_elements):
+            assert ctx.word_image((i,)) is x
+        g = ctx.mt.generators[-1]
+        assert build_X(g.row, g.col, t) is ctx.x_elements[-1]
+    for constructor in (presentation_M, presentation_Mbar, presentation_Mtilde, presentation_P):
+        assert constructor.cache_info().currsize <= 1
+
+
 ELEMENT_PARAMS = [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 2, 0), (2, 0, 1, 1, 1, 1)]
 
 

@@ -393,23 +393,32 @@ def test_operator_relations_reports():
         verify_operator_relations(2, 2, P11, (1, 1))
 
 
-# ------------------------------------------------------- per-call letter table
+# ------------------------------------------------ per-presentation letter table
 
 
-def test_each_letter_image_is_built_once_per_call(monkeypatch):
-    seen = Counter()
-    original = uqaction.act_on_generator
+def test_each_letter_image_is_built_once_per_presentation(monkeypatch):
+    # the module-level presentations' tables are filled by earlier tests,
+    # so this counts on presentations built here, bypassing the
+    # constructor's cache; two of them, each with its own table
+    built = Counter()
+    original = uqaction._letter_entry
 
-    def counted(x, g, pres):
-        seen[x, pres.gen_id(g.family, g.row, g.col)] += 1
-        return original(x, g, pres)
+    def counted(x, gid, pres, m):
+        built[x, gid, id(pres)] += 1
+        return original(x, gid, pres, m)
 
-    monkeypatch.setattr(uqaction, "act_on_generator", counted)
-    for run in (lambda: invariant_subspace(P22, (2, 2)),
-                lambda: verify_operator_relations(1, 1, P11, (2, 1))):
-        seen.clear()
-        run()
-        assert seen and max(seen.values()) == 1
+    monkeypatch.setattr(uqaction, "_letter_entry", counted)
+    fresh = [presentation_P.__wrapped__(1, 1, 1, 1, 2, 2) for _ in range(2)]
+    gens = chevalley_generators(2, 2)
+    for pres in fresh:
+        first = invariant_subspace(pres, (2, 2))
+        assert first and invariant_subspace(pres, (2, 2)) == first
+        basis = graded_basis(pres, (1, 1))
+        for x in gens:
+            images = [act(x, NCElement.from_word(w), pres).terms for w in basis]
+            assert _action_matrix(x, pres, basis) == CoeffMatrix.from_columns(images, basis)
+        assert sum(1 for *_, p in built if p == id(pres)) == len(gens) * pres.ngens
+    assert set(built.values()) == {1}
 
 
 def test_the_letter_table_keeps_no_presentation_alive():
