@@ -6,13 +6,15 @@ modelled: K_a^{±1} for every column a, and E_{b,b+1} / E_{b+1,b} for
 adjacent column pairs.  Words of generators act by sequential
 application, which is all invariance testing needs.
 
-A word in P is acted on through the coproduct, unrolled over the parts of
-the word by _unroll, the one place the formula is written out.  A
-letter's image depends only on (generator, letter), so every action of one
-generator (act and so is_invariant, invariant_subspace, the operator
-matrices) reads it from one letter-image table of that generator, built on
-first use into the presentation's private _letter_images slot.  The tables
-live and die with their presentation: none outlives it or keeps it alive.
+A letter is acted on by one closed-form rule (act_on_generator): a T letter
+goes to a column of pi(x), unsigned, and a Tb letter to a row of pi(S(x)),
+signed (-1)^([x](1 + [d])) by its target column d.  A word is acted on by
+_act_word, the one word-action helper, which unrolls the coproduct over its
+letters through _unroll, the one place the formula is written out.  Every
+action of one generator (act and so is_invariant, invariant_subspace, the
+operator matrices) reads the letter images from one table per presentation,
+built on first use into its private _letter_images slot, which only
+_letter_table reads; the table lives and dies with its presentation.
 invariant_subspace returns the invariants of a graded component as sparse
 NCElements, each on the zero-weight words of one row sector; it unrolls
 over the two halves of each word.
@@ -144,33 +146,24 @@ def _require_P(pres):
 
 
 def act_on_generator(x, g, pres):
-    """Action of a single Chevalley generator on one P generator."""
+    """Action of a single Chevalley generator on one P generator, through
+    its column index: T_ai is a vector of the natural module and Tb_bi one
+    of its dual, so
+
+        x.T_ai = sum_c pi(x)[c,i] T_ac,
+        x.Tb_bi = sum_d (-1)^([x](1 + [d])) pi(S(x))[i,d] Tb_bd.
+    """
     k, l, r, s, m, n = _require_P(pres)
     _validate_gen(x, m, n)
-    i = g.col
-    ip = _index_parity(i, m)
-    rowp = (g.parity + ip) % 2
-    xp = x.parity
-    terms = []
+    cols = range(1, m + n + 1)
     if g.family == "T":
         mat = pi_matrix(x, m, n)
-        for c in range(1, m + n + 1):
-            entry = mat[c - 1, i - 1]
-            if not entry:
-                continue
-            cp = _index_parity(c, m)
-            e = xp * (rowp + ip + xp) + (rowp + cp) * (cp + ip)
-            terms.append(((pres.gen_id("T", g.row, c),), _sign(e) * entry))
+        terms = [(c, e) for c in cols if (e := mat[c - 1, g.col - 1])]
     else:
         mat = pi_antipode_matrix(x, m, n)
-        for d in range(1, m + n + 1):
-            entry = mat[i - 1, d - 1]
-            if not entry:
-                continue
-            dp = _index_parity(d, m)
-            e = xp * (rowp + ip + xp) + (rowp + dp) * (dp + ip) + ip * (dp + ip)
-            terms.append(((pres.gen_id("Tb", g.row, d),), _sign(e) * entry))
-    return NCElement(terms)
+        terms = [(d, _sign(x.parity * (1 + _index_parity(d, m))) * e)
+                 for d in cols if (e := mat[g.col - 1, d - 1])]
+    return NCElement([((pres.gen_id(g.family, g.row, c),), e) for c, e in terms])
 
 
 def _k_exponent(a, asign, g, m):
@@ -181,10 +174,11 @@ def _k_exponent(a, asign, g, m):
     return e if g.family == "T" else -e
 
 
-def _letter_entry(x, gid, pres, m):
+def _letter_entry(x, gid, pres):
     """What x does to one letter, as a part for _unroll: (1, q-exponent of
     its K-part, parity, image as (word, {exponent: int}) pairs, () for a K)."""
     g = pres.generators[gid]
+    m = pres.params[4]
     if x.kind in (K, KINV):
         return 1, _k_exponent(x.index, 1 if x.kind == K else -1, g, m), g.parity, ()
     # Delta(E_{u,u+1}) = E (x) K_u K_{u+1}^{-1} + 1 (x) E: the letters after
@@ -231,36 +225,22 @@ def _unroll(x, word, parts):
 
 def _letter_table(x, pres):
     """pres's table of x's letter images, which maps a letter id to its
-    _letter_entry under x; _act_word fills it on first use."""
+    _letter_entry under x; _act_word fills it on first use, and it is
+    dropped with pres."""
     return pres._letter_images.setdefault(x, {})
 
 
-def _act_word(x, word, pres, m, table):
-    """Raw action on one word, not normalized: _unroll over its letters.
-
-    table maps a letter id to its _letter_entry under x, filled on first use.
-    """
+def _act_word(x, word, pres):
+    """Raw action of x on one word, a fresh {word: {exponent: int}} dict,
+    not normalized: _unroll over its letters, read from x's letter table."""
+    table = _letter_table(x, pres)
     parts = []
     for gid in word:
         entry = table.get(gid)
         if entry is None:
-            entry = table[gid] = _letter_entry(x, gid, pres, m)
+            entry = table[gid] = _letter_entry(x, gid, pres)
         parts.append(entry)
     return _unroll(x, word, parts)
-
-
-def _act_on_words(x, words, pres):
-    """Raw actions of one generator on many words: an iterator of
-    {word: {exponent: int}} dicts in the order of words, not normalized.
-
-    A letter's image depends only on (x, letter), so it is built once, on
-    first use, into pres's letter table of x, which every later action of
-    x on pres reads; the table is dropped with pres.
-    """
-    k, l, r, s, m, n = _require_P(pres)
-    _validate_gen(x, m, n)
-    table = _letter_table(x, pres)
-    return (_act_word(x, word, pres, m, table) for word in words)
 
 
 def act(x, e, pres):
@@ -268,11 +248,11 @@ def act(x, e, pres):
     e's words are validated here; the sum of the word images goes to
     normal_form as a raw agenda."""
     _validate_words(e, pres)
+    _validate_gen(x, *_require_P(pres)[4:])
     total = {}
-    for coeff, image in zip(e.terms.values(), _act_on_words(x, e.terms, pres)):
-        coeff = coeff.terms
-        for w, c in image.items():
-            if not _mul_into(total.setdefault(w, {}), c, coeff):
+    for word, coeff in e.terms.items():
+        for w, c in _act_word(x, word, pres).items():
+            if not _mul_into(total.setdefault(w, {}), c, coeff.terms):
                 del total[w]
     return normal_form(total, pres)
 
@@ -342,7 +322,7 @@ def invariant_subspace(pres, bidegree):
         table = _letter_table(x, pres)
         part = {}
         for h in halves:
-            img = normal_form(_act_word(x, h, pres, m, table), pres).terms
+            img = normal_form(_act_word(x, h, pres), pres).terms
             letters = [table[g] for g in h]
             part[h] = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
                        tuple((w, c.terms) for w, c in img.items()))
@@ -366,7 +346,8 @@ def invariant_subspace(pres, bidegree):
 
 
 def _action_matrix(x, pres, basis):
-    images = [normal_form(i, pres).terms for i in _act_on_words(x, basis, pres)]
+    _validate_gen(x, *_require_P(pres)[4:])
+    images = [normal_form(_act_word(x, w, pres), pres).terms for w in basis]
     return CoeffMatrix.from_columns(images, basis)
 
 

@@ -70,6 +70,10 @@ def test_nf_error_paths(capsys):
     assert code == 2
     assert "4 sizes" in err
 
+    code, out, err = run(["nf", "M:1,a,1,1", "T[1,1]"], capsys)
+    assert (code, out) == (2, "")
+    assert "non-integer size" in err
+
     # generator outside the declared grid
     code, _, err = run(["nf", "M:1,1,1,1", "T[5,1]"], capsys)
     assert code == 2

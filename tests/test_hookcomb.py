@@ -180,6 +180,9 @@ def test_hook_tableaux_dim_rejects_a_negative_alphabet():
         hook_tableaux_dim((2, 1), -1, 0)
     with pytest.raises(ValueError):
         hook_tableaux_dim((2, 1), 1, -1)
+    # and a shape whose parts increase
+    with pytest.raises(ValueError, match="not a partition"):
+        hook_tableaux_dim((1, 2), 1, 1)
 
 
 def test_kernel_dim_prediction_rejects_a_negative_rectangle():

@@ -39,6 +39,7 @@ from qmatalg.invariants import (
 )
 from qmatalg.laurent import ONE, Q, QINV, ZERO
 from qmatalg.qalgebra import (
+    AlgebraPresentation,
     NCElement,
     format_element,
     graded_basis,
@@ -224,6 +225,37 @@ def test_verify_X_relations_rejects_an_inverted_same_row_q_power(monkeypatch):
         monkeypatch.setattr(invariants, "_q_power_of_index",
                             lambda parity, e: original(parity, -e if e in inverted else e))
         assert all(verify_X_relations(params) is False for params in tuples), inverted
+
+
+def test_verify_X_relations_rejects_a_barred_tilde_rule(monkeypatch):
+    # the X's are right, but one single-term rule of the tilde presentation
+    # has its coefficient barred (q -> q^-1), so psi no longer respects it
+    params = (2, 0, 2, 0, 1, 0)
+    assert verify_X_relations(params) is True
+    mt, p = pres_pair(params)
+    rules = dict(mt.rules)
+    lhs = next(lhs for lhs, rhs in rules.items() if len(rhs) == 1 and rhs[0][0] != rhs[0][0].bar())
+    ((c, w),) = rules[lhs]
+    rules[lhs] = ((c.bar(), w),)
+    barred = AlgebraPresentation(mt.kind, mt.params, mt.generators, rules)
+    fresh = invariants._Context(barred, p, _context(params).x_elements)
+    assert invariants._rules_hold(mt.rules, fresh.word_image)
+    assert not invariants._rules_hold(barred.rules, fresh.word_image)
+    monkeypatch.setattr(invariants, "_context", lambda pt: fresh)
+    assert verify_X_relations(params) is False
+
+
+def test_verify_X_relations_rejects_a_negated_Tb_side_bracket_tail(monkeypatch):
+    # k + l = 1 leaves no lower T row, so only the Tb-side bracket has a
+    # (q - q^-1) tail, and only its return can reject the negated tail
+    params = (1, 0, 2, 0, 1, 0)
+    _context.cache_clear()
+    try:
+        assert verify_X_relations(params) is True
+        monkeypatch.setattr(invariants, "Q_MINUS_QINV", -invariants.Q_MINUS_QINV)
+        assert verify_X_relations(params) is False
+    finally:
+        _context.cache_clear()
 
 
 def test_the_super_sign_is_needed(monkeypatch):

@@ -362,6 +362,9 @@ def test_flatness_rejects_a_negative_degree():
     for pres in (M11, P1111):
         with pytest.raises(ValueError, match="max_degree"):
             verify_presentation_flatness(pres, -1)
+    # a single-family graded basis has no negative degree either
+    with pytest.raises(ValueError, match="degree must be nonnegative"):
+        graded_basis(presentation_M(1, 0, 1, 0), -1)
 
 
 def _product_span_rank(pres, left_deg, right_deg, target_deg):

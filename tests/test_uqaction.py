@@ -11,6 +11,7 @@ matrix equations on graded components.
 
 import sys
 from collections import Counter
+from functools import partial
 
 import hypothesis.strategies as st
 import pytest
@@ -21,6 +22,8 @@ from qmatalg.exactla import CoeffMatrix, nullspace
 from qmatalg.laurent import ONE, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
+    _index_parity,
+    _sign,
     graded_basis,
     multiply,
     normal_form,
@@ -31,9 +34,9 @@ from qmatalg.uqaction import (
     ELOWER,
     ERAISE,
     ChevalleyGen,
-    _act_on_words,
     _act_word,
     _action_matrix,
+    _letter_table,
     _require_P,
     _row_sector,
     _unroll,
@@ -150,6 +153,54 @@ def test_act_on_generator_frozen():
     assert act_on_generator(KA(2), g("T", 1, 2), P11) == word("T", 1, 2, QINV)
     assert act_on_generator(KA(2), g("Tb", 1, 2), P11) == word("Tb", 1, 2, Q)
     assert act_on_generator(KA(1), g("T", 2, 2), P11) == word("T", 2, 2, ONE)
+
+
+# the parity-polynomial letter rule that act_on_generator's closed form
+# replaced, kept as its oracle (it validates nothing)
+def _reference_act_on_generator(x, g, pres):
+    """Action of a single Chevalley generator on one P generator."""
+    k, l, r, s, m, n = _require_P(pres)
+    i = g.col
+    ip = _index_parity(i, m)
+    rowp = (g.parity + ip) % 2
+    xp = x.parity
+    terms = []
+    if g.family == "T":
+        mat = pi_matrix(x, m, n)
+        for c in range(1, m + n + 1):
+            entry = mat[c - 1, i - 1]
+            if not entry:
+                continue
+            cp = _index_parity(c, m)
+            e = xp * (rowp + ip + xp) + (rowp + cp) * (cp + ip)
+            terms.append(((pres.gen_id("T", g.row, c),), _sign(e) * entry))
+    else:
+        mat = pi_antipode_matrix(x, m, n)
+        for d in range(1, m + n + 1):
+            entry = mat[i - 1, d - 1]
+            if not entry:
+                continue
+            dp = _index_parity(d, m)
+            e = xp * (rowp + ip + xp) + (rowp + dp) * (dp + ip) + ip * (dp + ip)
+            terms.append(((pres.gen_id("Tb", g.row, d),), _sign(e) * entry))
+    return NCElement(terms)
+
+
+def test_act_on_generator_matches_the_parity_polynomial_oracle():
+    # every generator on every letter of every tuple of the grid: T letters
+    # take no sign, Tb letters (-1)^([x](1 + [d])), with the same terms in
+    # the same order as the parity polynomials give
+    pairs = images = 0
+    for params in PARAM_GRID:
+        pres = presentation_P.__wrapped__(*params)
+        for x in chevalley_generators(*params[4:]):
+            for g in pres.generators:
+                got = act_on_generator(x, g, pres)
+                want = _reference_act_on_generator(x, g, pres)
+                assert list(got.terms.items()) == list(want.terms.items()), (params, x, g)
+                pairs += 1
+                images += len(want.terms)
+    assert (pairs, images) == (44928, 33408)
 
 
 def test_act_requires_P():
@@ -301,9 +352,9 @@ def _reference_invariant_subspace(pres, bidegree):
     order = sorted(sectors)
     words = [w for key in order for w in sectors[key]]
     # one lazy stream of images per E over all the words, sector after
-    # sector: each letter image is built once per call, and the columns are
-    # held one sector at a time
-    streams = [_act_on_words(x, words, pres) for x in egens]
+    # sector, so the columns are held one sector at a time; map binds each
+    # E now, where a generator expression would act with the last one
+    streams = [map(partial(_act_word, x, pres=pres), words) for x in egens]
     out = []
     for key in order:
         domain = sectors[key]
@@ -351,15 +402,15 @@ def test_unrolling_over_two_parts_matches_the_letter_by_letter_action():
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
     assert any(x.parity for x in egens)
     for x in egens:
-        table = {}
+        table = _letter_table(x, pres)
 
         def part(h):
-            raw = _act_word(x, h, pres, m, table)
+            raw = _act_word(x, h, pres)
             letters = [table[g] for g in h]
             return len(h), sum(t[1] for t in letters), sum(t[2] for t in letters), tuple(raw.items())
 
         for w in words:
-            whole = _act_word(x, w, pres, m, table)
+            whole = _act_word(x, w, pres)
             for cut in range(len(w) + 1):
                 assert _unroll(x, w, (part(w[:cut]), part(w[cut:]))) == whole, (x, w, cut)
 
@@ -393,6 +444,38 @@ def test_operator_relations_reports():
         verify_operator_relations(2, 2, P11, (1, 1))
 
 
+# Each mutant of one operator matrix below must fail the relations it breaks,
+# so that verify_operator_relations can fail.
+
+
+@pytest.mark.parametrize(
+    "target, mutate, checks",
+    [
+        (E("Eraise", 1, 2), lambda mat: mat.scale(Q), {"R1": True, "R2": True, "R3": False}),
+        (E("Eraise", 1, 2), lambda mat: mat + CoeffMatrix.identity(mat.nrows),
+         {"R1": True, "R2": False, "R3": True}),
+        (KA(1), lambda mat: mat.scale(Q), {"R1": False, "R2": False, "R3": False}),
+    ],
+    ids=["E-scaled-by-q", "E-plus-identity", "K-scaled-by-q"],
+)
+def test_operator_relations_reject_a_mutated_matrix(target, mutate, checks, monkeypatch):
+    # E[1,2] is even at (m, n) = (2, 1) and E[3,2] odd, so [1, E[3,2]] = 0 and
+    # adding the identity to E[1,2] leaves R3 intact; scaling E[1,2] by q
+    # keeps every K-conjugation but not the bracket
+    pres = presentation_P(1, 1, 1, 1, 2, 1)
+    assert verify_operator_relations(2, 1, pres, (1, 1))["pass"]
+    original = uqaction._action_matrix
+
+    def mutated(x, pres, basis):
+        mat = original(x, pres, basis)
+        return mutate(mat) if x == target else mat
+
+    monkeypatch.setattr(uqaction, "_action_matrix", mutated)
+    rep = verify_operator_relations(2, 1, pres, (1, 1))
+    assert rep["checks"] == checks
+    assert rep["pass"] is False and rep["failures"]
+
+
 # ------------------------------------------------ per-presentation letter table
 
 
@@ -403,9 +486,9 @@ def test_each_letter_image_is_built_once_per_presentation(monkeypatch):
     built = Counter()
     original = uqaction._letter_entry
 
-    def counted(x, gid, pres, m):
+    def counted(x, gid, pres):
         built[x, gid, id(pres)] += 1
-        return original(x, gid, pres, m)
+        return original(x, gid, pres)
 
     monkeypatch.setattr(uqaction, "_letter_entry", counted)
     fresh = [presentation_P.__wrapped__(1, 1, 1, 1, 2, 2) for _ in range(2)]
