@@ -17,21 +17,23 @@ results are generic-q ranks with no specialization and no rounding.
    column; fraction-free (Bareiss) elimination runs on those same sparse
    rows, in the matrix's own column indices.
 
-The rank is the number of unit pivots plus the residual rank.  The unit
-and Bareiss pivot columns together are a column basis (pivot_columns): on
-the eliminated matrix they form a block-triangular submatrix with a
-nonsingular diagonal, and row operations keep column dependencies, so the
-same columns of the input are independent, rank-many of them.  Kernel
-vectors come from one back-substitution loop (_back_substitute), one per
-free column, through the Bareiss rows left of it, then the unit rows, last
-pivot first, scaling the vector by each pivot that is not 1; they are then
-normalized: divided by the gcd of their integer coefficients and by the
-lowest common power of q, and sign-fixed so the first nonzero entry has a
-positive leading (highest-exponent) coefficient.  No polynomial gcd is
-taken beyond that.  Pivoting is deterministic, so kernel bases are
-reproducible for golden tests; they span the same space as plain Bareiss
-would, but the pivot columns may differ, so the individual vectors may too
-(when the free columns coincide, each vector agrees up to a Q(q) scalar).
+Elimination ends in one list of solved (pivot column, row) pairs, the unit
+rows and then the Bareiss rows (_eliminate); the rank is its length.  Its
+pivot columns are a column basis (pivot_columns): on the eliminated matrix
+they form a block-triangular submatrix with a nonsingular diagonal, and row
+operations keep column dependencies, so the same columns of the input are
+independent, rank-many of them.  Kernel vectors come from one
+back-substitution loop (_back_substitute), one per free column, last pivot
+first; a row whose sum over the vector is zero sets x_p = 0 and scales
+nothing, so each vector is scaled only by the pivots of the rows it
+reaches.  They are then normalized: divided by the gcd of their integer
+coefficients and by the lowest common power of q, and sign-fixed so the
+first nonzero entry has a positive leading (highest-exponent) coefficient.
+No polynomial gcd is taken beyond that.  Pivoting is deterministic, so
+kernel bases are reproducible for golden tests; they span the same space
+as plain Bareiss would, but the pivot columns may differ, so the individual
+vectors may too (when the free columns coincide, each vector agrees up to
+a Q(q) scalar).
 
 A span matrix (columns that are sparse elements of one graded component)
 has one row per key its columns touch, in sorted order (_span_matrix): a
@@ -318,25 +320,23 @@ def _eliminate(matrix):
     """Unit phase, then Bareiss on the residual rows, all sparse and in the
     matrix's own column indices.
 
-    Returns (units, ech, pivots): the unit rows, and the Bareiss echelon
-    form of the residual with its pivot columns.
+    Returns the solved (pivot column, row) pairs: the unit rows in pivot
+    order, then the Bareiss echelon rows of the residual with their pivots.
     """
     units, residual = _unit_phase(matrix._rows)
     ech, pivots = _echelon(residual)
-    return units, ech, pivots
+    return units + list(zip(pivots, ech))
 
 
 def rank(matrix: CoeffMatrix) -> int:
     """Rank over the fraction field Q(q), computed exactly."""
-    units, _, pivots = _eliminate(matrix)
-    return len(units) + len(pivots)
+    return len(_eliminate(matrix))
 
 
 def pivot_columns(matrix: CoeffMatrix) -> list[int]:
     """Indices of rank(matrix) independent columns, ascending: the unit
     pivots and the Bareiss pivots, which together span the column space."""
-    units, _, pivots = _eliminate(matrix)
-    return sorted([p for p, _ in units] + pivots)
+    return sorted(p for p, _ in _eliminate(matrix))
 
 
 def _normalize_kernel_vector(vec):
@@ -360,43 +360,40 @@ def _normalize_kernel_vector(vec):
 def _back_substitute(vec, solved):
     """Solve the (pivot column, row) pairs of solved into the sparse vector
     vec, last pair first: row[p] x_p = -sum_{j != p} row[j] x_j, summed on
-    one raw dict, fraction-free (vec is multiplied by row[p] unless that is
-    1).  A row reads only columns vec holds or later pairs' pivots."""
+    one raw dict, fraction-free.  A row whose sum is zero is solved by
+    x_p = 0 and scales nothing; otherwise vec is multiplied by row[p] unless
+    that is 1.  A row reads only columns vec holds or later pairs' pivots,
+    and a Bareiss row right of vec's free column reads none of them."""
     for p, row in reversed(solved):
         acc = {}
         for j, e in row.items():
-            if j != p and j in vec:
-                _mul_into(acc, e.terms, vec[j].terms)
+            x = vec.get(j)
+            if x is not None:
+                _mul_into(acc, e.terms, x.terms)
+        if not acc:
+            continue
         piv = row[p]
         if piv != ONE:
             vec = {j: piv * x for j, x in vec.items()}
-        if acc:
-            vec[p] = LaurentInt._raw({e: -c for e, c in acc.items()})
+        vec[p] = LaurentInt._raw({e: -c for e, c in acc.items()})
     return vec
-
-
-def _echelon_kernel(ech, pivots, free_columns):
-    """Kernel of a sparse echelon form, one sparse {col: entry} vector per
-    free column, through the rows whose pivot lies left of it: rows below a
-    pivot row are zero left of their own pivot, so scaling keeps them solved."""
-    rows = list(zip(pivots, ech))
-    return [_back_substitute({f: ONE}, [(p, r) for p, r in rows if p < f]) for f in free_columns]
 
 
 def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
     """Exact kernel basis, one vector per free column; M @ v == 0 exactly.
 
-    Each residual kernel vector is lifted, on the same sparse dict, through
-    the unit rows in reverse pivot order: each unit row reads
+    Each vector is solved on one sparse dict through the Bareiss rows and
+    then the unit rows, last pivot first: each unit row reads
     x_p + sum_{j != p} row[j] x_j = 0, and every such j is a column of the
     residual or a later unit pivot.
     """
-    units, ech, pivots = _eliminate(matrix)
-    bound = {p for p, _ in units}.union(pivots)
-    free = [c for c in range(matrix.ncols) if c not in bound]
+    solved = _eliminate(matrix)
+    bound = {p for p, _ in solved}
     basis = []
-    for vec in _echelon_kernel(ech, pivots, free):
-        vec = _back_substitute(vec, units)
+    for f in range(matrix.ncols):
+        if f in bound:
+            continue
+        vec = _back_substitute({f: ONE}, solved)
         dense = [vec.get(c, ZERO) for c in range(matrix.ncols)]
         basis.append(CoeffVector(_normalize_kernel_vector(dense)))
     return basis

@@ -169,7 +169,7 @@ class LaurentInt:
     def __mul__(self, other):
         if isinstance(other, int):
             if other == 0:
-                return _ZERO
+                return ZERO
             return LaurentInt._raw({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentInt):
             return NotImplemented
@@ -198,8 +198,7 @@ class LaurentInt:
         return f"LaurentInt({format_laurent(self)!r})"
 
 
-_ZERO = LaurentInt._raw({})
-ZERO = _ZERO
+ZERO = LaurentInt._raw({})
 ONE = LaurentInt._raw({0: 1})
 Q = LaurentInt._raw({1: 1})
 QINV = LaurentInt._raw({-1: 1})
@@ -216,7 +215,7 @@ def lau_div_exact(a: LaurentInt, b: LaurentInt) -> LaurentInt:
     if not b:
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if not a:
-        return _ZERO
+        return ZERO
     min_quot_exp = a.min_exp() - b.min_exp()
     eb, cb = b.max_exp(), b.terms[b.max_exp()]
     rem = dict(a.terms)

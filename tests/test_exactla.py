@@ -9,7 +9,10 @@ elimination is also cross-checked against plain Bareiss elimination
 against a plain-scan Gauss-Jordan reference (``_reference_unit_phase``).
 The sparse Bareiss and back substitution are pinned to the dense ones they
 replaced (``_dense_echelon``, ``_dense_echelon_kernel``): the same pivots,
-echelon rows and kernel vectors.
+echelon rows and kernel vectors.  The back substitution that scaled each
+vector by every Bareiss pivot left of its free column is kept as
+``_every_pivot_nullspace``: the vectors solved with the skip rule have its
+supports and are proportional to its vectors.
 """
 
 from fractions import Fraction
@@ -18,11 +21,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from qmatalg import exactla
 from qmatalg.exactla import (
     CoeffMatrix,
     CoeffVector,
+    _back_substitute,
     _echelon,
-    _echelon_kernel,
     _normalize_kernel_vector,
     _unit_phase,
     nullspace,
@@ -336,9 +340,11 @@ def _reference_nullspace(m):
     only residual columns."""
     units, residual = _reference_unit_phase(m._rows)
     ech, pivots = _echelon(residual)
+    solved = list(zip(pivots, ech))
     bound = {p for p, _ in units}.union(pivots)
     basis = []
-    for vec in _echelon_kernel(ech, pivots, [c for c in range(m.ncols) if c not in bound]):
+    for f in [c for c in range(m.ncols) if c not in bound]:
+        vec = _back_substitute({f: ONE}, solved)
         for p, row in units:
             vec[p] = -sum((e * vec[j] for j, e in row.items() if j != p and j in vec), ZERO)
         dense = [vec.get(c, ZERO) for c in range(m.ncols)]
@@ -446,6 +452,9 @@ def _dense_echelon_kernel(ech, pivots, ncols):
             for j in range(p + 1, ncols):
                 if row[j] and vec[j]:
                     t = t + row[j] * vec[j]
+            # a row the vector does not reach is solved by x_p = 0
+            if not t:
+                continue
             piv = row[p]
             vec = [piv * x for x in vec]
             vec[p] = -t
@@ -483,7 +492,9 @@ def test_sparse_bareiss_reproduces_the_dense_one(m):
     assert pivots == dense_pivots
     assert [[row.get(j, ZERO) for j in range(m.ncols)] for row in ech] == dense_ech
     free = [c for c in range(m.ncols) if c not in pivots]
-    sparse_ker = [[v.get(j, ZERO) for j in range(m.ncols)] for v in _echelon_kernel(ech, pivots, free)]
+    solved = list(zip(pivots, ech))
+    vecs = [_back_substitute({f: ONE}, solved) for f in free]
+    sparse_ker = [[v.get(j, ZERO) for j in range(m.ncols)] for v in vecs]
     assert sparse_ker == _dense_echelon_kernel(dense_ech, dense_pivots, m.ncols)
     # the input rows are left as they were
     assert CoeffMatrix(m.rows) == m
@@ -495,3 +506,76 @@ def test_sparse_bareiss_reproduces_the_dense_one(m):
     assert pivot_columns(m) == sorted([p for p, _ in units] + [cols[i] for i in res_pivots])
     assert rank(m) == len(units) + len(res_pivots)
     assert nullspace(m) == _dense_nullspace(m)
+
+
+def _every_pivot_nullspace(m):
+    """nullspace as it was before the skip rule: each vector is scaled by the
+    pivot of every Bareiss row left of its free column, whether or not the
+    row reaches it.  Returns (rank, pivot columns, kernel basis)."""
+    units, residual = _unit_phase(m._rows)
+    ech, pivots = _echelon(residual)
+    bound = {p for p, _ in units}.union(pivots)
+    basis = []
+    for f in [c for c in range(m.ncols) if c not in bound]:
+        vec = {f: ONE}
+        for p, row in reversed(units + [(p, r) for p, r in zip(pivots, ech) if p < f]):
+            t = sum((e * vec[j] for j, e in row.items() if j != p and j in vec), ZERO)
+            vec = {j: row[p] * x for j, x in vec.items()}
+            if t:
+                vec[p] = -t
+        dense = [vec.get(c, ZERO) for c in range(m.ncols)]
+        basis.append(CoeffVector(_normalize_kernel_vector(dense)))
+    return len(units) + len(pivots), sorted([p for p, _ in units] + pivots), basis
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(matrices(), unit_rich_matrices))
+def test_nullspace_is_proportional_to_the_every_pivot_reference(m):
+    ref_rank, ref_pivots, ref_ker = _every_pivot_nullspace(m)
+    assert rank(m) == ref_rank and pivot_columns(m) == ref_pivots
+    ker = nullspace(m)
+    assert len(ker) == len(ref_ker)
+    for a, b in zip(ker, ref_ker):
+        assert [bool(x) for x in a] == [bool(y) for y in b]
+        n = len(a)
+        assert all(a[i] * b[j] == a[j] * b[i] for i in range(n) for j in range(i + 1, n))
+
+
+def test_a_row_the_vector_never_reaches_scales_nothing():
+    # two blocks: the second vector never reaches the first block's row, so
+    # it is not scaled by that row's pivot 1 + q
+    m = M([["1 + q", "2", "0", "0"], ["0", "0", "1 + q", "2"]])
+    assert nullspace(m) == [
+        CoeffVector([L("2"), L("-q - 1"), ZERO, ZERO]),
+        CoeffVector([ZERO, ZERO, L("2*q + 2"), L("-q^2 - 2*q - 1")]),
+    ]
+    # the every-pivot reference carries that factor
+    scaled = CoeffVector([ZERO, ZERO, L("2*q^2 + 4*q + 2"), L("-q^3 - 3*q^2 - 3*q - 1")])
+    assert _every_pivot_nullspace(m)[2][1] == scaled
+
+
+def test_a_row_whose_sum_cancels_is_solved_by_zero():
+    # the vector reaches row 0 in columns 1 and 2, where 2 x_1 + 2 x_2 = 0
+    m = M([["1 + q", "2", "2"], ["0", "1 + q", "1 + q"]])
+    ech, pivots = _echelon(m._rows)
+    solved = list(zip(pivots, ech))
+    partial = _back_substitute({2: ONE}, solved[1:])
+    assert partial.keys() == {1, 2} and sum((ech[0][j] * partial[j] for j in (1, 2)), ZERO) == ZERO
+    # so row 0 sets no x_0 and scales nothing
+    assert _back_substitute({2: ONE}, solved) == partial
+    (v,) = nullspace(m)
+    assert v[0] == ZERO and all(not e for e in m @ v)
+
+
+def _skip_bareiss_rows(vec, solved):
+    """A broken back substitution: every Bareiss row (pivot not 1) is
+    skipped, also where its sum over the vector is nonzero."""
+    return _back_substitute(vec, [(p, row) for p, row in solved if row[p] == ONE])
+
+
+def test_skipping_a_row_with_a_nonzero_sum_breaks_the_kernel(monkeypatch):
+    blocks = M([["1 + q", "2", "0", "0"], ["0", "0", "1 + q", "2"]])
+    cancels = M([["1 + q", "2", "2"], ["0", "1 + q", "1 + q"]])
+    monkeypatch.setattr(exactla, "_back_substitute", _skip_bareiss_rows)
+    for m in (blocks, cancels):
+        assert any(any(m @ v) for v in nullspace(m))
