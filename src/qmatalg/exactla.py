@@ -26,14 +26,14 @@ independent, rank-many of them.  Kernel vectors come from one
 back-substitution loop (_back_substitute), one per free column, last pivot
 first; a row whose sum over the vector is zero sets x_p = 0 and scales
 nothing, so each vector is scaled only by the pivots of the rows it
-reaches.  They are then normalized: divided by the gcd of their integer
-coefficients and by the lowest common power of q, and sign-fixed so the
-first nonzero entry has a positive leading (highest-exponent) coefficient.
-No polynomial gcd is taken beyond that.  Pivoting is deterministic, so
-kernel bases are reproducible for golden tests; they span the same space
-as plain Bareiss would, but the pivot columns may differ, so the individual
-vectors may too (when the free columns coincide, each vector agrees up to
-a Q(q) scalar).
+reaches.  Each is normalized while still sparse and only then expanded to
+full length: divided by the gcd of its integer coefficients and by the
+lowest common power of q, and sign-fixed so the first nonzero entry has a
+positive leading (highest-exponent) coefficient.  No polynomial gcd is
+taken beyond that.  Pivoting is deterministic, so kernel bases are
+reproducible for golden tests; they span the same space as plain Bareiss
+would, but the pivot columns may differ, so the individual vectors may too
+(when the free columns coincide, each vector agrees up to a Q(q) scalar).
 
 A span matrix (columns that are sparse elements of one graded component)
 has one row per key its columns touch, in sorted order (_span_matrix): a
@@ -340,21 +340,20 @@ def pivot_columns(matrix: CoeffMatrix) -> list[int]:
 
 
 def _normalize_kernel_vector(vec):
+    """A nonzero sparse vector {column: LaurentInt} divided by the gcd of
+    its integer coefficients and by q to its lowest exponent, signed so
+    that the entry in its lowest column has a positive leading coefficient."""
     content = 0
     shift = None
-    for v in vec:
+    for v in vec.values():
         for e, c in v.terms.items():
             content = gcd(content, c)
             shift = e if shift is None else min(shift, e)
-    if content == 0:
-        return vec
-    lead = next(v for v in vec if v)
-    sign = 1 if lead.terms[lead.max_exp()] > 0 else -1
-    content *= sign
-    return [
-        LaurentInt._raw({e - shift: c // content for e, c in v.terms.items()})
-        for v in vec
-    ]
+    lead = vec[min(vec)]
+    if lead.terms[lead.max_exp()] < 0:
+        content = -content
+    return {j: LaurentInt._raw({e - shift: c // content for e, c in v.terms.items()})
+            for j, v in vec.items()}
 
 
 def _back_substitute(vec, solved):
@@ -393,7 +392,6 @@ def nullspace(matrix: CoeffMatrix) -> list[CoeffVector]:
     for f in range(matrix.ncols):
         if f in bound:
             continue
-        vec = _back_substitute({f: ONE}, solved)
-        dense = [vec.get(c, ZERO) for c in range(matrix.ncols)]
-        basis.append(CoeffVector(_normalize_kernel_vector(dense)))
+        vec = _normalize_kernel_vector(_back_substitute({f: ONE}, solved))
+        basis.append(CoeffVector([vec.get(c, ZERO) for c in range(matrix.ncols)]))
     return basis

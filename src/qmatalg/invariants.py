@@ -40,6 +40,7 @@ from .qalgebra import (
     NCElement,
     _add_word_products,
     _index_parity,
+    _map_coefficients,
     _q_power_of_index,
     _sign,
     _unresolved_overlaps,
@@ -591,20 +592,14 @@ def classical_limit(e: NCElement) -> NCElement:
 
 
 def classical_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:
-    """The q = 1 degeneration of a presentation.
+    """The q = 1 degeneration of a presentation: its rules with every
+    coefficient evaluated at q = 1, a term that vanishes there dropped.
 
     Rule tails all carry a factor of q - q^{-1}, so the surviving rules are
     plain supercommutation swaps (and squares of odd generators still
     vanish); the rewriting engine applies unchanged.
     """
-    rules = {}
-    for key, rhs in pres.rules.items():
-        terms = []
-        for c, w in rhs:
-            c1 = c.eval_q1()
-            if c1:
-                terms.append((LaurentInt.from_int(c1), w))
-        rules[key] = tuple(terms)
+    rules = _map_coefficients(pres.rules, lambda c: LaurentInt.from_int(c.eval_q1()))
     return AlgebraPresentation(pres.kind, pres.params, pres.generators, rules)
 
 

@@ -178,8 +178,9 @@ class LaurentInt:
     __rmul__ = __mul__
 
     def bar(self):
-        """The bar involution q -> q^-1."""
-        return LaurentInt._raw({-e: c for e, c in self.terms.items()})
+        """The bar involution q -> q^-1.  It lists the exponents in reverse,
+        so a dict stored in ascending (or descending) order stays so."""
+        return LaurentInt._raw({-e: c for e, c in reversed(self.terms.items())})
 
     def eval_q1(self):
         """Evaluate at q = 1 (an exact ring homomorphism to Z)."""

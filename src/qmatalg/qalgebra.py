@@ -4,7 +4,8 @@ Four presentations are supported, each on doubly indexed generators with a
 Z_2-grading read off the index parities:
 
   * M       t_{ab}:  q-deformed matrix coordinates,
-  * Mbar    tb_{ab}: the dual-side deformation (inverted q constants),
+  * Mbar    tb_{ab}: the dual-side deformation, the bar image of M
+            (q -> q^-1 on every rule coefficient),
   * Mtilde  tt_{ab}: the variant whose plain/corrected swap cases trade
             places with those of M,
   * P       T_{ai} and Tb_{bj}: the braided product of an M on rows
@@ -197,12 +198,12 @@ def _family_generators(tag, nrows, even_rows, ncols, even_cols):
 def _matrix_family_rules(gens, offset, even_rows, even_cols, kind):
     """Oriented rules among the generators of one matrix family.
 
-    kind selects the constants: "M" and "Mb" differ by inverting q_c, q_a
-    and negating the correction tail; "Mt" swaps which mixed-index case
-    gets the (q - q^-1) correction.
+    kind is "M" or "Mt".  The two differ in the same-row constant, q_a for
+    M and q_a^-1 for Mtilde, and in which mixed-index case gets the
+    (q - q^-1) correction: both row and column descending for M, row
+    ascending and column descending for Mtilde.  Mbar's rules are the bar
+    image of M's (_map_coefficients).
     """
-    col_sign = -1 if kind == "Mb" else 1
-    row_sign = 1 if kind == "M" else -1
     rules = {}
     index = {(g.row, g.col): offset + i for i, g in enumerate(gens)}
     for i, g in enumerate(gens):
@@ -216,35 +217,35 @@ def _matrix_family_rules(gens, offset, even_rows, even_cols, kind):
             rp = _index_parity(g.row, even_rows)
             hp = _index_parity(h.row, even_rows)
             cp = _index_parity(g.col, even_cols)
-            hcp = _index_parity(h.col, even_cols)
             swap = (hj, gi)
             if g.col == h.col:
-                coeff = eps * _q_power_of_index(cp, col_sign)
-                rules[(gi, hj)] = ((coeff, swap),)
+                rhs = ((eps * _q_power_of_index(cp, 1), swap),)
             elif g.row == h.row:
-                coeff = eps * _q_power_of_index(rp, row_sign)
-                rules[(gi, hj)] = ((coeff, swap),)
-            elif g.row > h.row:
-                # both row and col strictly descending
-                if kind == "Mt":
-                    rules[(gi, hj)] = ((eps * ONE, swap),)
-                else:
-                    tail_sign = _sign(rp * h.parity + hp * hcp)
-                    tail = (index[(h.row, g.col)], index[(g.row, h.col)])
-                    tc = tail_sign * Q_MINUS_QINV
-                    if kind == "Mb":
-                        tc = -tc
-                    rules[(gi, hj)] = ((eps * ONE, swap), (tc, tail))
+                rhs = ((eps * _q_power_of_index(rp, 1 if kind == "M" else -1), swap),)
+            elif kind == "M" and g.row > h.row:
+                tail_sign = _sign(rp * h.parity + hp * _index_parity(h.col, even_cols))
+                tail = (index[(h.row, g.col)], index[(g.row, h.col)])
+                rhs = ((eps * ONE, swap), (tail_sign * Q_MINUS_QINV, tail))
+            elif kind == "Mt" and g.row < h.row:
+                tail_sign = _sign(hp * g.parity + rp * cp)
+                tail = (index[(g.row, h.col)], index[(h.row, g.col)])
+                rhs = ((eps * ONE, swap), (-(eps * tail_sign) * Q_MINUS_QINV, tail))
             else:
-                # row ascending, col descending
-                if kind == "Mt":
-                    tail_sign = _sign(hp * g.parity + rp * cp)
-                    tail = (index[(g.row, h.col)], index[(h.row, g.col)])
-                    tc = -(eps * tail_sign) * Q_MINUS_QINV
-                    rules[(gi, hj)] = ((eps * ONE, swap), (tc, tail))
-                else:
-                    rules[(gi, hj)] = ((eps * ONE, swap),)
+                rhs = ((eps * ONE, swap),)
+            rules[(gi, hj)] = rhs
     return rules
+
+
+def _map_coefficients(rules, f):
+    """rules with f applied to every coefficient, keys and terms in the
+    same order; a term that f sends to zero is dropped.  The bar image
+    (f = LaurentInt.bar) gives Mbar's rules from M's, and the q = 1
+    evaluation gives a presentation's classical degeneration."""
+    out = {}
+    for key, rhs in rules.items():
+        terms = ((f(c), w) for c, w in rhs)
+        out[key] = tuple((c, w) for c, w in terms if c)
+    return out
 
 
 def _check_ranges(kind, *pairs):
@@ -264,7 +265,8 @@ def presentation_M(k, l, r, s):
 def presentation_Mbar(k, l, r, s):
     _check_ranges("Mbar", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("Tb", k + l, k, r + s, r)
-    return AlgebraPresentation("Mbar", (k, l, r, s), gens, _matrix_family_rules(gens, 0, k, r, "Mb"))
+    rules = _map_coefficients(_matrix_family_rules(gens, 0, k, r, "M"), LaurentInt.bar)
+    return AlgebraPresentation("Mbar", (k, l, r, s), gens, rules)
 
 
 @lru_cache(maxsize=1)
@@ -288,7 +290,7 @@ def presentation_P(k, l, r, s, m, n):
     gens = tgens + bgens
     nt = len(tgens)
     rules = _matrix_family_rules(tgens, 0, k, m, "M")
-    rules.update(_matrix_family_rules(bgens, nt, r, m, "Mb"))
+    rules.update(_map_coefficients(_matrix_family_rules(bgens, nt, r, m, "M"), LaurentInt.bar))
     t_index = {(g.row, g.col): i for i, g in enumerate(tgens)}
     b_index = {(g.row, g.col): nt + i for i, g in enumerate(bgens)}
     for bi, gb in enumerate(bgens):

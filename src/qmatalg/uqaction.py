@@ -13,8 +13,9 @@ _act_word, the one word-action helper, which unrolls the coproduct over its
 letters through _unroll, the one place the formula is written out.  Every
 action of one generator (act and so is_invariant, invariant_subspace, the
 operator matrices) reads the letter images from one table per presentation,
-built on first use into its private _letter_images slot, which only
-_letter_table reads; the table lives and dies with its presentation.
+kept in its private _letter_images slot; _letter_entries is the one reader,
+which builds an entry on first use, and the table lives and dies with its
+presentation.
 invariant_subspace returns the invariants of a graded component as sparse
 NCElements, each on the zero-weight words of one row sector; it unrolls
 over the two halves of each word.
@@ -223,24 +224,24 @@ def _unroll(x, word, parts):
     return out
 
 
-def _letter_table(x, pres):
-    """pres's table of x's letter images, which maps a letter id to its
-    _letter_entry under x; _act_word fills it on first use, and it is
-    dropped with pres."""
-    return pres._letter_images.setdefault(x, {})
-
-
-def _act_word(x, word, pres):
-    """Raw action of x on one word, a fresh {word: {exponent: int}} dict,
-    not normalized: _unroll over its letters, read from x's letter table."""
-    table = _letter_table(x, pres)
+def _letter_entries(x, word, pres):
+    """The _letter_entry of each letter of word under x, read from pres's
+    table of x's letter images and built into it on first use; the table
+    is dropped with pres."""
+    table = pres._letter_images.setdefault(x, {})
     parts = []
     for gid in word:
         entry = table.get(gid)
         if entry is None:
             entry = table[gid] = _letter_entry(x, gid, pres)
         parts.append(entry)
-    return _unroll(x, word, parts)
+    return parts
+
+
+def _act_word(x, word, pres):
+    """Raw action of x on one word, a fresh {word: {exponent: int}} dict,
+    not normalized: _unroll over its letters."""
+    return _unroll(x, word, _letter_entries(x, word, pres))
 
 
 def act(x, e, pres):
@@ -315,15 +316,14 @@ def invariant_subspace(pres, bidegree):
         for v in by_weight.get(tuple(-c for c in wt), ()):
             sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
     # per E, each half that occurs in some pair as a part for _unroll, its
-    # K-exponent and parity read from the letter table
+    # K-exponent and parity summed over its letter entries
     halves = dict.fromkeys(h for pairs in sectors.values() for pair in pairs for h in pair)
     images = []
     for x in egens:
-        table = _letter_table(x, pres)
         part = {}
         for h in halves:
-            img = normal_form(_act_word(x, h, pres), pres).terms
-            letters = [table[g] for g in h]
+            letters = _letter_entries(x, h, pres)
+            img = normal_form(_unroll(x, h, letters), pres).terms
             part[h] = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
                        tuple((w, c.terms) for w, c in img.items()))
         images.append((x, part))

@@ -16,6 +16,7 @@ supports and are proportional to its vectors.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -27,7 +28,6 @@ from qmatalg.exactla import (
     CoeffVector,
     _back_substitute,
     _echelon,
-    _normalize_kernel_vector,
     _unit_phase,
     nullspace,
     pivot_columns,
@@ -334,6 +334,27 @@ def _reference_unit_phase(rows):
         units.append((p, row))
 
 
+def _normalize_dense(vec):
+    """A full-length kernel vector, normalized as nullspace does it: divided
+    by the gcd of its integer coefficients and by q to its lowest exponent,
+    signed by the first nonzero entry's leading coefficient."""
+    content = 0
+    shift = None
+    for v in vec:
+        for e, c in v.terms.items():
+            content = gcd(content, c)
+            shift = e if shift is None else min(shift, e)
+    if content == 0:
+        return vec
+    lead = next(v for v in vec if v)
+    sign = 1 if lead.terms[lead.max_exp()] > 0 else -1
+    content *= sign
+    return [
+        LaurentInt._raw({e - shift: c // content for e, c in v.terms.items()})
+        for v in vec
+    ]
+
+
 def _reference_nullspace(m):
     """Kernel basis through the reference unit rows, lifted in pivot order:
     a Gauss-Jordan unit row holds no other pivot column, so any order reads
@@ -348,7 +369,7 @@ def _reference_nullspace(m):
         for p, row in units:
             vec[p] = -sum((e * vec[j] for j, e in row.items() if j != p and j in vec), ZERO)
         dense = [vec.get(c, ZERO) for c in range(m.ncols)]
-        basis.append(CoeffVector(_normalize_kernel_vector(dense)))
+        basis.append(CoeffVector(_normalize_dense(dense)))
     return basis
 
 
@@ -379,6 +400,16 @@ def test_a_unit_row_keeps_a_later_pivot_column():
     assert len(ker) == 2
     for v in ker:
         assert all(not e for e in m @ v)
+
+
+def test_the_sign_comes_from_the_lowest_column():
+    # the free column 1 enters the sparse vector before the pivot column 0,
+    # whose entry -q^2 fixes the sign: the first key would flip it
+    m = M([["q", "q^3"]])
+    vec = _back_substitute({1: ONE}, exactla._eliminate(m))
+    assert list(vec.items()) == [(1, ONE), (0, L("-q^2"))]
+    assert nullspace(m) == [CoeffVector([Q * Q, -ONE])]
+    assert nullspace(m) == _reference_nullspace(m)
 
 
 def test_fill_in_reaches_the_column_index():
@@ -480,7 +511,7 @@ def _dense_nullspace(m):
                 if j != p and vec[j]:
                     t = t + e * vec[j]
             vec[p] = -t
-        basis.append(CoeffVector(_normalize_kernel_vector(vec)))
+        basis.append(CoeffVector(_normalize_dense(vec)))
     return basis
 
 
@@ -524,7 +555,7 @@ def _every_pivot_nullspace(m):
             if t:
                 vec[p] = -t
         dense = [vec.get(c, ZERO) for c in range(m.ncols)]
-        basis.append(CoeffVector(_normalize_kernel_vector(dense)))
+        basis.append(CoeffVector(_normalize_dense(dense)))
     return len(units) + len(pivots), sorted([p for p, _ in units] + pivots), basis
 
 

@@ -202,10 +202,21 @@ def test_relations_M(k, l, r, s):
     _check_matrix_relations(pres, "T", k, r, k + l, r + s, "M")
 
 
-@pytest.mark.parametrize("k,l,r,s", [(1, 1, 1, 1), (2, 1, 1, 2)])
+@pytest.mark.parametrize("k,l,r,s", [(1, 1, 1, 1), (2, 1, 1, 2), (0, 2, 0, 2), (2, 2, 2, 2)])
 def test_relations_Mbar(k, l, r, s):
     pres = presentation_Mbar(k, l, r, s)
     _check_matrix_relations(pres, "Tb", k, r, k + l, r + s, "Mb")
+
+
+@pytest.mark.parametrize("k,l,r,s", [(1, 1, 1, 1), (2, 0, 2, 0)])
+def test_M_rules_on_Tb_generators_fail_the_Mbar_relations(k, l, r, s):
+    # Mbar without the bar: M's rules put on Mbar's generators
+    params = (k, l, r, s)
+    unbarred = AlgebraPresentation(
+        "Mbar", params, presentation_Mbar(*params).generators, presentation_M(*params).rules
+    )
+    with pytest.raises(AssertionError):
+        _check_matrix_relations(unbarred, "Tb", k, r, k + l, r + s, "Mb")
 
 
 @pytest.mark.parametrize("k,l,r,s", [(1, 1, 1, 1), (2, 1, 1, 2)])
@@ -214,7 +225,9 @@ def test_relations_Mtilde(k, l, r, s):
     _check_matrix_relations(pres, "Tt", k, r, k + l, r + s, "Mt")
 
 
-@pytest.mark.parametrize("k,l,r,s,m,n", [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 2, 1), (2, 0, 1, 1, 1, 1)])
+@pytest.mark.parametrize(
+    "k,l,r,s,m,n", [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 2, 1), (2, 0, 1, 1, 1, 1), (1, 2, 2, 1, 2, 2)]
+)
 def test_relations_P(k, l, r, s, m, n):
     pres = presentation_P(k, l, r, s, m, n)
     _check_matrix_relations(pres, "T", k, m, k + l, m + n, "M")

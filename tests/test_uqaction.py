@@ -36,7 +36,7 @@ from qmatalg.uqaction import (
     ChevalleyGen,
     _act_word,
     _action_matrix,
-    _letter_table,
+    _letter_entries,
     _require_P,
     _row_sector,
     _unroll,
@@ -401,18 +401,17 @@ def test_unrolling_over_two_parts_matches_the_letter_by_letter_action():
     words = [w for d1 in range(5) for d2 in range(5 - d1) for w in graded_basis(pres, (d1, d2))]
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
     assert any(x.parity for x in egens)
+
+    def part(x, h):
+        raw = _act_word(x, h, pres)
+        letters = _letter_entries(x, h, pres)
+        return len(h), sum(t[1] for t in letters), sum(t[2] for t in letters), tuple(raw.items())
+
     for x in egens:
-        table = _letter_table(x, pres)
-
-        def part(h):
-            raw = _act_word(x, h, pres)
-            letters = [table[g] for g in h]
-            return len(h), sum(t[1] for t in letters), sum(t[2] for t in letters), tuple(raw.items())
-
         for w in words:
             whole = _act_word(x, w, pres)
             for cut in range(len(w) + 1):
-                assert _unroll(x, w, (part(w[:cut]), part(w[cut:]))) == whole, (x, w, cut)
+                assert _unroll(x, w, (part(x, w[:cut]), part(x, w[cut:]))) == whole, (x, w, cut)
 
 
 def test_an_unbalanced_bidegree_has_no_invariants():
