@@ -252,12 +252,13 @@ def classical_check(params) -> dict:
     and classical_psi must respect every q = 1 tilde rule (homomorphism).
     """
     p = _params(params)
-    k, l, r, s, m, n = p.astuple()
+    k, l, r, s = p.astuple()[:4]
+    # classical psi's context holds the q = 1 degeneration of P
+    cpsi = _context(p.astuple()).classical()
     classical = [classical_presentation(pres) for pres in (
         presentation_M(k, l, r, s), presentation_Mbar(k, l, r, s),
-        presentation_Mtilde(k, l, r, s), presentation_P(k, l, r, s, m, n))]
+        presentation_Mtilde(k, l, r, s))] + [cpsi.p]
     cmt, cp = classical[2:]
-    cpsi = _context(p.astuple()).classical()
     # the q = 1 limit of X_ab with its parity, indexed like the tilde generator t~_ab
     xs = [(x, g.parity) for x, g in zip(cpsi.x_elements, cmt.generators)]
     resolved = [_unresolved_overlaps(c) for c in classical]

@@ -6,9 +6,11 @@ modelled: K_a^{±1} for every column a, and E_{b,b+1} / E_{b+1,b} for
 adjacent column pairs.  Words of generators act by sequential
 application, which is all invariance testing needs.
 
-A letter is acted on by one closed-form rule (act_on_generator): a T letter
-goes to a column of pi(x), unsigned, and a Tb letter to a row of pi(S(x)),
-signed (-1)^([x](1 + [d])) by its target column d.  A word is acted on by
+A letter is acted on by one closed-form rule, _letter_rule, on its column
+alone: a T letter is a vector of the natural module and a Tb letter one of
+its dual, each K_a scales it by q to +-_k_weight, the one place the weight
+(-1)^[a] delta_ac is written, and an E moves it to an adjacent column.
+act_on_generator is its public reader.  A word is acted on by
 _act_word, the one word-action helper, which unrolls the coproduct over its
 letters through _unroll, the one place the formula is written out.  Every
 action of one generator (act and so is_invariant, invariant_subspace, the
@@ -24,15 +26,13 @@ over the two halves of each word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .exactla import CoeffMatrix, _span_matrix, nullspace
-from .laurent import ONE, Q_MINUS_QINV, ZERO, LaurentInt, _mul_into
+from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _mul_into
 from .qalgebra import (
     NCElement,
     _half_bases,
     _index_parity,
-    _q_power_of_index,
     _sign,
     _validate_words,
     graded_basis,
@@ -84,60 +84,10 @@ def chevalley_generators(m, n):
     return out
 
 
-@dataclass(frozen=True)
-class HopfData:
-    counit: int
-    antipode_sign: int
-    antipode_monomial: tuple  # of ChevalleyGen
-
-
-def hopf_data(x):
-    a = x.index
-    ka = ChevalleyGen(K, a, 0)
-    kainv = ChevalleyGen(KINV, a, 0)
-    if x.kind == K:
-        return HopfData(1, 1, (kainv,))
-    if x.kind == KINV:
-        return HopfData(1, 1, (ka,))
-    kb = ChevalleyGen(K, a + 1, 0)
-    kbinv = ChevalleyGen(KINV, a + 1, 0)
-    if x.kind == ERAISE:
-        return HopfData(0, -1, (x, kainv, kb))
-    if x.kind == ELOWER:
-        return HopfData(0, -1, (ka, kbinv, x))
-    raise ValueError(f"unknown generator kind {x.kind!r}")
-
-
-@lru_cache(maxsize=None)
-def pi_matrix(x, m, n):
-    """Vector representation on the column alphabet."""
-    _validate_gen(x, m, n)
-    sz = m + n
-    rows = [[ZERO] * sz for _ in range(sz)]
-    if x.kind in (K, KINV):
-        for i in range(sz):
-            rows[i][i] = ONE
-        a = x.index
-        rows[a - 1][a - 1] = _q_power_of_index(_index_parity(a, m), -1 if x.kind == KINV else 1)
-    elif x.kind == ERAISE:
-        rows[x.index - 1][x.index] = ONE
-    else:
-        rows[x.index][x.index - 1] = ONE
-    return CoeffMatrix(rows)
-
-
-@lru_cache(maxsize=None)
-def pi_antipode_matrix(x, m, n):
-    """pi(S(x)), assembled by multiplying the antipode monomial's matrices."""
-    _validate_gen(x, m, n)
-    hd = hopf_data(x)
-    sz = m + n
-    acc = CoeffMatrix.identity(sz)
-    for factor in hd.antipode_monomial:
-        acc = acc @ pi_matrix(factor, m, n)
-    if hd.antipode_sign < 0:
-        acc = acc.scale(-1)
-    return acc
+def _k_weight(a, c, m):
+    """(-1)^[a] delta_ac: the exponent of q by which K_a scales column c of
+    the natural module, since K_a acts on it by q_a = q^((-1)^[a])."""
+    return _sign(_index_parity(a, m)) if a == c else 0
 
 
 def _require_P(pres):
@@ -146,48 +96,62 @@ def _require_P(pres):
     return pres.params
 
 
-def act_on_generator(x, g, pres):
-    """Action of a single Chevalley generator on one P generator, through
-    its column index: T_ai is a vector of the natural module and Tb_bi one
-    of its dual, so
+def _letter_rule(x, g, m):
+    """What x does to the letter g on its column alone, with q_j = q^((-1)^[j]):
+    (the exponent of q by which x's K-part scales g, g's image under x as
+    (column, coefficient), or None when x is a K or kills g).
 
-        x.T_ai = sum_c pi(x)[c,i] T_ac,
-        x.Tb_bi = sum_d (-1)^([x](1 + [d])) pi(S(x))[i,d] Tb_bd.
+    A T letter is a vector of the natural module.  K_a^{+-1} scales column
+    c by q^(+-_k_weight(a, c)); E_{b,b+1} sends column b+1 to b and
+    E_{b+1,b} column b to b+1, both with coefficient 1.  A Tb letter is one
+    of its dual: the K exponents are negated, E_{b,b+1} sends column b to
+    b+1 with -q_{b+1} and E_{b+1,b} column b+1 to b with
+    -(-1)^[x] q_{b+1}^-1.  An E's K-part is K_b^s K_{b+1}^-s, s = +1 when
+    it raises and -1 when it lowers, as its coproduct reads:
+    Delta(E_{b,b+1}) = E (x) K_b K_{b+1}^-1 + 1 (x) E and
+    Delta(E_{b+1,b}) = E (x) 1 + K_b^-1 K_{b+1} (x) E.
     """
-    k, l, r, s, m, n = _require_P(pres)
+    b, c, dual = x.index, g.col, g.family == "Tb"
+    # s signs x's K exponents, t signs them on g's module: negated on the dual
+    s = 1 if x.kind in (K, ERAISE) else -1
+    t = -s if dual else s
+    if x.kind in (K, KINV):
+        return t * _k_weight(b, c, m), None
+    exp = t * (_k_weight(b, c, m) - _k_weight(b + 1, c, m))
+    src, dst = (b + 1, b) if t > 0 else (b, b + 1)
+    if c != src:
+        return exp, None
+    if not dual:
+        return exp, (dst, ONE)
+    sign = -1 if s > 0 else -_sign(x.parity)
+    return exp, (dst, LaurentInt.q_power(s * _sign(_index_parity(b + 1, m)), sign))
+
+
+def act_on_generator(x, g, pres):
+    """Action of a single Chevalley generator on one P generator g, read
+    from _letter_rule: a K scales g by q to its exponent, an E sends g to
+    its image or kills it."""
+    m, n = _require_P(pres)[4:]
     _validate_gen(x, m, n)
-    cols = range(1, m + n + 1)
-    if g.family == "T":
-        mat = pi_matrix(x, m, n)
-        terms = [(c, e) for c in cols if (e := mat[c - 1, g.col - 1])]
-    else:
-        mat = pi_antipode_matrix(x, m, n)
-        terms = [(d, _sign(x.parity * (1 + _index_parity(d, m))) * e)
-                 for d in cols if (e := mat[g.col - 1, d - 1])]
-    return NCElement([((pres.gen_id(g.family, g.row, c),), e) for c, e in terms])
-
-
-def _k_exponent(a, asign, g, m):
-    """Exponent of q in the K_a-eigenvalue of one letter."""
-    if g.col != a:
-        return 0
-    e = asign * _sign(_index_parity(a, m))
-    return e if g.family == "T" else -e
+    exp, image = _letter_rule(x, g, m)
+    if x.kind in (K, KINV):
+        image = g.col, LaurentInt.q_power(exp)
+    if image is None:
+        return NCElement.zero()
+    col, coeff = image
+    return NCElement.from_word((pres.gen_id(g.family, g.row, col),), coeff)
 
 
 def _letter_entry(x, gid, pres):
     """What x does to one letter, as a part for _unroll: (1, q-exponent of
-    its K-part, parity, image as (word, {exponent: int}) pairs, () for a K)."""
+    its K-part, parity, image as (word, {exponent: int}) pairs), both read
+    from _letter_rule."""
     g = pres.generators[gid]
-    m = pres.params[4]
-    if x.kind in (K, KINV):
-        return 1, _k_exponent(x.index, 1 if x.kind == K else -1, g, m), g.parity, ()
-    # Delta(E_{u,u+1}) = E (x) K_u K_{u+1}^{-1} + 1 (x) E: the letters after
-    # the hit one scale it.  Delta(E_{u+1,u}) = E (x) 1 + K_u^{-1} K_{u+1} (x) E:
-    # the letters before it do.  Both use K_u^s K_{u+1}^-s, s = +1 or -1.
-    s = 1 if x.kind == ERAISE else -1
-    exp = _k_exponent(x.index, s, g, m) + _k_exponent(x.index + 1, -s, g, m)
-    return 1, exp, g.parity, tuple((w, c.terms) for w, c in act_on_generator(x, g, pres).terms.items())
+    exp, image = _letter_rule(x, g, pres.params[4])
+    if image is None:
+        return 1, exp, g.parity, ()
+    col, coeff = image
+    return 1, exp, g.parity, (((pres.gen_id(g.family, g.row, col),), coeff.terms),)
 
 
 def _unroll(x, word, parts):
@@ -377,16 +341,13 @@ def verify_operator_relations(m, n, pres, bidegree):
             if kmat(a) @ kmat(b) != kmat(b) @ kmat(a):
                 r1.append(f"R1: K[{a}] and K[{b}] do not commute")
 
-    def root_sign(a, col):
-        return _sign(_index_parity(a, m)) if a == col else 0
-
     for x in chevalley_generators(m, n):
         if x.kind not in (ERAISE, ELOWER):
             continue
         b = x.index
         lo, hi = (b, b + 1) if x.kind == ERAISE else (b + 1, b)
         for a in range(1, sz + 1):
-            e = root_sign(a, lo) - root_sign(a, hi)
+            e = _k_weight(a, lo, m) - _k_weight(a, hi, m)
             lhs = kmat(a) @ amat[x] @ kinv(a)
             rhs = amat[x].scale(LaurentInt.q_power(e))
             if lhs != rhs:

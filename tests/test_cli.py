@@ -198,11 +198,10 @@ def _flip_classical_rule(kind, index, monkeypatch):
     """Make invariants.classical_presentation flip the sign of the index-th
     nonempty q = 1 rule of the `kind` presentation.
 
-    The memoized q = 1 psi of CLASSICAL_1S is built first, from the real
-    rules, so the flip reaches only the presentations the report builds and
-    never the `_context` cache that later tests share."""
-    invariants._context((1, 1, 1, 1, 1, 1)).classical()
-
+    The report's q = 1 P is the one the memoized q = 1 psi runs over, so a
+    flipped P rule reaches the report only through a `_context` built under
+    the flip; the flip of any other kind reaches only the presentations the
+    report builds itself."""
     def flipped(pres):
         cp = classical_presentation(pres)
         if pres.kind != kind:
@@ -222,8 +221,15 @@ def _cached_classical_P_is_unflipped():
 
 
 def test_a_flipped_classical_P_rule_is_not_supercommutation(monkeypatch, capsys):
-    _flip_classical_rule("P", 0, monkeypatch)
-    code, out, _ = run(CLASSICAL_1S, capsys)
+    # the flipped context is dropped after the flip is undone, so the
+    # `_context` cache that later tests share keeps the real rules
+    invariants._context.cache_clear()
+    try:
+        with monkeypatch.context() as flip:
+            _flip_classical_rule("P", 0, flip)
+            code, out, _ = run(CLASSICAL_1S, capsys)
+    finally:
+        invariants._context.cache_clear()
     assert code == 1
     assert json.loads(out)["checks"]["rules_supercommute_at_q1"] is False
     assert _cached_classical_P_is_unflipped()

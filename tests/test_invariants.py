@@ -144,6 +144,21 @@ def test_each_tuple_builds_its_presentations_once():
         assert constructor.cache_info().currsize <= 1
 
 
+def test_classical_check_degenerates_P_once(monkeypatch):
+    # the report's q = 1 P is classical psi's own, built on a fresh context
+    kinds = []
+    original = invariants.classical_presentation
+
+    def counted(pres):
+        kinds.append(pres.kind)
+        return original(pres)
+
+    monkeypatch.setattr(invariants, "classical_presentation", counted)
+    _context.cache_clear()
+    assert invariants.classical_check((2, 1, 2, 1, 1, 1))["overall_pass"] is True
+    assert sorted(kinds) == sorted(["M", "Mbar", "Mtilde", "P"]), kinds
+
+
 ELEMENT_PARAMS = [(1, 1, 1, 1, 1, 1), (1, 0, 1, 0, 2, 0), (2, 0, 1, 1, 1, 1)]
 
 

@@ -1,17 +1,19 @@
 """Action tests.
 
-The representation matrices are frozen from hand calculations (diagonal
-K's, matrix units for the E's, antipode composites multiplied out on
-paper).  The substantive checks are behavioral: the action must satisfy
-the two-term coproduct rule on random products, send both sides of every
-defining relation to the same normal form, and leave the X elements
-invariant; the Cartan-sector operator identities are verified as exact
-matrix equations on graded components.
+The letter rule is checked against an independent oracle: the vector
+representation's matrices (diagonal K's, matrix units for the E's, and the
+antipode monomials multiplied out), kept here with the parity polynomials
+that read letter images off them, and frozen from hand calculations.  The
+substantive checks are behavioral: the action must satisfy the two-term
+coproduct rule on random products, send both sides of every defining
+relation to the same normal form, and leave the X elements invariant, also
+when the letter rule is mutated; the Cartan-sector operator identities are
+verified as exact matrix equations on graded components.
 """
 
 import sys
 from collections import Counter
-from functools import partial
+from functools import lru_cache, partial
 
 import hypothesis.strategies as st
 import pytest
@@ -19,10 +21,11 @@ from hypothesis import given, settings
 
 from qmatalg import uqaction
 from qmatalg.exactla import CoeffMatrix, nullspace
-from qmatalg.laurent import ONE, LaurentInt, Q, QINV
+from qmatalg.laurent import ONE, ZERO, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
     _index_parity,
+    _q_power_of_index,
     _sign,
     graded_basis,
     multiply,
@@ -33,6 +36,8 @@ from qmatalg.qalgebra import (
 from qmatalg.uqaction import (
     ELOWER,
     ERAISE,
+    K,
+    KINV,
     ChevalleyGen,
     _act_word,
     _action_matrix,
@@ -40,15 +45,13 @@ from qmatalg.uqaction import (
     _require_P,
     _row_sector,
     _unroll,
+    _validate_gen,
     _word_weight,
     act,
     act_on_generator,
     chevalley_generators,
-    hopf_data,
     invariant_subspace,
     is_invariant,
-    pi_antipode_matrix,
-    pi_matrix,
     verify_operator_relations,
 )
 
@@ -94,6 +97,59 @@ def entries(mat):
 
 
 # ----------------------------------------------------------------- matrices
+# The vector representation pi and pi(S(x)), the derivation the closed-form
+# letter rule replaced, kept as the oracle's matrices.
+
+
+def _antipode(x):
+    """(sign, monomial) of S(x): S(K_a) = K_a^-1, S(E_{a,a+1}) =
+    -E_{a,a+1} K_a^-1 K_{a+1}, S(E_{a+1,a}) = -K_a K_{a+1}^-1 E_{a+1,a}."""
+    a = x.index
+    ka = ChevalleyGen(K, a, 0)
+    kainv = ChevalleyGen(KINV, a, 0)
+    if x.kind == K:
+        return 1, (kainv,)
+    if x.kind == KINV:
+        return 1, (ka,)
+    kb = ChevalleyGen(K, a + 1, 0)
+    kbinv = ChevalleyGen(KINV, a + 1, 0)
+    if x.kind == ERAISE:
+        return -1, (x, kainv, kb)
+    if x.kind == ELOWER:
+        return -1, (ka, kbinv, x)
+    raise ValueError(f"unknown generator kind {x.kind!r}")
+
+
+@lru_cache(maxsize=None)
+def pi_matrix(x, m, n):
+    """Vector representation on the column alphabet."""
+    _validate_gen(x, m, n)
+    sz = m + n
+    rows = [[ZERO] * sz for _ in range(sz)]
+    if x.kind in (K, KINV):
+        for i in range(sz):
+            rows[i][i] = ONE
+        a = x.index
+        rows[a - 1][a - 1] = _q_power_of_index(_index_parity(a, m), -1 if x.kind == KINV else 1)
+    elif x.kind == ERAISE:
+        rows[x.index - 1][x.index] = ONE
+    else:
+        rows[x.index][x.index - 1] = ONE
+    return CoeffMatrix(rows)
+
+
+@lru_cache(maxsize=None)
+def pi_antipode_matrix(x, m, n):
+    """pi(S(x)), assembled by multiplying the antipode monomial's matrices."""
+    _validate_gen(x, m, n)
+    sign, monomial = _antipode(x)
+    sz = m + n
+    acc = CoeffMatrix.identity(sz)
+    for factor in monomial:
+        acc = acc @ pi_matrix(factor, m, n)
+    if sign < 0:
+        acc = acc.scale(-1)
+    return acc
 
 
 def test_pi_matrix_frozen():
@@ -102,31 +158,36 @@ def test_pi_matrix_frozen():
     assert entries(pi_matrix(KI(1), 1, 1)) == [["q^-1", "0"], ["0", "1"]]
     assert entries(pi_matrix(E("Eraise", 1, 1), 1, 1)) == [["0", "1"], ["0", "0"]]
     assert entries(pi_matrix(E("Elower", 1, 1), 1, 1)) == [["0", "0"], ["1", "0"]]
-
-
-def test_pi_matrix_errors():
-    with pytest.raises(ValueError):
-        pi_matrix(KA(3), 1, 1)
-    with pytest.raises(ValueError):
-        pi_matrix(E("Eraise", 2, 1), 1, 1)
-    with pytest.raises(ValueError):
-        # parity says the boundary index, alphabet says otherwise
-        pi_matrix(ChevalleyGen("Eraise", 1, 1), 2, 0)
-
-
-def test_pi_antipode_frozen():
-    for a in (1, 2):
-        assert entries(pi_antipode_matrix(KA(a), 1, 1)) == entries(pi_matrix(KI(a), 1, 1))
-        assert entries(pi_antipode_matrix(KI(a), 1, 1)) == entries(pi_matrix(KA(a), 1, 1))
     assert entries(pi_antipode_matrix(E("Eraise", 1, 2), 2, 0)) == [["0", "-q"], ["0", "0"]]
     assert entries(pi_antipode_matrix(E("Elower", 1, 1), 1, 1)) == [["0", "0"], ["-q", "0"]]
 
 
-def test_hopf_counit():
-    assert hopf_data(KA(1)).counit == 1
-    assert hopf_data(KI(2)).counit == 1
-    assert hopf_data(E("Eraise", 1, 1)).counit == 0
-    assert hopf_data(E("Elower", 1, 1)).counit == 0
+def test_pi_matrix_errors():
+    g = P11.generators[0]
+    with pytest.raises(ValueError):
+        act_on_generator(KA(3), g, P11)
+    with pytest.raises(ValueError):
+        act_on_generator(E("Eraise", 2, 1), g, P11)
+    with pytest.raises(ValueError):
+        # parity says the boundary index, alphabet says otherwise
+        act_on_generator(ChevalleyGen("Eraise", 1, 1), P20.generators[0], P20)
+
+
+def test_pi_antipode_frozen():
+    # a Tb letter is a vector of the dual module: K_a scales column a by
+    # q_a^-1, and the E's move it against the T letters' direction
+    def image(x, pres, col, to):
+        g = pres.generators[pres.gen_id("Tb", 1, col)]
+        return str(act_on_generator(x, g, pres).terms[(pres.gen_id("Tb", 1, to),)])
+
+    assert [image(KA(a), P11, a, a) for a in (1, 2)] == ["q^-1", "q"]
+    assert [image(KI(a), P11, a, a) for a in (1, 2)] == ["q", "q^-1"]
+    assert [image(KA(1), P11, 2, 2), image(KI(2), P11, 1, 1)] == ["1", "1"]
+    assert image(E("Eraise", 1, 2), P20, 1, 2) == "-q"
+    assert image(E("Elower", 1, 2), P20, 2, 1) == "-q^-1"
+    assert image(E("Eraise", 1, 1), P11, 1, 2) == "-q^-1"
+    # the odd E[2,1] picks up (-1)^[x] on top of -q_2^-1 = -q
+    assert image(E("Elower", 1, 1), P11, 2, 1) == "q"
 
 
 def test_counit_on_identity():
@@ -186,12 +247,11 @@ def _reference_act_on_generator(x, g, pres):
     return NCElement(terms)
 
 
-def test_act_on_generator_matches_the_parity_polynomial_oracle():
-    # every generator on every letter of every tuple of the grid: T letters
-    # take no sign, Tb letters (-1)^([x](1 + [d])), with the same terms in
-    # the same order as the parity polynomials give
+def _oracle_counts(tuples):
+    """(pairs, images): every generator on every letter of every tuple, each
+    letter image with the same terms in the same order as the oracle's."""
     pairs = images = 0
-    for params in PARAM_GRID:
+    for params in tuples:
         pres = presentation_P.__wrapped__(*params)
         for x in chevalley_generators(*params[4:]):
             for g in pres.generators:
@@ -200,7 +260,15 @@ def test_act_on_generator_matches_the_parity_polynomial_oracle():
                 assert list(got.terms.items()) == list(want.terms.items()), (params, x, g)
                 pairs += 1
                 images += len(want.terms)
-    assert (pairs, images) == (44928, 33408)
+    return pairs, images
+
+
+def test_act_on_generator_matches_the_parity_polynomial_oracle():
+    # T letters take no sign, Tb letters (-1)^([x](1 + [d])) on pi(S(x));
+    # the grid's alphabets have at most four columns, the three tuples past
+    # it five columns with the odd E at b = 3 and b = 2, and three odd ones
+    assert _oracle_counts(PARAM_GRID) == (44928, 33408)
+    assert _oracle_counts([(1, 1, 1, 1, 3, 2), (1, 1, 1, 1, 2, 3), (1, 1, 1, 1, 0, 3)]) == (840, 552)
 
 
 def test_act_requires_P():
@@ -304,6 +372,41 @@ def test_X_elements_invariant():
             assert is_invariant(build_X(a, b, P11), P11)
     assert is_invariant(build_X(1, 1, P22), P22)
     assert is_invariant(build_X(2, 1, P22), P22)
+
+
+def _drop_the_raising_minus(x, g, exp, image):
+    if image and g.family == "Tb" and x.kind == ERAISE:
+        image = image[0], -image[1]
+    return exp, image
+
+
+def _drop_the_lowering_parity_sign(x, g, exp, image):
+    if image and g.family == "Tb" and x.kind == ELOWER and x.parity:
+        image = image[0], -image[1]
+    return exp, image
+
+
+def _unnegate_the_dual_k_exponent(x, g, exp, image):
+    return (-exp if g.family == "Tb" else exp), image
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_drop_the_raising_minus, _drop_the_lowering_parity_sign, _unnegate_the_dual_k_exponent],
+    ids=["raising-Tb-sign", "lowering-Tb-parity-sign", "Tb-K-exponent"],
+)
+def test_invariance_catches_a_mutated_letter_rule(mutate, monkeypatch):
+    # C03's check itself, not only the oracle, rejects a wrong letter rule;
+    # (1,1,1,1,1,1) has the odd E[2,1], without which the parity-sign
+    # mutant is invisible.  Each presentation is built here, bypassing the
+    # constructor's cache, so no letter table filled earlier hides the mutant
+    rows = [(a, b) for a in (1, 2) for b in (1, 2)]
+    pres = presentation_P.__wrapped__(1, 1, 1, 1, 1, 1)
+    assert all(is_invariant(build_X(a, b, pres), pres) for a, b in rows)
+    original = uqaction._letter_rule
+    monkeypatch.setattr(uqaction, "_letter_rule", lambda x, g, m: mutate(x, g, *original(x, g, m)))
+    pres = presentation_P.__wrapped__(1, 1, 1, 1, 1, 1)
+    assert not all(is_invariant(build_X(a, b, pres), pres) for a, b in rows)
 
 
 def test_products_of_invariants_invariant():
