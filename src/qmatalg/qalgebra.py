@@ -144,9 +144,9 @@ def _sign(exponent):
 class AlgebraPresentation:
     """Immutable generator table plus oriented rewrite rules.
 
-    _letter_images belongs to uqaction: its letter images under each
-    Chevalley generator, built on first use and kept as long as the
-    presentation is.
+    _letter_images belongs to uqaction: the parts of letters and half-words
+    (what each Chevalley generator does to them), built on first use and
+    kept as long as the presentation is.
     """
 
     __slots__ = ("kind", "params", "generators", "rules", "_grid", "_swaps", "_by_index",

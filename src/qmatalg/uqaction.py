@@ -10,22 +10,23 @@ A letter is acted on by one closed-form rule, _letter_rule, on its column
 alone: a T letter is a vector of the natural module and a Tb letter one of
 its dual, each K_a scales it by q to +-_k_weight, the one place the weight
 (-1)^[a] delta_ac is written, and an E moves it to an adjacent column.
-act_on_generator is its public reader.  A word is acted on by
-_act_word, the one word-action helper, which unrolls the coproduct over its
-letters through _unroll, the one place the formula is written out.  Every
-action of one generator (act and so is_invariant, invariant_subspace, the
-operator matrices) reads the letter images from one table per presentation,
-kept in its private _letter_images slot; _letter_entries is the one reader,
-which builds an entry on first use, and the table lives and dies with its
-presentation.
+act_on_generator is its public reader, act on the one-letter element.
+_part gives what a generator does to a normal word of one family, a letter
+or a half-word of P, as a part for _unroll, the one place the coproduct is
+written out.  The parts live in one table per presentation, kept in its
+private _letter_images slot: _part builds each on first use, and the table
+lives and dies with its presentation.  Every action of one generator reads
+it: _act_word, the one word-action helper of act and so of is_invariant,
+unrolls over its letters' parts; invariant_subspace and the operator
+matrices of verify_operator_relations unroll each normal word u.v of a
+graded component over the parts of its two halves.
 invariant_subspace returns the invariants of a graded component as sparse
-NCElements, each on the zero-weight words of one row sector; it unrolls
-over the two halves of each word.
+NCElements, each on the zero-weight words of one row sector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exactla import CoeffMatrix, _span_matrix, nullspace
 from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _mul_into
@@ -35,15 +36,16 @@ from .qalgebra import (
     _index_parity,
     _sign,
     _validate_words,
-    graded_basis,
     normal_form,
 )
 
 K, KINV, ERAISE, ELOWER = "K", "Kinv", "Eraise", "Elower"
 
 
-@dataclass(frozen=True)
-class ChevalleyGen:
+class ChevalleyGen(NamedTuple):
+    """A tuple, so that hashing and comparing it, once per part read from a
+    presentation's table, run in C."""
+
     kind: str  # one of K, Kinv, Eraise, Elower
     index: int  # a for K_a^{±1}; b for E_{b,b+1} and E_{b+1,b}
     parity: int
@@ -128,30 +130,11 @@ def _letter_rule(x, g, m):
 
 
 def act_on_generator(x, g, pres):
-    """Action of a single Chevalley generator on one P generator g, read
-    from _letter_rule: a K scales g by q to its exponent, an E sends g to
-    its image or kills it."""
-    m, n = _require_P(pres)[4:]
-    _validate_gen(x, m, n)
-    exp, image = _letter_rule(x, g, m)
-    if x.kind in (K, KINV):
-        image = g.col, LaurentInt.q_power(exp)
-    if image is None:
-        return NCElement.zero()
-    col, coeff = image
-    return NCElement.from_word((pres.gen_id(g.family, g.row, col),), coeff)
-
-
-def _letter_entry(x, gid, pres):
-    """What x does to one letter, as a part for _unroll: (1, q-exponent of
-    its K-part, parity, image as (word, {exponent: int}) pairs), both read
-    from _letter_rule."""
-    g = pres.generators[gid]
-    exp, image = _letter_rule(x, g, pres.params[4])
-    if image is None:
-        return 1, exp, g.parity, ()
-    col, coeff = image
-    return 1, exp, g.parity, (((pres.gen_id(g.family, g.row, col),), coeff.terms),)
+    """Action of a single Chevalley generator on one P generator g: act on
+    the one-letter element.  g must be a letter of pres."""
+    if g not in pres.generators:
+        raise ValueError(f"{g} is not a generator of {pres.kind}{pres.params}")
+    return act(x, NCElement.from_word((pres.generators.index(g),)), pres)
 
 
 def _unroll(x, word, parts):
@@ -188,24 +171,35 @@ def _unroll(x, word, parts):
     return out
 
 
-def _letter_entries(x, word, pres):
-    """The _letter_entry of each letter of word under x, read from pres's
-    table of x's letter images and built into it on first use; the table
-    is dropped with pres."""
-    table = pres._letter_images.setdefault(x, {})
-    parts = []
-    for gid in word:
-        entry = table.get(gid)
-        if entry is None:
-            entry = table[gid] = _letter_entry(x, gid, pres)
-        parts.append(entry)
-    return parts
+def _part(x, h, pres):
+    """What x does to h, a normal word of one family, as a part for
+    _unroll: (length, q-exponent of its K-part, parity, image as (word,
+    {exponent: int}) pairs).  A letter (gid,) reads _letter_rule; a longer
+    word is unrolled over its letters' parts and normalized.  Each part is
+    read from pres's table of x's parts and built into it on first use; the
+    table is dropped with pres."""
+    try:
+        return pres._letter_images[x][h]
+    except KeyError:
+        pass
+    if len(h) == 1:
+        g = pres.generators[h[0]]
+        exp, image = _letter_rule(x, g, pres.params[4])
+        img = () if image is None else (((pres.gen_id(g.family, g.row, image[0]),), image[1].terms),)
+        part = 1, exp, g.parity, img
+    else:
+        letters = [_part(x, (gid,), pres) for gid in h]
+        img = normal_form(_unroll(x, h, letters), pres).terms
+        part = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
+                tuple((w, c.terms) for w, c in img.items()))
+    pres._letter_images.setdefault(x, {})[h] = part
+    return part
 
 
 def _act_word(x, word, pres):
     """Raw action of x on one word, a fresh {word: {exponent: int}} dict,
-    not normalized: _unroll over its letters."""
-    return _unroll(x, word, _letter_entries(x, word, pres))
+    not normalized: _unroll over its letters' parts."""
+    return _unroll(x, word, [_part(x, (gid,), pres) for gid in word])
 
 
 def act(x, e, pres):
@@ -264,9 +258,9 @@ def invariant_subspace(pres, bidegree):
     none.  A column is _unroll over the two parts u and v.  No rule
     rewrites a T before a Tb, and the T-rules and Tb-rules keep their
     family, so the normal form of E(u).v is NF(E(u)).v and that of u.E(v)
-    is u.NF(E(v)).  Each half is therefore acted on and normalized once
-    per E, and a part's image is that normal form; the u'.v and u.v'
-    words never collide, since E moves the weight of the T part.
+    is u.NF(E(v)).  A half's part therefore holds that normal form, and
+    the column is normal as it stands; the u'.v and u.v' words never
+    collide, since E moves the weight of the T part.
     """
     k, l, r, s, m, n = _require_P(pres)
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
@@ -279,18 +273,6 @@ def invariant_subspace(pres, bidegree):
         wt = _word_weight(u, pres, m, n)
         for v in by_weight.get(tuple(-c for c in wt), ()):
             sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
-    # per E, each half that occurs in some pair as a part for _unroll, its
-    # K-exponent and parity summed over its letter entries
-    halves = dict.fromkeys(h for pairs in sectors.values() for pair in pairs for h in pair)
-    images = []
-    for x in egens:
-        part = {}
-        for h in halves:
-            letters = _letter_entries(x, h, pres)
-            img = normal_form(_unroll(x, h, letters), pres).terms
-            part[h] = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
-                       tuple((w, c.terms) for w, c in img.items()))
-        images.append((x, part))
     out = []
     for key in sorted(sectors):
         domain = sectors[key]
@@ -300,8 +282,8 @@ def invariant_subspace(pres, bidegree):
         cols = []
         for u, v in domain:
             col = {}
-            for e, (x, part) in enumerate(images):
-                for w, c in _unroll(x, u + v, (part[u], part[v])).items():
+            for e, x in enumerate(egens):
+                for w, c in _unroll(x, u + v, (_part(x, u, pres), _part(x, v, pres))).items():
                     col[e, w] = LaurentInt._raw(c)
             cols.append(col)
         for vec in nullspace(_span_matrix(cols)):
@@ -309,10 +291,16 @@ def invariant_subspace(pres, bidegree):
     return out
 
 
-def _action_matrix(x, pres, basis):
+def _action_matrix(x, pres, bidegree):
+    """x on the bidegree component of P, in graded_basis order: column u.v
+    is _unroll over the parts of its halves, normal as it stands (see
+    invariant_subspace)."""
     _validate_gen(x, *_require_P(pres)[4:])
-    images = [normal_form(_act_word(x, w, pres), pres).terms for w in basis]
-    return CoeffMatrix.from_columns(images, basis)
+    twords, bwords = _half_bases(pres, bidegree)
+    images = [{w: LaurentInt._raw(c) for w, c in
+               _unroll(x, u + v, (_part(x, u, pres), _part(x, v, pres))).items()}
+              for u in twords for v in bwords]
+    return CoeffMatrix.from_columns(images, [u + v for u in twords for v in bwords])
 
 
 def verify_operator_relations(m, n, pres, bidegree):
@@ -327,12 +315,12 @@ def verify_operator_relations(m, n, pres, bidegree):
     pk, pl, pr, ps, pm, pn = _require_P(pres)
     if (pm, pn) != (m, n):
         raise ValueError(f"presentation has column alphabet ({pm},{pn}), not ({m},{n})")
-    basis = graded_basis(pres, bidegree)
     sz = m + n
-    amat = {x: _action_matrix(x, pres, basis) for x in chevalley_generators(m, n)}
+    amat = {x: _action_matrix(x, pres, bidegree) for x in chevalley_generators(m, n)}
     kmat = lambda a: amat[ChevalleyGen(K, a, 0)]
     kinv = lambda a: amat[ChevalleyGen(KINV, a, 0)]
-    ident = CoeffMatrix.identity(len(basis))
+    dim = kmat(1).nrows
+    ident = CoeffMatrix.identity(dim)
     r1, r2, r3 = [], [], []
     for a in range(1, sz + 1):
         if kmat(a) @ kinv(a) != ident:
@@ -362,17 +350,17 @@ def verify_operator_relations(m, n, pres, bidegree):
             bracket = amat[ea] @ amat[fb] - (amat[fb] @ amat[ea]).scale(sign)
             lhs = bracket.scale(qa_minus)
             if a == b:
-                rhs = kmat(a) @ kinv(a + 1) - kinv(a) @ kmat(a + 1)
+                ok = lhs == kmat(a) @ kinv(a + 1) - kinv(a) @ kmat(a + 1)
             else:
-                rhs = CoeffMatrix.zeros(len(basis), len(basis))
-            if lhs != rhs:
+                ok = lhs.is_zero()
+            if not ok:
                 r3.append(f"R3: [E[{a},{a + 1}], E[{b + 1},{b}]] mismatch")
     failures = r1 + r2 + r3
     return {
         "m": m,
         "n": n,
         "bidegree": list(bidegree),
-        "component_dim": len(basis),
+        "component_dim": dim,
         "checks": {"R1": not r1, "R2": not r2, "R3": not r3},
         "failures": failures,
         "pass": not failures,

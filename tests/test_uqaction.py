@@ -8,7 +8,8 @@ substantive checks are behavioral: the action must satisfy the two-term
 coproduct rule on random products, send both sides of every defining
 relation to the same normal form, and leave the X elements invariant, also
 when the letter rule is mutated; the Cartan-sector operator identities are
-verified as exact matrix equations on graded components.
+verified as exact matrix equations on graded components, whose matrices,
+unrolled over half-words, must equal the letter-by-letter construction.
 """
 
 import sys
@@ -24,6 +25,7 @@ from qmatalg.exactla import CoeffMatrix, nullspace
 from qmatalg.laurent import ONE, ZERO, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
+    _half_bases,
     _index_parity,
     _q_power_of_index,
     _sign,
@@ -31,6 +33,7 @@ from qmatalg.qalgebra import (
     multiply,
     normal_form,
     presentation_M,
+    presentation_Mtilde,
     presentation_P,
 )
 from qmatalg.uqaction import (
@@ -41,7 +44,7 @@ from qmatalg.uqaction import (
     ChevalleyGen,
     _act_word,
     _action_matrix,
-    _letter_entries,
+    _part,
     _require_P,
     _row_sector,
     _unroll,
@@ -171,6 +174,19 @@ def test_pi_matrix_errors():
     with pytest.raises(ValueError):
         # parity says the boundary index, alphabet says otherwise
         act_on_generator(ChevalleyGen("Eraise", 1, 1), P20.generators[0], P20)
+
+
+def test_act_on_generator_rejects_a_letter_of_another_presentation():
+    # T[2,2] has no id in P(1,0,1,0,2,0), an Mtilde letter none in any P,
+    # and T[1,1] of P(0,1,0,1,1,0) is odd where P(1,0,1,0,1,0)'s is even
+    p2, p1 = presentation_P.__wrapped__(2, 0, 2, 0, 2, 0), presentation_P(1, 0, 1, 0, 2, 0)
+    tt = presentation_Mtilde(1, 0, 1, 0).generators[0]
+    odd = presentation_P.__wrapped__(0, 1, 0, 1, 1, 0).generators[0]
+    cases = [(KA(1), p2.generators[p2.gen_id("T", 2, 2)], p1), (E("Eraise", 1, 2), tt, p1),
+             (E("Elower", 1, 2), tt, p1), (KA(1), odd, presentation_P(1, 0, 1, 0, 1, 0))]
+    for x, g, pres in cases:
+        with pytest.raises(ValueError, match="is not a generator of P"):
+            act_on_generator(x, g, pres)
 
 
 def test_pi_antipode_frozen():
@@ -507,7 +523,7 @@ def test_unrolling_over_two_parts_matches_the_letter_by_letter_action():
 
     def part(x, h):
         raw = _act_word(x, h, pres)
-        letters = _letter_entries(x, h, pres)
+        letters = [_part(x, (gid,), pres) for gid in h]
         return len(h), sum(t[1] for t in letters), sum(t[2] for t in letters), tuple(raw.items())
 
     for x in egens:
@@ -568,8 +584,8 @@ def test_operator_relations_reject_a_mutated_matrix(target, mutate, checks, monk
     assert verify_operator_relations(2, 1, pres, (1, 1))["pass"]
     original = uqaction._action_matrix
 
-    def mutated(x, pres, basis):
-        mat = original(x, pres, basis)
+    def mutated(x, pres, bidegree):
+        mat = original(x, pres, bidegree)
         return mutate(mat) if x == target else mat
 
     monkeypatch.setattr(uqaction, "_action_matrix", mutated)
@@ -578,31 +594,50 @@ def test_operator_relations_reject_a_mutated_matrix(target, mutate, checks, monk
     assert rep["pass"] is False and rep["failures"]
 
 
-# ------------------------------------------------ per-presentation letter table
+def test_operator_relations_bracket_raising_and_lowering_es_of_different_roots(monkeypatch):
+    # with E[1,2] acting as E[2,3], its bracket with E[3,2] is a Cartan
+    # element, not zero, so the a != b case of R3 must report it
+    pres = presentation_P(1, 1, 1, 1, 2, 1)
+    original = uqaction._action_matrix
+    swap = {E("Eraise", 1, 2): E("Eraise", 2, 2)}
+    monkeypatch.setattr(uqaction, "_action_matrix",
+                        lambda x, pres, bidegree: original(swap.get(x, x), pres, bidegree))
+    rep = verify_operator_relations(2, 1, pres, (1, 1))
+    assert "R3: [E[1,2], E[3,2]] mismatch" in rep["failures"]
 
 
-def test_each_letter_image_is_built_once_per_presentation(monkeypatch):
+# ------------------------------------------------- per-presentation part table
+
+
+def test_each_part_is_built_once_per_presentation(monkeypatch):
     # the module-level presentations' tables are filled by earlier tests,
     # so this counts on presentations built here, bypassing the
-    # constructor's cache; two of them, each with its own table
+    # constructor's cache; two of them, each with its own table.  A call
+    # that finds no part for its word in the table builds one
     built = Counter()
-    original = uqaction._letter_entry
+    original = uqaction._part
 
-    def counted(x, gid, pres):
-        built[x, gid, id(pres)] += 1
-        return original(x, gid, pres)
+    def counted(x, h, pres):
+        if h not in pres._letter_images.get(x, {}):
+            built[x, h, id(pres)] += 1
+        return original(x, h, pres)
 
-    monkeypatch.setattr(uqaction, "_letter_entry", counted)
+    monkeypatch.setattr(uqaction, "_part", counted)
     fresh = [presentation_P.__wrapped__(1, 1, 1, 1, 2, 2) for _ in range(2)]
     gens = chevalley_generators(2, 2)
+    egens = [x for x in gens if x.kind in (ERAISE, ELOWER)]
+    parts = lambda pres: {(x, h) for x, h, p in built if p == id(pres)}
     for pres in fresh:
+        letters = [(g,) for g in range(pres.ngens)]
+        twords, bwords = _half_bases(pres, (2, 2))
         first = invariant_subspace(pres, (2, 2))
         assert first and invariant_subspace(pres, (2, 2)) == first
-        basis = graded_basis(pres, (1, 1))
-        for x in gens:
-            images = [act(x, NCElement.from_word(w), pres).terms for w in basis]
-            assert _action_matrix(x, pres, basis) == CoeffMatrix.from_columns(images, basis)
-        assert sum(1 for *_, p in built if p == id(pres)) == len(gens) * pres.ngens
+        assert parts(pres) == {(x, h) for x in egens for h in letters + twords + bwords}
+        # the matrices at (2, 1) add the K's and reuse the E-parts of the T-words
+        assert verify_operator_relations(2, 2, pres, (2, 1))["pass"]
+        assert parts(pres) == ({(x, h) for x in egens for h in bwords}
+                           | {(x, h) for x in gens for h in letters + twords})
+        assert parts(pres) == {(x, h) for x, table in pres._letter_images.items() for h in table}
     assert set(built.values()) == {1}
 
 
@@ -614,10 +649,25 @@ def test_the_letter_table_keeps_no_presentation_alive():
     assert sys.getrefcount(pres) == before
 
 
+# the letter-by-letter construction of the operator matrices that the
+# half-word one replaced, kept as its oracle
+def _reference_action_matrix(x, pres, bidegree):
+    basis = graded_basis(pres, bidegree)
+    images = [normal_form(_act_word(x, w, pres), pres).terms for w in basis]
+    return CoeffMatrix.from_columns(images, basis)
+
+
 def test_action_matrix_matches_act_on_each_basis_word():
-    for pres in (P11, P22):
-        m, n = pres.params[4:]
-        basis = graded_basis(pres, (1, 1))
-        for x in chevalley_generators(m, n):
-            images = [act(x, NCElement.from_word(w), pres).terms for w in basis]
-            assert _action_matrix(x, pres, basis) == CoeffMatrix.from_columns(images, basis)
+    # every generator, K's and odd E's included, on every component of
+    # total degree at most 3; the two five-column tuples put the odd E at b = 3 and b = 2
+    tuples = PARAM_GRID[::7] + [(1, 1, 1, 1, 3, 2), (1, 1, 1, 1, 2, 3)]
+    odd = dims = 0
+    for params in tuples:
+        pres = presentation_P(*params)
+        for x in chevalley_generators(*params[4:]):
+            odd += x.parity
+            for bidegree in [(d1, d2) for d1 in range(4) for d2 in range(4 - d1)]:
+                want = _reference_action_matrix(x, pres, bidegree)
+                assert _action_matrix(x, pres, bidegree) == want, (params, x, bidegree)
+                dims += want.nrows
+    assert odd and dims
