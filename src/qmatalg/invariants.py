@@ -2,6 +2,10 @@
 verification of the two fundamental theorems of invariant theory for the
 quantum supermatrix pair.
 
+Every entry point takes the six sizes (k,l,r,s,m,n) as any sequence;
+`_params` validates them into the plain 6-tuple that the rest of the layer
+unpacks and that keys psi's context.
+
 `build_X` produces the invariant elements X_ab inside the mixed presentation
 P; `psi` substitutes X_ab for the generator t~_ab of the tilde presentation.
 Each graded component is a finite free module over the Laurent ring, so the
@@ -28,7 +32,6 @@ X's (`_Context.classical()`), and `classical_psi` sits next to `psi`;
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
@@ -57,41 +60,24 @@ from .qalgebra import (
 from .uqaction import invariant_subspace
 
 
-@dataclass(frozen=True)
-class InvariantParams:
-    """Size data (k,l,r,s,m,n) of the three index alphabets.
+def _params(params) -> tuple:
+    """Size data (k,l,r,s,m,n) of the three index alphabets, validated and
+    returned as a plain 6-tuple.
 
     Rows of the first family live in I_{k|l}, rows of the second in I_{r|s},
-    and the shared column alphabet is I_{m|n}.  Each pair must sum to at
-    least one.
+    and the shared column alphabet is I_{m|n}.  Each size is a nonnegative
+    integer (a bool is not one), and each pair must sum to at least one.
     """
-
-    k: int
-    l: int
-    r: int
-    s: int
-    m: int
-    n: int
-
-    def __post_init__(self):
-        for name in ("k", "l", "r", "s", "m", "n"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
-        if self.k + self.l < 1 or self.r + self.s < 1 or self.m + self.n < 1:
-            raise ValueError("each of the pairs (k,l), (r,s), (m,n) must sum to >= 1")
-
-    def astuple(self):
-        return (self.k, self.l, self.r, self.s, self.m, self.n)
-
-
-def _params(params) -> InvariantParams:
-    if isinstance(params, InvariantParams):
-        return params
     values = tuple(params)
     if len(values) != 6:
         raise ValueError(f"expected 6 parameters (k,l,r,s,m,n), got {len(values)}")
-    return InvariantParams(*values)
+    for name, v in zip("klrsmn", values):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+    k, l, r, s, m, n = values
+    if k + l < 1 or r + s < 1 or m + n < 1:
+        raise ValueError("each of the pairs (k,l), (r,s), (m,n) must sum to >= 1")
+    return values
 
 
 def _x_elements(mt, p):
@@ -180,11 +166,12 @@ def build_X(a, b, params) -> NCElement:
     row alphabet I_{r|s}; the parity of X_ab is [a] + [b].
     """
     p = _params(params)
-    if not (isinstance(a, int) and 1 <= a <= p.k + p.l):
-        raise ValueError(f"row index a={a!r} not in 1..{p.k + p.l}")
-    if not (isinstance(b, int) and 1 <= b <= p.r + p.s):
-        raise ValueError(f"row index b={b!r} not in 1..{p.r + p.s}")
-    ctx = _context(p.astuple())
+    k, l, r, s = p[:4]
+    if not (isinstance(a, int) and 1 <= a <= k + l):
+        raise ValueError(f"row index a={a!r} not in 1..{k + l}")
+    if not (isinstance(b, int) and 1 <= b <= r + s):
+        raise ValueError(f"row index b={b!r} not in 1..{r + s}")
+    ctx = _context(p)
     return ctx.x_elements[ctx.mt.gen_id("Tt", a, b)]
 
 
@@ -196,7 +183,7 @@ def psi(e: NCElement, params) -> NCElement:
     rejected.  That psi respects the defining relations is a verified fact
     (verify_X_relations), not an assumption of this routine.
     """
-    ctx = _context(_params(params).astuple())
+    ctx = _context(_params(params))
     return ctx.image_of(e)
 
 
@@ -210,7 +197,7 @@ def classical_psi(e: NCElement, params) -> NCElement:
     the same (k,l,r,s) share.  That the map respects the q = 1 tilde rules
     is checked by `qmatalg classical`, not assumed here.
     """
-    return _context(_params(params).astuple()).classical().image_of(e)
+    return _context(_params(params)).classical().image_of(e)
 
 
 def _rules_hold(rules, image):
@@ -252,9 +239,9 @@ def classical_check(params) -> dict:
     and classical_psi must respect every q = 1 tilde rule (homomorphism).
     """
     p = _params(params)
-    k, l, r, s = p.astuple()[:4]
+    k, l, r, s = p[:4]
     # classical psi's context holds the q = 1 degeneration of P
-    cpsi = _context(p.astuple()).classical()
+    cpsi = _context(p).classical()
     classical = [classical_presentation(pres) for pres in (
         presentation_M(k, l, r, s), presentation_Mbar(k, l, r, s),
         presentation_Mtilde(k, l, r, s))] + [cpsi.p]
@@ -269,7 +256,7 @@ def classical_check(params) -> dict:
         "homomorphism": _rules_hold(cmt.rules, cpsi.word_image),
     }
     return {
-        "params": list(p.astuple()),
+        "params": list(p),
         "overlaps": sum(count for count, _ in resolved),
         "tilde_rules": len(cmt.rules),
         "checks": checks,
@@ -311,10 +298,9 @@ def verify_X_relations(params) -> bool:
     two factors, which `_supercommute` applies.  Returns True only if every
     instance over the full index ranges holds.
     """
-    p = _params(params)
-    ctx = _context(p.astuple())
+    k, l, r, s, m, n = p = _params(params)
+    ctx = _context(p)
     pres = ctx.p
-    k, l, r, s, m, n = p.astuple()
     if not _rules_hold(ctx.mt.rules, ctx.word_image):
         return False
 
@@ -386,7 +372,7 @@ def _degree_record(p, N, dim_ker, ok, dim_inv=None, dim_img=None, ideal_dim=None
     """The report record of degree N, with the hook-shape prediction
     dim_pred for dim_ker; the degree passes when ok holds and dim_ker
     equals dim_pred."""
-    dim_pred = kernel_dim_prediction(*p.astuple(), N)
+    dim_pred = kernel_dim_prediction(*p, N)
     return {"N": N, "dim_inv": dim_inv, "dim_img": dim_img, "dim_ker": dim_ker,
             "dim_pred": dim_pred, "ideal_dim": ideal_dim, "pass": ok and dim_ker == dim_pred}
 
@@ -411,7 +397,7 @@ def fft_check(params, max_degree) -> dict:
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     p = _params(params)
-    ctx = _context(p.astuple())
+    ctx = _context(p)
     degrees = []
     for N in range(max_degree + 1):
         dom, images = _psi_columns(ctx, N)
@@ -435,7 +421,7 @@ def fft_check(params, max_degree) -> dict:
         rec["pass"] for rec in unbalanced
     )
     return {
-        "params": list(p.astuple()),
+        "params": list(p),
         "degrees": degrees,
         "unbalanced": unbalanced,
         "overall_pass": overall,
@@ -453,7 +439,7 @@ def kernel_psi_basis(params, degree) -> list:
     p = _params(params)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
-    _, images = _psi_columns(_context(p.astuple()), degree)
+    _, images = _psi_columns(_context(p), degree)
     return nullspace(_span_matrix(images))
 
 
@@ -462,11 +448,11 @@ def _critical_minors(p):
     increasing rows.  They generate the kernel of psi when rows and columns
     are all even (l = s = n = 0) and m < min(k, r); an odd row can repeat
     in a nonzero minor, and those minors are missing here."""
-    size = p.m + 1
+    k, l, r, s, m, _ = p
     return [
         quantum_minor(rows, tuple(reversed(cols)), "Mtilde", p)
-        for rows in combinations(range(1, p.k + p.l + 1), size)
-        for cols in combinations(range(1, p.r + p.s + 1), size)
+        for rows in combinations(range(1, k + l + 1), m + 1)
+        for cols in combinations(range(1, r + s + 1), m + 1)
     ]
 
 
@@ -484,13 +470,13 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
-    p = _params(params)
-    if minor_ideal and not (p.l == p.s == p.n == 0 and p.m < min(p.k, p.r)):
+    k, l, r, s, m, n = p = _params(params)
+    if minor_ideal and not (l == s == n == 0 and m < min(k, r)):
         raise ValueError(
             "the minor-ideal check requires rows and columns all even "
             "(l = s = n = 0) and m < min(k, r)"
         )
-    ctx = _context(p.astuple())
+    ctx = _context(p)
     ideal = None
     if minor_ideal:
         minors = _critical_minors(p)
@@ -504,7 +490,7 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
         ok = ideal is None or (in_kernel and ideal_dim == dim_ker)
         degrees.append(_degree_record(p, N, dim_ker, ok, ideal_dim=ideal_dim))
     return {
-        "params": list(p.astuple()),
+        "params": list(p),
         "degrees": degrees,
         "overall_pass": all(rec["pass"] for rec in degrees),
     }
@@ -517,16 +503,16 @@ def quantum_minor(rows, cols, target, params) -> NCElement:
     strictly increasing, "Mtilde" wants strictly increasing rows against
     strictly decreasing columns.  The result is normalized.
     """
-    p = _params(params)
+    k, l, r, s = _params(params)[:4]
     rows = tuple(rows)
     cols = tuple(cols)
     if target == "M":
-        pres = presentation_M(p.k, p.l, p.r, p.s)
+        pres = presentation_M(k, l, r, s)
         tag = "T"
         cols_ok = all(x < y for x, y in zip(cols, cols[1:]))
         col_rule = "strictly increasing"
     elif target == "Mtilde":
-        pres = presentation_Mtilde(p.k, p.l, p.r, p.s)
+        pres = presentation_Mtilde(k, l, r, s)
         tag = "Tt"
         cols_ok = all(x > y for x, y in zip(cols, cols[1:]))
         col_rule = "strictly decreasing"

@@ -47,16 +47,18 @@ This module imports only laurent; hookcomb checks its basis counts.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from .laurent import (_MONOMIAL, ONE, Q_MINUS_QINV, LaurentInt, _add_into, _add_scaled,
                       _add_term, _mul_into, format_laurent, parse_laurent)
 
 
-@dataclass(frozen=True)
-class GenIndex:
+class GenIndex(NamedTuple):
+    """A tuple, equal to the plain tuple of its fields, so that
+    uqaction.act_on_generator accepts ("T", a, i, parity) for T[a,i]."""
+
     family: str  # text tag: "T", "Tb" or "Tt"
     row: int
     col: int

@@ -281,10 +281,16 @@ def test_no_subcommand_takes_a_seed(argv, capsys):
 
 
 def test_invalid_params_exit_2(capsys):
-    code, _, err = run(["sft", "-k", "0", "-l", "0", "-r", "1", "-s", "1",
-                        "-m", "1", "-n", "0", "-N", "1"], capsys)
-    assert code == 2
-    assert err != ""
+    # one table over the invariants commands: each bad size tuple exits 2,
+    # prints nothing on stdout and names the fault on stderr
+    cases = [
+        (["-k", "0", "-l", "0"], "each of the pairs (k,l), (r,s), (m,n) must sum to >= 1"),
+        (["-k", "-1", "-l", "1"], "k must be a nonnegative integer, got -1"),
+    ]
+    for command in ("fft", "sft", "classical"):
+        for sizes, message in cases:
+            code, out, err = run([command, *sizes, "-r", "1", "-s", "1", "-m", "1"], capsys)
+            assert (command, code, out, err) == (command, 2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -18,12 +18,13 @@ from qmatalg import invariants
 from qmatalg.exactla import CoeffMatrix, _span_matrix, nullspace, pivot_columns, rank
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
-    InvariantParams,
     _context,
     _critical_minors,
+    _params,
     _psi_columns,
     _span_dim,
     build_X,
+    classical_check,
     classical_limit,
     classical_presentation,
     classical_psi,
@@ -73,15 +74,20 @@ def pres_pair(params):
 
 
 def test_params_validation():
-    assert InvariantParams(1, 0, 1, 0, 1, 0).astuple() == (1, 0, 1, 0, 1, 0)
+    assert _params([1, 0, 1, 0, 1, 0]) == (1, 0, 1, 0, 1, 0)
     with pytest.raises(ValueError):
-        InvariantParams(0, 0, 1, 1, 1, 1)
+        _params((0, 0, 1, 1, 1, 1))
     with pytest.raises(ValueError):
-        InvariantParams(1, 1, 1, 1, 0, 0)
+        _params((1, 1, 1, 1, 0, 0))
     with pytest.raises(ValueError):
-        InvariantParams(1, 1, 1, 1, -1, 2)
+        _params((1, 1, 1, 1, -1, 2))
     with pytest.raises(ValueError):
         build_X(1, 1, (1, 1, 1, 1))
+    # a bool is an int to Python, but not a size
+    with pytest.raises(ValueError, match="^k must be a nonnegative integer, got True$"):
+        fft_check((True, 0, 1, 0, 1, 0), 1)
+    with pytest.raises(ValueError, match="^m must be a nonnegative integer, got True$"):
+        classical_check((1, 0, 1, 0, True, 0))
 
 
 def test_build_X_frozen():
@@ -367,7 +373,7 @@ def test_untouched_rows_change_neither_kernel_nor_rank():
         CoeffMatrix.from_columns(images + [{("foreign",): ONE}], tgt)
     for params, top in ((PM1, 4), ((3, 0, 3, 0, 1, 0), 3), ((2, 0, 1, 1, 1, 0), 3)):
         mt = _context(params).mt
-        minors = _critical_minors(InvariantParams(*params))
+        minors = _critical_minors(params)
         letters = [NCElement.from_word((x,)) for x in range(mt.ngens)]
         basis = []
         dims = []
@@ -514,7 +520,7 @@ def test_ideal_dims_rejects_a_non_homogeneous_generator():
 )
 def test_ideal_dims_match_the_ugv_span(params, max_degree):
     mt, _ = pres_pair(params)
-    minors = _critical_minors(InvariantParams(*params))
+    minors = _critical_minors(params)
     assert minors
     expected = [_ugv_span_dim(minors, mt, d) for d in range(max_degree + 1)]
     assert any(expected)
@@ -773,5 +779,5 @@ def test_symmetric_group_action_rejects_a_non_permutation():
 
 def test_params_accept_any_six_sequence():
     a = build_X(1, 1, [1, 0, 1, 0, 1, 0])
-    b = build_X(1, 1, InvariantParams(1, 0, 1, 0, 1, 0))
+    b = build_X(1, 1, (1, 0, 1, 0, 1, 0))
     assert a == b

@@ -1,8 +1,13 @@
 """The package's modules form one chain of layers: each module imports only
 modules earlier in LAYERS, and only at its top level, so there is no import
-cycle and no import hidden inside a function."""
+cycle and no import hidden inside a function.  The package itself loads
+no standard module that it does not use: neither dataclasses nor, through
+it, inspect."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import qmatalg
@@ -56,3 +61,11 @@ def test_a_function_level_or_upward_import_is_caught():
         "hookcomb:1 imports hookcomb, which is not below it",
         "hookcomb:1 imports cli, which is not below it",
     ]
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    probe = "import sys, qmatalg; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"

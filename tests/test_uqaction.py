@@ -230,6 +230,8 @@ def test_act_on_generator_frozen():
     assert act_on_generator(KA(2), g("T", 1, 2), P11) == word("T", 1, 2, QINV)
     assert act_on_generator(KA(2), g("Tb", 1, 2), P11) == word("Tb", 1, 2, Q)
     assert act_on_generator(KA(1), g("T", 2, 2), P11) == word("T", 2, 2, ONE)
+    # a generator is the plain tuple of its fields, so that tuple names it too
+    assert act_on_generator(el, ("T", 1, 1, 0), P11) == word("T", 1, 2, ONE)
 
 
 # the parity-polynomial letter rule that act_on_generator's closed form
