@@ -14,10 +14,11 @@ kernel (sft_check, against the hook-shape prediction and, when every row
 and column index is even, the quantum minor ideal) reduce to
 integer ranks of explicit sparse matrices, with one row per word the
 columns touch; kernel_psi_basis gives the kernel vectors themselves.  The
-minor ideal is built degree by degree (ideal_dims): I_N = span(G_N) +
-A_1 I_{N-1} + I_{N-1} A_1, because every u g v with |u| + |v| >= 1 has a
-first or a last letter, and the pivot columns of that span are the basis of
-I_N that the next degree multiplies.
+minor ideal is built degree by degree (ideal_dims): I_N = A_1 I_{N-1} +
+sum_{d <= N} G_d A_{N-d}, because a spanning element u g v either has a
+first letter x, so it is x (u' g v) in A_1 I_{N-1}, or starts with g, so it
+is in G_d A_{N-d}; the pivot columns of that span are the basis of I_N that
+the next degree multiplies on the left.
 Everything is exact: a check passes only if the relevant normal form is
 literally zero or the ranks literally agree.
 
@@ -78,6 +79,13 @@ def _params(params) -> tuple:
     if k + l < 1 or r + s < 1 or m + n < 1:
         raise ValueError("each of the pairs (k,l), (r,s), (m,n) must sum to >= 1")
     return values
+
+
+def _degree(value, name):
+    """Check that the degree argument `name` is a nonnegative integer (a
+    bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _x_elements(mt, p):
@@ -167,9 +175,9 @@ def build_X(a, b, params) -> NCElement:
     """
     p = _params(params)
     k, l, r, s = p[:4]
-    if not (isinstance(a, int) and 1 <= a <= k + l):
+    if isinstance(a, bool) or not (isinstance(a, int) and 1 <= a <= k + l):
         raise ValueError(f"row index a={a!r} not in 1..{k + l}")
-    if not (isinstance(b, int) and 1 <= b <= r + s):
+    if isinstance(b, bool) or not (isinstance(b, int) and 1 <= b <= r + s):
         raise ValueError(f"row index b={b!r} not in 1..{r + s}")
     ctx = _context(p)
     return ctx.x_elements[ctx.mt.gen_id("Tt", a, b)]
@@ -394,8 +402,7 @@ def fft_check(params, max_degree) -> dict:
     column weight, and in an unbalanced bidegree no such pair exists, so it
     has no candidate word to start from.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    _degree(max_degree, "max_degree")
     p = _params(params)
     ctx = _context(p)
     degrees = []
@@ -437,8 +444,7 @@ def kernel_psi_basis(params, degree) -> list:
     back in coordinates over graded_basis of the tilde presentation.
     """
     p = _params(params)
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _degree(degree, "degree")
     _, images = _psi_columns(_context(p), degree)
     return nullspace(_span_matrix(images))
 
@@ -468,8 +474,7 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     proves ideal = kernel only for an ideal inside the kernel, every degree
     also requires psi to send each minor to zero.
     """
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    _degree(max_degree, "max_degree")
     k, l, r, s, m, n = p = _params(params)
     if minor_ideal and not (l == s == n == 0 and m < min(k, r)):
         raise ValueError(
@@ -541,33 +546,38 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
     """Dimensions of the graded pieces 0..max_degree of the two-sided ideal
     generated by the given elements.
 
-    Degree N is spanned by the degree-N generators and by x*b and b*x for
-    each letter x and each basis element b of degree N-1; the pivot columns
-    of that span are the basis handed to degree N+1.  Generators must be
-    homogeneous (zero ones are skipped); only the single-family
+    Degree N is spanned by g*w for each generator g and each normal word w
+    of degree N - deg g, and by x*b for each letter x and each basis
+    element b of degree N-1; the pivot columns of that span are the basis
+    handed to degree N+1.  Each g*w extends the previous degree's g*w[:-1]
+    by its last letter (a prefix of a normal word is normal).  Generators
+    must be homogeneous (zero ones are skipped); only the single-family
     presentations carry the integer grading this uses.
     """
     if pres.kind == "P":
         raise ValueError("ideal components are only computed in single-family presentations")
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
-    by_degree = {}
+    _degree(max_degree, "max_degree")
+    gens = []
     for g in generators:
         g = normal_form(g, pres)
         degrees = {len(w) for w in g.terms}
         if len(degrees) > 1:
             raise ValueError(f"generator {format_element(g, pres)} is not homogeneous")
         if degrees:
-            by_degree.setdefault(degrees.pop(), []).append(g)
+            gens.append((degrees.pop(), g))
     letters = [NCElement.from_word((x,)) for x in range(pres.ngens)]
+    right = {}
     basis = []
     dims = []
     for N in range(max_degree + 1):
-        cols = (
-            by_degree.get(N, [])
-            + [multiply(x, b, pres) for b in basis for x in letters]
-            + [multiply(b, x, pres) for b in basis for x in letters]
-        )
+        previous, right = right, {}
+        for i, (d, g) in enumerate(gens):
+            if d == N:
+                right[i, ()] = g
+            elif d < N:
+                for w in graded_basis(pres, N - d):
+                    right[i, w] = multiply(previous[i, w[:-1]], letters[w[-1]], pres)
+        cols = list(right.values()) + [multiply(x, b, pres) for b in basis for x in letters]
         basis = [cols[j] for j in pivot_columns(_span_matrix([c.terms for c in cols]))]
         dims.append(len(basis))
     return dims

@@ -153,11 +153,13 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
         assert _rule_table(ctx.mt) == _rule_table(presentation_Mtilde.__wrapped__(*t[:4]))
         if ctx._classical is not None:
             assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
-    # fft + sft: recorded from the rewriting before sparse accumulation was
-    # fused; the X relations: recorded when each exchange relation became
-    # one normal form of its difference; classical: recorded when the
-    # supercommutation of the q = 1 X's became one normal form per pair
-    assert phase_steps == [467, 1794, 678]
+    # fft + sft: recorded when ideal_dims began extending each generator's
+    # right multiples by one letter per degree, next to the left multiples
+    # of the previous degree's basis; the X relations: recorded when each
+    # exchange relation became one normal form of its difference;
+    # classical: recorded when the supercommutation of the q = 1 X's became
+    # one normal form per pair
+    assert phase_steps == [436, 1794, 678]
 
     # every later action on a presentation reads its letter tables, so a
     # second round of act must leave them as the first left them

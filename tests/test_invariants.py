@@ -10,6 +10,7 @@ well-definedness of the signed place action are property-tested.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,31 @@ def test_build_X_errors():
     for a, b in [(0, 1), (3, 1), (1, 0), (1, 3)]:
         with pytest.raises(ValueError):
             build_X(a, b, P11)
+    # a bool is an int to Python, but not a row index
+    with pytest.raises(ValueError, match=r"^row index a=True not in 1\.\.2$"):
+        build_X(True, 1, P11)
+    with pytest.raises(ValueError, match=r"^row index b=True not in 1\.\.2$"):
+        build_X(1, True, P11)
+
+
+def test_a_degree_must_be_a_nonnegative_integer():
+    # a bool is an int to Python, but not a degree: fft_check(p, True)
+    # would report degrees 0 and 1
+    mt = presentation_Mtilde(1, 0, 1, 0)
+    p = (1, 0, 1, 0, 1, 0)
+    calls = [
+        ("max_degree", lambda d: fft_check(p, d)),
+        ("max_degree", lambda d: sft_check(p, d)),
+        ("max_degree", lambda d: sft_check(PM1, d, minor_ideal=True)),
+        ("degree", lambda d: kernel_psi_basis(p, d)),
+        ("max_degree", lambda d: ideal_dims([], mt, d)),
+    ]
+    for name, call in calls:
+        for d in (True, False, 1.0, "1", None, -1):
+            message = f"^{name} must be a nonnegative integer, got {re.escape(repr(d))}$"
+            with pytest.raises(ValueError, match=message):
+                call(d)
+        assert call(1) is not None
 
 
 def test_build_X_invariant():
@@ -377,11 +403,14 @@ def test_untouched_rows_change_neither_kernel_nor_rank():
         letters = [NCElement.from_word((x,)) for x in range(mt.ngens)]
         basis = []
         dims = []
+        degree = len(next(iter(minors[0].terms)))
         for N in range(top + 1):
+            # the columns of ideal_dims: each minor times each normal word of
+            # the complementary degree, then each letter times each basis element
+            right = graded_basis(mt, N - degree) if N >= degree else []
             cols = (
-                [g for g in minors if len(next(iter(g.terms))) == N]
+                [multiply(g, NCElement.from_word(w), mt) for g in minors for w in right]
                 + [multiply(x, b, mt) for b in basis for x in letters]
-                + [multiply(b, x, mt) for b in basis for x in letters]
             )
             terms = [c.terms for c in cols]
             pivots = pivot_columns(CoeffMatrix.from_columns(terms, graded_basis(mt, N)))
@@ -546,6 +575,19 @@ def test_ideal_dims_with_mixed_degree_generators():
     expected = [_ugv_span_dim(gens, mt, d) for d in range(6)]
     assert expected == [0, 0, 1, 4, 10, 20]
     assert ideal_dims(gens, mt, 5) == expected
+
+
+def test_ideal_of_the_degree_4_kernel_equals_the_kernel_up_to_degree_6():
+    # with n = 1 the kernel starts in degree 4, where (m+1)(n+1) = 4; being
+    # in the kernel, its degree-4 vectors generate all of it up to degree 6
+    params = (2, 1, 2, 1, 1, 1)
+    mt, _ = pres_pair(params)
+    dom = graded_basis(mt, 4)
+    gens = [NCElement(dict(zip(dom, v))) for v in kernel_psi_basis(params, 4)]
+    assert len(gens) == 16
+    dims = ideal_dims(gens, mt, 6)
+    assert dims == [0, 0, 0, 0, 16, 80, 240]
+    assert dims == [rec["dim_ker"] for rec in sft_check(params, 6)["degrees"]]
 
 
 def test_fft_check_reports():
