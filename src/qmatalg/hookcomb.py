@@ -110,7 +110,8 @@ def _howe_shapes(k: int, l: int, r: int, s: int, size: int, rect=None):
             continue
         if rect is not None and not contains_rectangle(lam, *rect):
             continue
-        yield lam, hook_tableaux_dim(lam, k, l), hook_tableaux_dim(lam, r, s)
+        dl = hook_tableaux_dim(lam, k, l)
+        yield lam, dl, dl if (r, s) == (k, l) else hook_tableaux_dim(lam, r, s)
 
 
 def howe_dim_sum(k: int, l: int, r: int, s: int, size: int) -> int:

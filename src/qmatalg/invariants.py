@@ -14,11 +14,11 @@ kernel (sft_check, against the hook-shape prediction and, when every row
 and column index is even, the quantum minor ideal) reduce to
 integer ranks of explicit sparse matrices, with one row per word the
 columns touch; kernel_psi_basis gives the kernel vectors themselves.  The
-minor ideal is built degree by degree (ideal_dims): I_N = A_1 I_{N-1} +
-sum_{d <= N} G_d A_{N-d}, because a spanning element u g v either has a
-first letter x, so it is x (u' g v) in A_1 I_{N-1}, or starts with g, so it
-is in G_d A_{N-d}; the pivot columns of that span are the basis of I_N that
-the next degree multiplies on the left.
+minor ideal is built degree by degree (ideal_dims) as the right ideal H A
+of a set H that starts as the generators G and gains, in each degree, the
+pivot columns among the left products x h of its elements one degree
+lower.  Every x h then lies in H A, so x (h w) = (x h) w does too: H A is
+closed under left multiplication, hence A G A = H A.
 Everything is exact: a check passes only if the relevant normal form is
 literally zero or the ranks literally agree.
 
@@ -546,40 +546,49 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
     """Dimensions of the graded pieces 0..max_degree of the two-sided ideal
     generated by the given elements.
 
-    Degree N is spanned by g*w for each generator g and each normal word w
-    of degree N - deg g, and by x*b for each letter x and each basis
-    element b of degree N-1; the pivot columns of that span are the basis
-    handed to degree N+1.  Each g*w extends the previous degree's g*w[:-1]
-    by its last letter (a prefix of a normal word is normal).  Generators
-    must be homogeneous (zero ones are skipped); only the single-family
-    presentations carry the integer grading this uses.
+    Degree N is spanned by h*w for each element h of a set H and each normal
+    word w of degree N - deg h, and by x*h for each letter x and each h in H
+    of degree N-1.  H starts as the generators; the pivot columns among the
+    x*h join it in degree N, so every x*h lies in the right ideal H*A and
+    the span is the whole two-sided ideal.  Each h*w extends the previous
+    degree's h*w[:-1] by its last letter (a prefix of a normal word is
+    normal).  Generators must be homogeneous (zero ones are skipped); only
+    the single-family presentations carry the integer grading this uses.
     """
     if pres.kind == "P":
         raise ValueError("ideal components are only computed in single-family presentations")
     _degree(max_degree, "max_degree")
-    gens = []
+    spanning = []
     for g in generators:
         g = normal_form(g, pres)
         degrees = {len(w) for w in g.terms}
         if len(degrees) > 1:
             raise ValueError(f"generator {format_element(g, pres)} is not homogeneous")
         if degrees:
-            gens.append((degrees.pop(), g))
+            spanning.append((degrees.pop(), g))
     letters = [NCElement.from_word((x,)) for x in range(pres.ngens)]
     right = {}
-    basis = []
     dims = []
     for N in range(max_degree + 1):
         previous, right = right, {}
-        for i, (d, g) in enumerate(gens):
+        for i, (d, h) in enumerate(spanning):
             if d == N:
-                right[i, ()] = g
+                right[i, ()] = h
             elif d < N:
                 for w in graded_basis(pres, N - d):
                     right[i, w] = multiply(previous[i, w[:-1]], letters[w[-1]], pres)
-        cols = list(right.values()) + [multiply(x, b, pres) for b in basis for x in letters]
-        basis = [cols[j] for j in pivot_columns(_span_matrix([c.terms for c in cols]))]
-        dims.append(len(basis))
+        # the left products follow the right multiples; a pivot among them
+        # joins H, and its entry in right must not shift their offset
+        offset = len(right)
+        cols = list(right.values()) + [
+            multiply(x, h, pres) for d, h in spanning if d == N - 1 for x in letters
+        ]
+        pivots = pivot_columns(_span_matrix([c.terms for c in cols]))
+        for j in pivots:
+            if j >= offset:
+                right[len(spanning), ()] = cols[j]
+                spanning.append((N, cols[j]))
+        dims.append(len(pivots))
     return dims
 
 

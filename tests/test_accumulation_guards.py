@@ -131,6 +131,8 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     _capture(contexts, (1, 1, 1, 1, 2, 1))
     assert sft_check((2, 0, 2, 0, 1, 0), 4, minor_ideal=True)["overall_pass"] is True
     _capture(contexts, (2, 0, 2, 0, 1, 0))
+    assert sft_check((2, 0, 3, 0, 1, 0), 4, minor_ideal=True)["overall_pass"] is True
+    _capture(contexts, (2, 0, 3, 0, 1, 0))
     phase_done()
     for t in XRELATION_TUPLES:
         assert verify_X_relations(t) is True
@@ -153,13 +155,14 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
         assert _rule_table(ctx.mt) == _rule_table(presentation_Mtilde.__wrapped__(*t[:4]))
         if ctx._classical is not None:
             assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
-    # fft + sft: recorded when ideal_dims began extending each generator's
-    # right multiples by one letter per degree, next to the left multiples
-    # of the previous degree's basis; the X relations: recorded when each
-    # exchange relation became one normal form of its difference;
-    # classical: recorded when the supercommutation of the q = 1 X's became
-    # one normal form per pair
-    assert phase_steps == [436, 1794, 678]
+    # fft + sft: recorded when ideal_dims began spanning each degree by the
+    # right multiples of a left-closed set H, and the (2,0,3,0,1,0) minor
+    # ideal joined the phase (392 without it), so that left products which
+    # join H are watched too; the X relations: recorded when each exchange
+    # relation became one normal form of its difference; classical: recorded
+    # when the supercommutation of the q = 1 X's became one normal form per
+    # pair
+    assert phase_steps == [1133, 1794, 678]
 
     # every later action on a presentation reads its letter tables, so a
     # second round of act must leave them as the first left them

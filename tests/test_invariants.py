@@ -10,6 +10,7 @@ well-definedness of the signed place action are property-tested.
 """
 
 import json
+import random
 import re
 
 import pytest
@@ -401,22 +402,22 @@ def test_untouched_rows_change_neither_kernel_nor_rank():
         mt = _context(params).mt
         minors = _critical_minors(params)
         letters = [NCElement.from_word((x,)) for x in range(mt.ngens)]
-        basis = []
+        spanning = [(len(next(iter(g.terms))), g) for g in minors]
         dims = []
-        degree = len(next(iter(minors[0].terms)))
         for N in range(top + 1):
-            # the columns of ideal_dims: each minor times each normal word of
-            # the complementary degree, then each letter times each basis element
-            right = graded_basis(mt, N - degree) if N >= degree else []
-            cols = (
-                [multiply(g, NCElement.from_word(w), mt) for g in minors for w in right]
-                + [multiply(x, b, mt) for b in basis for x in letters]
-            )
+            # the columns of ideal_dims: each element h of H times each normal
+            # word of degree N - deg h, then each letter times each h of
+            # degree N-1; the pivots among those left products join H
+            right = [
+                multiply(h, NCElement.from_word(w), mt)
+                for d, h in spanning if d <= N for w in graded_basis(mt, N - d)
+            ]
+            cols = right + [multiply(x, h, mt) for d, h in spanning if d == N - 1 for x in letters]
             terms = [c.terms for c in cols]
             pivots = pivot_columns(CoeffMatrix.from_columns(terms, graded_basis(mt, N)))
             assert pivot_columns(_span_matrix(terms)) == pivots
-            basis = [cols[j] for j in pivots]
-            dims.append(len(basis))
+            spanning += [(N, cols[j]) for j in pivots if j >= len(right)]
+            dims.append(len(pivots))
         assert ideal_dims(minors, mt, top) == dims
         assert dims[-1] > 0
 
@@ -565,6 +566,35 @@ def test_ideal_dims_of_one_sided_generators_match_the_ugv_span(pres):
     sym = normal_form(NCElement([((0, 1), ONE), ((1, 0), ONE)]), pres)
     for gens in [[NCElement.from_word((x,))] for x in range(pres.ngens)] + [[sym]]:
         assert ideal_dims(gens, pres, 3) == [_ugv_span_dim(gens, pres, d) for d in range(4)]
+    if (pres.kind, pres.params) == ("M", (2, 1, 1, 1)):
+        # T[1,1] T[3,2]: its own left products are not enough, degree 4
+        # needs a letter times a left product of degree 3
+        gens = [NCElement.from_word((0, 5))]
+        expected = [_ugv_span_dim(gens, pres, d) for d in range(5)]
+        assert expected == [0, 0, 1, 10, 30]
+        assert ideal_dims(gens, pres, 4) == expected
+
+
+def _random_generators(pres, rng):
+    """One to three homogeneous generators of degrees 1 to 3, each a sum of
+    one to three normal words with small Laurent coefficients."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        words = graded_basis(pres, rng.randint(1, 3))
+        terms = rng.sample(words, min(len(words), rng.randint(1, 3)))
+        gens.append(NCElement({w: rng.choice([ONE, -ONE, Q, QINV, Q + ONE]) for w in terms}))
+    return gens
+
+
+@pytest.mark.parametrize("build", [presentation_M, presentation_Mtilde, presentation_Mbar])
+@pytest.mark.parametrize("sizes", [(2, 1, 1, 1), (1, 2, 1, 1)])
+def test_ideal_dims_of_random_mixed_degree_generators_match_the_ugv_span(build, sizes):
+    # several of these sets need H to grow past the generators' own left products
+    pres = build(*sizes)
+    rng = random.Random(f"{pres.kind}{sizes}")
+    for _ in range(3):
+        gens = _random_generators(pres, rng)
+        assert ideal_dims(gens, pres, 4) == [_ugv_span_dim(gens, pres, d) for d in range(5)]
 
 
 def test_ideal_dims_with_mixed_degree_generators():
