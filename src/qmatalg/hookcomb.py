@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .qalgebra import _check_ranges, graded_basis
+from .qalgebra import _check_ranges, _nonnegative_int, graded_basis
 
 
 def _check_sizes(*sizes):
@@ -47,7 +47,6 @@ def enumerate_hook_partitions(k: int, l: int, size: int) -> list[tuple[int, ...]
             prefix.pop()
 
     rec(size, size if size else 0, [])
-    out.sort(reverse=True)
     return out
 
 
@@ -173,8 +172,7 @@ def dims_check(k: int, l: int, r: int, s: int, max_degree: int) -> dict:
     """Degree-by-degree report of the dimension identity: for each size up
     to max_degree, the monomial count of the (k+l) x (r+s) supermatrix grid
     against the Howe sum of emit_dimension_table, with its shapes."""
-    if max_degree < 0:
-        raise ValueError("max_degree must be nonnegative")
+    _nonnegative_int(max_degree, "max_degree")
     _check_ranges("dims", ("rows (k, l)", (k, l)), ("cols (r, s)", (r, s)))
     sizes = []
     for size in range(max_degree + 1):

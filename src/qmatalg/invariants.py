@@ -45,6 +45,7 @@ from .qalgebra import (
     _add_word_products,
     _index_parity,
     _map_coefficients,
+    _nonnegative_int,
     _q_power_of_index,
     _sign,
     _unresolved_overlaps,
@@ -73,19 +74,11 @@ def _params(params) -> tuple:
     if len(values) != 6:
         raise ValueError(f"expected 6 parameters (k,l,r,s,m,n), got {len(values)}")
     for name, v in zip("klrsmn", values):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+        _nonnegative_int(v, name)
     k, l, r, s, m, n = values
     if k + l < 1 or r + s < 1 or m + n < 1:
         raise ValueError("each of the pairs (k,l), (r,s), (m,n) must sum to >= 1")
     return values
-
-
-def _degree(value, name):
-    """Check that the degree argument `name` is a nonnegative integer (a
-    bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 def _x_elements(mt, p):
@@ -402,7 +395,7 @@ def fft_check(params, max_degree) -> dict:
     column weight, and in an unbalanced bidegree no such pair exists, so it
     has no candidate word to start from.
     """
-    _degree(max_degree, "max_degree")
+    _nonnegative_int(max_degree, "max_degree")
     p = _params(params)
     ctx = _context(p)
     degrees = []
@@ -444,7 +437,7 @@ def kernel_psi_basis(params, degree) -> list:
     back in coordinates over graded_basis of the tilde presentation.
     """
     p = _params(params)
-    _degree(degree, "degree")
+    _nonnegative_int(degree, "degree")
     _, images = _psi_columns(_context(p), degree)
     return nullspace(_span_matrix(images))
 
@@ -474,7 +467,7 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     proves ideal = kernel only for an ideal inside the kernel, every degree
     also requires psi to send each minor to zero.
     """
-    _degree(max_degree, "max_degree")
+    _nonnegative_int(max_degree, "max_degree")
     k, l, r, s, m, n = p = _params(params)
     if minor_ideal and not (l == s == n == 0 and m < min(k, r)):
         raise ValueError(
@@ -557,7 +550,7 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
     """
     if pres.kind == "P":
         raise ValueError("ideal components are only computed in single-family presentations")
-    _degree(max_degree, "max_degree")
+    _nonnegative_int(max_degree, "max_degree")
     spanning = []
     for g in generators:
         g = normal_form(g, pres)

@@ -139,6 +139,16 @@ def _q_power_of_index(parity, exponent_sign):
     return LaurentInt.q_power(exponent_sign if parity == 0 else -exponent_sign)
 
 
+def _is_int(v):  # a bool is an int to Python, but not a size or a degree
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _nonnegative_int(value, name):
+    """Check that the size or degree argument `name` is a nonnegative integer."""
+    if not _is_int(value) or value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+
+
 def _sign(exponent):
     return 1 if exponent % 2 == 0 else -1
 
@@ -252,18 +262,20 @@ def _map_coefficients(rules, f):
 
 def _check_ranges(kind, *pairs):
     for label, (even, odd) in pairs:
+        if not (_is_int(even) and _is_int(odd)):
+            raise ValueError(f"{kind}: index range {label} must be two integers, got ({even!r},{odd!r})")
         if even < 0 or odd < 0 or even + odd < 1:
             raise ValueError(f"{kind}: index range {label} must be nonempty, got ({even},{odd})")
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def presentation_M(k, l, r, s):
     _check_ranges("M", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("T", k + l, k, r + s, r)
     return AlgebraPresentation("M", (k, l, r, s), gens, _matrix_family_rules(gens, 0, k, r, "M"))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def presentation_Mbar(k, l, r, s):
     _check_ranges("Mbar", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("Tb", k + l, k, r + s, r)
@@ -271,14 +283,14 @@ def presentation_Mbar(k, l, r, s):
     return AlgebraPresentation("Mbar", (k, l, r, s), gens, rules)
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def presentation_Mtilde(k, l, r, s):
     _check_ranges("Mtilde", ("rows", (k, l)), ("cols", (r, s)))
     gens = _family_generators("Tt", k + l, k, r + s, r)
     return AlgebraPresentation("Mtilde", (k, l, r, s), gens, _matrix_family_rules(gens, 0, k, r, "Mt"))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=1, typed=True)
 def presentation_P(k, l, r, s, m, n):
     """T_{ai} over rows (k,l) and Tb_{bj} over rows (r,s), columns (m,n).
 
@@ -488,9 +500,10 @@ def _normal_words_in(ids, parities, degree):
 def _half_bases(pres, bidegree):
     """The normal T-words of degree d_T and the normal Tb-words of degree
     d_Tb of a P presentation, as two lists in graded_basis order."""
+    if not (isinstance(bidegree, (tuple, list)) and len(bidegree) == 2
+            and all(_is_int(d) and d >= 0 for d in bidegree)):
+        raise ValueError(f"bidegree must be a pair of nonnegative integers, got {bidegree!r}")
     d1, d2 = bidegree
-    if d1 < 0 or d2 < 0:
-        raise ValueError("bidegree components must be nonnegative")
     parities = [g.parity for g in pres.generators]
     nt = sum(1 for g in pres.generators if g.family == "T")
     return (
@@ -506,8 +519,7 @@ def graded_basis(pres, degree):
         twords, bwords = _half_bases(pres, degree)
         return [tw + bw for tw in twords for bw in bwords]
     parities = [g.parity for g in pres.generators]
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
+    _nonnegative_int(degree, "degree")
     return _normal_words_in(range(pres.ngens), parities, degree)
 
 

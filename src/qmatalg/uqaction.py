@@ -17,9 +17,9 @@ written out.  The parts live in one table per presentation, kept in its
 private _letter_images slot: _part builds each on first use, and the table
 lives and dies with its presentation.  Every action of one generator reads
 it: _act_word, the one word-action helper of act and so of is_invariant,
-unrolls over its letters' parts; invariant_subspace and the operator
-matrices of verify_operator_relations unroll each normal word u.v of a
-graded component over the parts of its two halves.
+unrolls over its letters' parts; _image, for invariant_subspace and the
+operator matrices of verify_operator_relations, unrolls a normal word u.v
+of a graded component over the parts of its two halves.
 invariant_subspace returns the invariants of a graded component as sparse
 NCElements, each on the zero-weight words of one row sector.
 """
@@ -196,6 +196,16 @@ def _part(x, h, pres):
     return part
 
 
+def _image(x, u, v, pres):
+    """x on the normal word u.v of P, a T-word u times a Tb-word v, as
+    {word: LaurentInt}: _unroll over the parts of its halves.  It is normal
+    as it stands: no rule rewrites a T before a Tb, and each family's rules
+    stay in that family, so NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) =
+    u.NF(E(v)), the normal forms that a half's part holds."""
+    img = _unroll(x, u + v, (_part(x, u, pres), _part(x, v, pres)))
+    return {w: LaurentInt._raw(c) for w, c in img.items()}
+
+
 def _act_word(x, word, pres):
     """Raw action of x on one word, a fresh {word: {exponent: int}} dict,
     not normalized: _unroll over its letters' parts."""
@@ -255,12 +265,7 @@ def invariant_subspace(pres, bidegree):
     A zero-weight word is a normal T-word u times a normal Tb-word v of
     opposite column weight, so the words come from pairing the T-words and
     the Tb-words of the bidegree by weight; an unbalanced bidegree pairs
-    none.  A column is _unroll over the two parts u and v.  No rule
-    rewrites a T before a Tb, and the T-rules and Tb-rules keep their
-    family, so the normal form of E(u).v is NF(E(u)).v and that of u.E(v)
-    is u.NF(E(v)).  A half's part therefore holds that normal form, and
-    the column is normal as it stands; the u'.v and u.v' words never
-    collide, since E moves the weight of the T part.
+    none.  A column stacks the _image of u.v under each E.
     """
     k, l, r, s, m, n = _require_P(pres)
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
@@ -283,8 +288,8 @@ def invariant_subspace(pres, bidegree):
         for u, v in domain:
             col = {}
             for e, x in enumerate(egens):
-                for w, c in _unroll(x, u + v, (_part(x, u, pres), _part(x, v, pres))).items():
-                    col[e, w] = LaurentInt._raw(c)
+                for w, c in _image(x, u, v, pres).items():
+                    col[e, w] = c
             cols.append(col)
         for vec in nullspace(_span_matrix(cols)):
             out.append(NCElement._raw({u + v: e for (u, v), e in zip(domain, vec) if e}))
@@ -293,18 +298,16 @@ def invariant_subspace(pres, bidegree):
 
 def _action_matrix(x, pres, bidegree):
     """x on the bidegree component of P, in graded_basis order: column u.v
-    is _unroll over the parts of its halves, normal as it stands (see
-    invariant_subspace)."""
+    is its _image."""
     _validate_gen(x, *_require_P(pres)[4:])
     twords, bwords = _half_bases(pres, bidegree)
-    images = [{w: LaurentInt._raw(c) for w, c in
-               _unroll(x, u + v, (_part(x, u, pres), _part(x, v, pres))).items()}
-              for u in twords for v in bwords]
+    images = [_image(x, u, v, pres) for u in twords for v in bwords]
     return CoeffMatrix.from_columns(images, [u + v for u in twords for v in bwords])
 
 
-def verify_operator_relations(m, n, pres, bidegree):
-    """Check the Cartan-sector defining relations as operator identities.
+def verify_operator_relations(pres, bidegree):
+    """Check the Cartan-sector defining relations as operator identities on
+    the bidegree component of pres, whose column alphabet gives (m, n).
 
     R1: the K's are invertible and commute.  R2: conjugating an E by K_a
     rescales it by q to the pairing of the a-th and the E's root weight.
@@ -312,55 +315,49 @@ def verify_operator_relations(m, n, pres, bidegree):
     element; both sides are multiplied by (q_a - q_a^{-1}) so the check
     stays in integer Laurent arithmetic.
     """
-    pk, pl, pr, ps, pm, pn = _require_P(pres)
-    if (pm, pn) != (m, n):
-        raise ValueError(f"presentation has column alphabet ({pm},{pn}), not ({m},{n})")
+    m, n = _require_P(pres)[4:]
     sz = m + n
-    amat = {x: _action_matrix(x, pres, bidegree) for x in chevalley_generators(m, n)}
-    kmat = lambda a: amat[ChevalleyGen(K, a, 0)]
-    kinv = lambda a: amat[ChevalleyGen(KINV, a, 0)]
-    dim = kmat(1).nrows
-    ident = CoeffMatrix.identity(dim)
+    gens = chevalley_generators(m, n)
+    amat = {x: _action_matrix(x, pres, bidegree) for x in gens}
+    kmat = {x.index: amat[x] for x in gens if x.kind == K}
+    kinv = {x.index: amat[x] for x in gens if x.kind == KINV}
+    raising, lowering = ([x for x in gens if x.kind == kind] for kind in (ERAISE, ELOWER))
+    ident = CoeffMatrix.identity(kmat[1].nrows)
     r1, r2, r3 = [], [], []
     for a in range(1, sz + 1):
-        if kmat(a) @ kinv(a) != ident:
+        if kmat[a] @ kinv[a] != ident:
             r1.append(f"R1: K[{a}] K^-1[{a}] != id")
         for b in range(a + 1, sz + 1):
-            if kmat(a) @ kmat(b) != kmat(b) @ kmat(a):
+            if kmat[a] @ kmat[b] != kmat[b] @ kmat[a]:
                 r1.append(f"R1: K[{a}] and K[{b}] do not commute")
-
-    for x in chevalley_generators(m, n):
-        if x.kind not in (ERAISE, ELOWER):
-            continue
+    for x in raising + lowering:
         b = x.index
         lo, hi = (b, b + 1) if x.kind == ERAISE else (b + 1, b)
         for a in range(1, sz + 1):
             e = _k_weight(a, lo, m) - _k_weight(a, hi, m)
-            lhs = kmat(a) @ amat[x] @ kinv(a)
+            lhs = kmat[a] @ amat[x] @ kinv[a]
             rhs = amat[x].scale(LaurentInt.q_power(e))
             if lhs != rhs:
                 r2.append(f"R2: K[{a}] {x} K^-1[{a}] != q^{e} {x}")
-    for a in range(1, sz):
-        ea = ChevalleyGen(ERAISE, a, _expected_parity(ERAISE, a, m))
-        pa = _index_parity(a, m)
-        qa_minus = _sign(pa) * Q_MINUS_QINV
-        for b in range(1, sz):
-            fb = ChevalleyGen(ELOWER, b, _expected_parity(ELOWER, b, m))
+    for ea in raising:
+        a = ea.index
+        qa_minus = _sign(_index_parity(a, m)) * Q_MINUS_QINV
+        for fb in lowering:
             sign = _sign(ea.parity * fb.parity)
             bracket = amat[ea] @ amat[fb] - (amat[fb] @ amat[ea]).scale(sign)
             lhs = bracket.scale(qa_minus)
-            if a == b:
-                ok = lhs == kmat(a) @ kinv(a + 1) - kinv(a) @ kmat(a + 1)
+            if a == fb.index:
+                ok = lhs == kmat[a] @ kinv[a + 1] - kinv[a] @ kmat[a + 1]
             else:
                 ok = lhs.is_zero()
             if not ok:
-                r3.append(f"R3: [E[{a},{a + 1}], E[{b + 1},{b}]] mismatch")
+                r3.append(f"R3: [{ea}, {fb}] mismatch")
     failures = r1 + r2 + r3
     return {
         "m": m,
         "n": n,
         "bidegree": list(bidegree),
-        "component_dim": dim,
+        "component_dim": ident.nrows,
         "checks": {"R1": not r1, "R2": not r2, "R3": not r3},
         "failures": failures,
         "pass": not failures,

@@ -213,9 +213,8 @@ def test_the_other_counters_reject_a_negative_alphabet():
     size=st.integers(0, 6),
 )
 def test_enumeration_matches_oracle(k, l, size):
-    assert set(enumerate_hook_partitions(k, l, size)) == oracle_partitions(
-        k, l, size
-    )
+    # the recursion emits parts largest first: descending lex order, unsorted
+    assert enumerate_hook_partitions(k, l, size) == sorted(oracle_partitions(k, l, size), reverse=True)
 
 
 @given(

@@ -11,13 +11,15 @@ its unsolved orientation, where the left side is often already normal and
 the right side has to collapse onto it.
 """
 
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from qmatalg import qalgebra
 from qmatalg.exactla import CoeffMatrix, rank
-from qmatalg.hookcomb import verify_presentation_flatness
+from qmatalg.hookcomb import dims_check, verify_presentation_flatness
 from qmatalg.invariants import classical_presentation
 from qmatalg.laurent import ONE, Q, QINV, LaurentInt, _add_term
 from qmatalg.qalgebra import (
@@ -39,6 +41,7 @@ from qmatalg.qalgebra import (
     presentation_Mtilde,
     presentation_P,
 )
+from qmatalg.rmat_hecke import hecke_check
 
 QMQI = Q - QINV
 
@@ -375,9 +378,41 @@ def test_flatness_rejects_a_negative_degree():
     for pres in (M11, P1111):
         with pytest.raises(ValueError, match="max_degree"):
             verify_presentation_flatness(pres, -1)
-    # a single-family graded basis has no negative degree either
-    with pytest.raises(ValueError, match="degree must be nonnegative"):
-        graded_basis(presentation_M(1, 0, 1, 0), -1)
+    # a single-family graded basis has no negative degree either, and a bool
+    # is an int to Python, but not a degree: graded_basis(M, True) gave degree 1
+    for degree in (-1, True, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^degree must be a nonnegative integer, got {re.escape(repr(degree))}$"):
+            graded_basis(presentation_M(1, 0, 1, 0), degree)
+
+
+@pytest.mark.parametrize("int_first", [True, False], ids=["int-first", "bool-first"])
+@pytest.mark.parametrize("build, sizes", [
+    (presentation_M, (1, 0, 1, 0)), (presentation_Mbar, (1, 0, 1, 0)),
+    (presentation_Mtilde, (1, 0, 1, 0)), (presentation_P, (1, 0, 1, 0, 1, 0)),
+], ids=["M", "Mbar", "Mtilde", "P"])
+def test_a_bool_size_raises_in_either_call_order(build, sizes, int_first):
+    # True == 1 and hashes like it, so an untyped cache handed the bool call
+    # the int call's presentation, or cached params (True, 0, ...) for both
+    build.cache_clear()
+    bad = (True,) + sizes[1:]
+    if int_first:
+        build(*sizes)
+    with pytest.raises(ValueError, match=re.escape("must be two integers, got (True,0)")):
+        build(*bad)
+    assert build(*sizes).params == sizes
+    assert all(type(v) is int for v in build(*sizes).params)
+
+
+def test_a_non_int_size_raises_value_error():
+    calls = [
+        (lambda: presentation_M(1.5, 0, 1, 0), "M: index range rows must be two integers, got (1.5,0)"),
+        (lambda: hecke_check(True, 0), "V: index range letters must be two integers, got (True,0)"),
+        (lambda: dims_check(True, 1, 1, 1, 1),
+         "dims: index range rows (k, l) must be two integers, got (True,1)"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def _product_span_rank(pres, left_deg, right_deg, target_deg):

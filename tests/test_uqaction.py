@@ -12,6 +12,7 @@ verified as exact matrix equations on graded components, whose matrices,
 unrolled over half-words, must equal the letter-by-letter construction.
 """
 
+import re
 import sys
 from collections import Counter
 from functools import lru_cache, partial
@@ -548,20 +549,28 @@ def test_a_negative_bidegree_raises():
         invariant_subspace(P11, (1, -1))
 
 
+@pytest.mark.parametrize("bidegree", [(1,), (1, 1, 1), 2, None, (True, True), (True, 1),
+                                      (1.0, 1), (1, "1"), (-1, 1)])
+def test_a_bidegree_must_be_a_pair_of_nonnegative_integers(bidegree):
+    # (True, True) gave one invariant, (1.0, 1) raised TypeError and (1,) a
+    # failed unpacking
+    message = f"^bidegree must be a pair of nonnegative integers, got {re.escape(repr(bidegree))}$"
+    for call in (invariant_subspace, verify_operator_relations, graded_basis):
+        with pytest.raises(ValueError, match=message):
+            call(P11, bidegree)
+
+
 def test_operator_relations_reports():
-    rep = verify_operator_relations(1, 1, P11, (1, 1))
-    assert rep["pass"], rep["failures"]
+    rep = verify_operator_relations(P11, (1, 1))
     assert rep["checks"] == {"R1": True, "R2": True, "R3": True}
-    rep = verify_operator_relations(2, 0, P20, (1, 1))
-    assert rep["pass"], rep["failures"]
-    rep = verify_operator_relations(1, 1, P11, (2, 0))
-    assert rep["pass"], rep["failures"]
     # three column letters, so R3 also brackets E's of different roots (a != b)
-    for m, n in [(2, 1), (1, 2)]:
-        rep = verify_operator_relations(m, n, presentation_P(1, 1, 1, 1, m, n), (1, 1))
+    cases = [(P11, (1, 1)), (P20, (1, 1)), (P11, (2, 0)),
+             (presentation_P(1, 1, 1, 1, 2, 1), (1, 1)), (presentation_P(1, 1, 1, 1, 1, 2), (1, 1))]
+    for pres, bidegree in cases:
+        rep = verify_operator_relations(pres, bidegree)
         assert rep["pass"], rep["failures"]
-    with pytest.raises(ValueError):
-        verify_operator_relations(2, 2, P11, (1, 1))
+        # the column alphabet is read from the presentation
+        assert (rep["m"], rep["n"]) == pres.params[4:]
 
 
 # Each mutant of one operator matrix below must fail the relations it breaks,
@@ -583,7 +592,7 @@ def test_operator_relations_reject_a_mutated_matrix(target, mutate, checks, monk
     # adding the identity to E[1,2] leaves R3 intact; scaling E[1,2] by q
     # keeps every K-conjugation but not the bracket
     pres = presentation_P(1, 1, 1, 1, 2, 1)
-    assert verify_operator_relations(2, 1, pres, (1, 1))["pass"]
+    assert verify_operator_relations(pres, (1, 1))["pass"]
     original = uqaction._action_matrix
 
     def mutated(x, pres, bidegree):
@@ -591,7 +600,7 @@ def test_operator_relations_reject_a_mutated_matrix(target, mutate, checks, monk
         return mutate(mat) if x == target else mat
 
     monkeypatch.setattr(uqaction, "_action_matrix", mutated)
-    rep = verify_operator_relations(2, 1, pres, (1, 1))
+    rep = verify_operator_relations(pres, (1, 1))
     assert rep["checks"] == checks
     assert rep["pass"] is False and rep["failures"]
 
@@ -604,7 +613,7 @@ def test_operator_relations_bracket_raising_and_lowering_es_of_different_roots(m
     swap = {E("Eraise", 1, 2): E("Eraise", 2, 2)}
     monkeypatch.setattr(uqaction, "_action_matrix",
                         lambda x, pres, bidegree: original(swap.get(x, x), pres, bidegree))
-    rep = verify_operator_relations(2, 1, pres, (1, 1))
+    rep = verify_operator_relations(pres, (1, 1))
     assert "R3: [E[1,2], E[3,2]] mismatch" in rep["failures"]
 
 
@@ -636,7 +645,7 @@ def test_each_part_is_built_once_per_presentation(monkeypatch):
         assert first and invariant_subspace(pres, (2, 2)) == first
         assert parts(pres) == {(x, h) for x in egens for h in letters + twords + bwords}
         # the matrices at (2, 1) add the K's and reuse the E-parts of the T-words
-        assert verify_operator_relations(2, 2, pres, (2, 1))["pass"]
+        assert verify_operator_relations(pres, (2, 1))["pass"]
         assert parts(pres) == ({(x, h) for x in egens for h in bwords}
                            | {(x, h) for x in gens for h in letters + twords})
         assert parts(pres) == {(x, h) for x, table in pres._letter_images.items() for h in table}
@@ -647,7 +656,7 @@ def test_the_letter_table_keeps_no_presentation_alive():
     pres = presentation_P(1, 1, 1, 1, 1, 1)
     before = sys.getrefcount(pres)
     assert invariant_subspace(pres, (2, 2))
-    assert verify_operator_relations(1, 1, pres, (1, 1))["pass"]
+    assert verify_operator_relations(pres, (1, 1))["pass"]
     assert sys.getrefcount(pres) == before
 
 
