@@ -38,6 +38,10 @@ would, but the pivot columns may differ, so the individual vectors may too
 A span matrix (columns that are sparse elements of one graded component)
 has one row per key its columns touch, in sorted order (_span_matrix): a
 row no column touches would be dropped by the unit phase anyway.
+
+One rank is not exact over Z[q, q^-1]: _rank_mod_p takes integer columns,
+such as a matrix at q = 1, and gives their rank over F_p, p = 2^61 - 1,
+which is only a lower bound on the rank over Q and over Q(q).
 """
 
 from __future__ import annotations
@@ -337,6 +341,49 @@ def pivot_columns(matrix: CoeffMatrix) -> list[int]:
     """Indices of rank(matrix) independent columns, ascending: the unit
     pivots and the Bareiss pivots, which together span the column space."""
     return sorted(p for p, _ in _eliminate(matrix))
+
+
+_PRIME = (1 << 61) - 1
+
+
+def _rank_mod_p(columns):
+    """Rank over F_p, p = 2^61 - 1, of the integer matrix whose column j is
+    the sparse mapping columns[j] ({key: int}).
+
+    Each column is reduced, leftmost entry first, by the stored rows with
+    the same leading position (each scaled to lead with 1); what is left,
+    if anything, is stored as a new row.  Keys are numbered in the order
+    they are first seen, which fixes the positions.
+
+    Only a lower bound: reduction mod p is a ring map Z -> F_p that sends
+    every minor to the same minor of the reduced matrix, so a minor that is
+    nonzero mod p is nonzero over Z, and the rank mod p is at most the rank
+    over Q.  For the q = 1 specialization of a matrix over Z[q, q^-1] it is
+    at most the rank over Q(q) in turn, for the same reason.
+    """
+    position = {}
+    rows = {}
+    for col in columns:
+        vec = {}
+        for key, c in col.items():
+            c %= _PRIME
+            if c:
+                vec[position.setdefault(key, len(position))] = c
+        while vec:
+            lead = min(vec)
+            row = rows.get(lead)
+            if row is None:
+                inv = pow(vec[lead], -1, _PRIME)
+                rows[lead] = {j: c * inv % _PRIME for j, c in vec.items()}
+                break
+            f = vec[lead]
+            for j, c in row.items():
+                e = (vec.get(j, 0) - f * c) % _PRIME
+                if e:
+                    vec[j] = e
+                else:
+                    del vec[j]
+    return len(rows)
 
 
 def _normalize_kernel_vector(vec):

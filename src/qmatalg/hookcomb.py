@@ -20,18 +20,22 @@ from __future__ import annotations
 
 from math import comb
 
-from .qalgebra import _check_ranges, _nonnegative_int, graded_basis
+from .qalgebra import _check_ranges, _is_int, _nonnegative_int, graded_basis
 
 
-def _check_sizes(*sizes):
-    """Reject a negative alphabet size or rectangle side; a negative degree counts 0."""
-    if min(sizes) < 0:
-        raise ValueError(f"alphabet sizes and rectangle sides must be nonnegative, got {sizes}")
+def _check_sizes(size=0, /, **sizes):
+    """Each named alphabet size or rectangle side must be a nonnegative
+    integer (a bool is not one).  The degree `size` must be an integer; a
+    negative one counts 0, so it is not rejected."""
+    for name, value in sizes.items():
+        _nonnegative_int(value, name)
+    if not _is_int(size):
+        raise ValueError(f"size must be an integer, got {size!r}")
 
 
 def enumerate_hook_partitions(k: int, l: int, size: int) -> list[tuple[int, ...]]:
     """All (k, l)-hook partitions of `size`, lexicographically descending."""
-    _check_sizes(k, l)
+    _check_sizes(size, k=k, l=l)
     out = []
 
     def rec(remaining, max_part, prefix):
@@ -67,7 +71,7 @@ def _hook_cell_ok(filling, r, c, v, k: int) -> bool:
 
 def hook_tableaux_dim(lam, k: int, l: int) -> int:
     """Number of hook semistandard tableaux of shape lam over alphabet (k, l)."""
-    _check_sizes(k, l)
+    _check_sizes(k=k, l=l)
     lam = tuple(lam)
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(
         p <= 0 for p in lam
@@ -115,7 +119,7 @@ def _howe_shapes(k: int, l: int, r: int, s: int, size: int, rect=None):
 
 def howe_dim_sum(k: int, l: int, r: int, s: int, size: int) -> int:
     """Sum of dim(k,l) * dim(r,s) over shapes hook for both alphabets."""
-    _check_sizes(k, l, r, s)
+    _check_sizes(size, k=k, l=l, r=r, s=s)
     return sum(dl * dr for _, dl, dr in _howe_shapes(k, l, r, s, size))
 
 
@@ -123,7 +127,7 @@ def supermatrix_monomial_count(k: int, l: int, r: int, s: int, size: int) -> int
     """Number of exponent grids of total degree `size` on a (k+l) x (r+s)
     matrix whose (a, b) cell is odd (multiplicity 0 or 1) iff the parities
     of a and b differ, and even (unbounded) otherwise."""
-    _check_sizes(k, l, r, s)
+    _check_sizes(size, k=k, l=l, r=r, s=s)
     n_odd = k * s + l * r
     n_even = k * r + l * s
     total = 0
@@ -139,7 +143,7 @@ def supermatrix_monomial_count(k: int, l: int, r: int, s: int, size: int) -> int
 
 def contains_rectangle(lam, height: int, width: int) -> bool:
     """Does the diagram of lam contain the height x width rectangle?"""
-    _check_sizes(height, width)
+    _check_sizes(height=height, width=width)
     lam = tuple(lam)
     return len(lam) >= height and (height == 0 or lam[height - 1] >= width)
 
@@ -149,13 +153,13 @@ def kernel_dim_prediction(
 ) -> int:
     """Predicted kernel dimension in degree `size`: the Howe sum restricted
     to shapes containing the (m+1) x (n+1) rectangle."""
-    _check_sizes(k, l, r, s, m, n)
+    _check_sizes(size, k=k, l=l, r=r, s=s, m=m, n=n)
     return sum(dl * dr for _, dl, dr in _howe_shapes(k, l, r, s, size, (m + 1, n + 1)))
 
 
 def emit_dimension_table(k: int, l: int, r: int, s: int, size: int) -> dict:
     """JSON-ready dimension table for one degree."""
-    _check_sizes(k, l, r, s)
+    _check_sizes(size, k=k, l=l, r=r, s=s)
     partitions = [
         {"shape": list(lam), "dim_left": dl, "dim_right": dr}
         for lam, dl, dr in _howe_shapes(k, l, r, s, size)

@@ -22,13 +22,24 @@ closed under left multiplication, hence A G A = H A.
 Everything is exact: a check passes only if the relevant normal form is
 literally zero or the ranks literally agree.
 
+sft_check settles a degree N from q = 1 when a two-sided sandwich closes:
+lower <= dim_ker <= |M~_N| - rank_p phi(psi_N), with phi: q -> 1 and the
+rank taken mod p = 2^61 - 1 (exactla._rank_mod_p).  Specialization and
+reduction mod p cannot raise a rank, so the right end is an upper bound;
+the left end is the minor ideal's dimension when psi kills the minors and
+respects every tilde rule, or 0 where the prediction is 0.  Equal ends
+make dim_ker exact, and any other degree takes the generic rank.
+
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
 words, and the symmetrizer polynomials of `sergeev_polynomial`.  The q = 1
 psi is not written again there: it is the same substitution map,
 `_Context`, over the q = 1 degeneration of P and the q = 1 limits of the
-X's (`_Context.classical()`), and `classical_psi` sits next to `psi`;
-`classical_check` builds the `qmatalg classical` report on it.
+X's (`_Context.classical()`), whose product is a sorted merge of normal
+words with a sign (`_merge_product`) instead of the rewriting engine, and
+`classical_psi` sits next to `psi`; `classical_check` builds the `qmatalg
+classical` report on it, and checks the q = 1 rules and their overlaps with
+the engine.
 """
 
 from __future__ import annotations
@@ -36,9 +47,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .exactla import _span_matrix, nullspace, pivot_columns, rank
+from .exactla import _rank_mod_p, _span_matrix, nullspace, pivot_columns, rank
 from .hookcomb import _hook_cell_ok, kernel_dim_prediction
-from .laurent import Q_MINUS_QINV, LaurentInt, _add_scaled
+from .laurent import Q_MINUS_QINV, LaurentInt, _add_scaled, _mul_into
 from .qalgebra import (
     AlgebraPresentation,
     NCElement,
@@ -99,22 +110,23 @@ def _x_elements(mt, p):
 class _Context:
     """The substitution map psi: the tilde presentation mt (its domain),
     a presentation p of P (its codomain), the image in p of each tilde
-    generator indexed by generator id, and a prefix-keyed memo of
-    normalized word images so that long products are never recomputed
-    from scratch.  The memo starts with the empty word and the letters,
-    whose images are the given elements themselves, which must therefore
-    be in normal form in p.
+    generator indexed by generator id, the product of p, and a prefix-keyed
+    memo of normalized word images so that long products are never
+    recomputed from scratch.  The memo starts with the empty word and the
+    letters, whose images are the given elements themselves, which must
+    therefore be in normal form in p.
 
-    At generic q the images are the X elements, and mt and p are the
-    presentations that presentation_Mtilde and presentation_P return for
-    the tuple, so a caller holding those holds the same objects;
-    `classical()` gives the same map at q = 1.
+    At generic q the images are the X elements, the product is `multiply`,
+    and mt and p are the presentations that presentation_Mtilde and
+    presentation_P return for the tuple, so a caller holding those holds
+    the same objects; `classical()` gives the same map at q = 1.
     """
 
-    def __init__(self, mt, p, x_elements):
+    def __init__(self, mt, p, x_elements, product):
         self.mt = mt
         self.p = p
         self.x_elements = x_elements
+        self.product = product
         self._images = {(): NCElement.one()}
         self._images.update(((i,), x) for i, x in enumerate(x_elements))
         self._classical = None
@@ -129,18 +141,20 @@ class _Context:
             j -= 1
         acc = images[word[:j]]
         for p in range(j, len(word)):
-            acc = multiply(acc, self.x_elements[word[p]], self.p)
+            acc = self.product(acc, self.x_elements[word[p]], self.p)
             images[word[: p + 1]] = acc
         return acc
 
     def classical(self):
         """psi at q = 1: a `_Context` over the q = 1 degeneration of P and
-        the q = 1 limits of the X elements, built on first use."""
+        the q = 1 limits of the X elements, whose product is the sorted
+        merge `_merge_product`, built on first use."""
         if self._classical is None:
             self._classical = _Context(
                 self.mt,
                 classical_presentation(self.p),
                 [classical_limit(x) for x in self.x_elements],
+                _merge_product,
             )
         return self._classical
 
@@ -152,12 +166,40 @@ class _Context:
         return NCElement._raw(total)
 
 
+def _merge_product(a, b, pres):
+    """a*b for elements on normal words of pres, whose rules must be free
+    supercommutation (`_classical_rules_ok`), as at q = 1.
+
+    Sorting u + v by adjacent swaps reorders exactly the pairs of a letter
+    of u above a letter of v, and a swap of two odd letters gives -1, so
+    u*v is the normal word sorted(u + v) times -1 to the number of odd such
+    pairs; it is zero when an odd letter is in both (x x -> 0 for odd x).
+    """
+    odd = [g.parity for g in pres.generators]
+    right = [(v, [y for y in v if odd[y]], cv.terms, {e: -c for e, c in cv.terms.items()})
+             for v, cv in b.terms.items()]
+    out = {}
+    for u, cu in a.terms.items():
+        u_odd = [x for x in u if odd[x]]
+        cu = cu.terms
+        for v, v_odd, plus, minus in right:
+            flips = 0
+            if u_odd and v_odd:
+                if any(y in u_odd for y in v_odd):
+                    continue
+                flips = sum(x > y for x in u_odd for y in v_odd)
+            w = tuple(sorted(u + v))
+            if not _mul_into(out.setdefault(w, {}), cu, minus if flips % 2 else plus):
+                del out[w]
+    return NCElement._raw({w: LaurentInt._raw(c) for w, c in out.items()})
+
+
 @lru_cache(maxsize=1)
 def _context(pt):
     """psi's context; callers use one tuple at a time, so only the latest is kept."""
     mt = presentation_Mtilde(*pt[:4])
     p = presentation_P(*pt)
-    return _Context(mt, p, _x_elements(mt, p))
+    return _Context(mt, p, _x_elements(mt, p), multiply)
 
 
 def build_X(a, b, params) -> NCElement:
@@ -193,10 +235,12 @@ def classical_psi(e: NCElement, params) -> NCElement:
     generator and normalize in the q = 1 degeneration of P.
 
     This is the classical `_Context` of the parameters, the same memoized
-    substitution map as psi over the q = 1 presentation.  Words are read
-    with the tilde generator ids, which the presentations M and Mtilde of
-    the same (k,l,r,s) share.  That the map respects the q = 1 tilde rules
-    is checked by `qmatalg classical`, not assumed here.
+    substitution map as psi over the q = 1 presentation, whose products are
+    sorted merges (`_merge_product`).  Words are read with the tilde
+    generator ids, which the presentations M and Mtilde of the same
+    (k,l,r,s) share.  That the q = 1 rules are free supercommutation, which
+    the merge needs, and that the map respects the q = 1 tilde rules are
+    checked by `qmatalg classical`, not assumed here.
     """
     return _context(_params(params)).classical().image_of(e)
 
@@ -369,11 +413,10 @@ def _psi_columns(ctx, N):
     return dom, [ctx.word_image(w).terms for w in dom]
 
 
-def _degree_record(p, N, dim_ker, ok, dim_inv=None, dim_img=None, ideal_dim=None):
+def _degree_record(N, dim_ker, dim_pred, ok, dim_inv=None, dim_img=None, ideal_dim=None):
     """The report record of degree N, with the hook-shape prediction
     dim_pred for dim_ker; the degree passes when ok holds and dim_ker
     equals dim_pred."""
-    dim_pred = kernel_dim_prediction(*p, N)
     return {"N": N, "dim_inv": dim_inv, "dim_img": dim_img, "dim_ker": dim_ker,
             "dim_pred": dim_pred, "ideal_dim": ideal_dim, "pass": ok and dim_ker == dim_pred}
 
@@ -405,7 +448,8 @@ def fft_check(params, max_degree) -> dict:
         dim_inv = len(inv)
         dim_img = _span_dim(images)
         contained = _span_dim(images + inv) == dim_inv
-        degrees.append(_degree_record(p, N, len(dom) - dim_img, contained and dim_img == dim_inv,
+        degrees.append(_degree_record(N, len(dom) - dim_img, kernel_dim_prediction(*p, N),
+                                      contained and dim_img == dim_inv,
                                       dim_inv=dim_inv, dim_img=dim_img))
     unbalanced = []
     for total in range(1, max_degree + 2):
@@ -455,6 +499,24 @@ def _critical_minors(p):
     ]
 
 
+def _kernel_at_q1(ctx, N, lower):
+    """dim_ker of psi on degree N when the q = 1 sandwich closes on it,
+    else None.
+
+    lower must be a proven lower bound on dim_ker.  The upper end is
+    |M~_N| - rank_p phi(psi_N), with phi: q -> 1: the q = 1 images are phi of
+    the generic ones (normal forms commute with q -> 1 when the q = 1 rules
+    are free supercommutation), specialization cannot raise a rank, and the
+    rank mod p is at most the rank over Q.  When the ends are equal, dim_ker
+    is exact; otherwise the caller computes it generically.
+    """
+    dom = graded_basis(ctx.mt, N)
+    images = ctx.classical().word_image
+    columns = ({w: c.eval_q1() for w, c in images(word).terms.items()} for word in dom)
+    upper = len(dom) - _rank_mod_p(columns)
+    return upper if upper == lower else None
+
+
 def sft_check(params, max_degree, minor_ideal=False) -> dict:
     """Degree-by-degree kernel report for psi against the prediction.
 
@@ -466,6 +528,17 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     (m+1)-minors, which must equal the kernel dimension; and since that
     proves ideal = kernel only for an ideal inside the kernel, every degree
     also requires psi to send each minor to zero.
+
+    A degree is settled at q = 1 when a two-sided sandwich closes on it
+    (`_kernel_at_q1`): a proven lower bound on dim_ker equals the upper
+    bound |M~_N| - rank_p phi(psi_N), from the mod-p rank of the q = 1 psi
+    matrix.  The lower bound is the minor ideal's
+    dimension when psi kills every minor and respects every tilde rule, so
+    that the ideal lies in the kernel, and otherwise 0, tried only where
+    dim_pred is 0.  Equal ends make dim_ker exact; every other degree, and
+    every degree when the q = 1 rules of P are not free supercommutation,
+    takes dim_ker from the generic rank, so the report is the same either
+    way and never rests on a bound alone.
     """
     _nonnegative_int(max_degree, "max_degree")
     k, l, r, s, m, n = p = _params(params)
@@ -480,13 +553,20 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
         minors = _critical_minors(p)
         ideal = ideal_dims(minors, ctx.mt, max_degree)
         in_kernel = not any(ctx.image_of(g) for g in minors)
+    # psi kills the minors and is a homomorphism: their ideal is in its kernel
+    ideal_in_kernel = ideal is not None and in_kernel and _rules_hold(ctx.mt.rules, ctx.word_image)
+    q1 = _classical_rules_ok(ctx.classical().p)
     degrees = []
     for N in range(max_degree + 1):
-        dom, images = _psi_columns(ctx, N)
-        dim_ker = len(dom) - _span_dim(images)
+        dim_pred = kernel_dim_prediction(*p, N)
+        lower = ideal[N] if ideal_in_kernel else (0 if dim_pred == 0 else None)
+        dim_ker = None if not q1 or lower is None else _kernel_at_q1(ctx, N, lower)
+        if dim_ker is None:
+            dom, images = _psi_columns(ctx, N)
+            dim_ker = len(dom) - _span_dim(images)
         ideal_dim = None if ideal is None else ideal[N]
         ok = ideal is None or (in_kernel and ideal_dim == dim_ker)
-        degrees.append(_degree_record(p, N, dim_ker, ok, ideal_dim=ideal_dim))
+        degrees.append(_degree_record(N, dim_ker, dim_pred, ok, ideal_dim=ideal_dim))
     return {
         "params": list(p),
         "degrees": degrees,

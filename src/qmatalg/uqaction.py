@@ -19,7 +19,8 @@ lives and dies with its presentation.  Every action of one generator reads
 it: _act_word, the one word-action helper of act and so of is_invariant,
 unrolls over its letters' parts; _image, for invariant_subspace and the
 operator matrices of verify_operator_relations, unrolls a normal word u.v
-of a graded component over the parts of its two halves.
+of a graded component over the parts of its two halves, which those
+callers read through _part once per half-word and generator.
 invariant_subspace returns the invariants of a graded component as sparse
 NCElements, each on the zero-weight words of one row sector.
 """
@@ -196,13 +197,15 @@ def _part(x, h, pres):
     return part
 
 
-def _image(x, u, v, pres):
+def _image(x, u, v, parts):
     """x on the normal word u.v of P, a T-word u times a Tb-word v, as
-    {word: LaurentInt}: _unroll over the parts of its halves.  It is normal
-    as it stands: no rule rewrites a T before a Tb, and each family's rules
-    stay in that family, so NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) =
-    u.NF(E(v)), the normal forms that a half's part holds."""
-    img = _unroll(x, u + v, (_part(x, u, pres), _part(x, v, pres)))
+    {word: LaurentInt}: _unroll over the parts of its halves, looked up in
+    parts, the {half: part} map of x that the caller read through _part
+    once per half-word.  It is normal as it stands: no rule rewrites a T
+    before a Tb, and each family's rules stay in that family, so
+    NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) = u.NF(E(v)), the normal forms
+    that a half's part holds."""
+    img = _unroll(x, u + v, (parts[u], parts[v]))
     return {w: LaurentInt._raw(c) for w, c in img.items()}
 
 
@@ -274,10 +277,13 @@ def invariant_subspace(pres, bidegree):
     for v in bwords:
         by_weight.setdefault(_word_weight(v, pres, m, n), []).append(v)
     sectors = {}
+    halves = set()
     for u in twords:
         wt = _word_weight(u, pres, m, n)
         for v in by_weight.get(tuple(-c for c in wt), ()):
             sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
+            halves.update((u, v))
+    parts = [{h: _part(x, h, pres) for h in halves} for x in egens]
     out = []
     for key in sorted(sectors):
         domain = sectors[key]
@@ -288,7 +294,7 @@ def invariant_subspace(pres, bidegree):
         for u, v in domain:
             col = {}
             for e, x in enumerate(egens):
-                for w, c in _image(x, u, v, pres).items():
+                for w, c in _image(x, u, v, parts[e]).items():
                     col[e, w] = c
             cols.append(col)
         for vec in nullspace(_span_matrix(cols)):
@@ -301,7 +307,8 @@ def _action_matrix(x, pres, bidegree):
     is its _image."""
     _validate_gen(x, *_require_P(pres)[4:])
     twords, bwords = _half_bases(pres, bidegree)
-    images = [_image(x, u, v, pres) for u in twords for v in bwords]
+    parts = {h: _part(x, h, pres) for h in twords + bwords}
+    images = [_image(x, u, v, parts) for u in twords for v in bwords]
     return CoeffMatrix.from_columns(images, [u + v for u in twords for v in bwords])
 
 

@@ -7,7 +7,7 @@ import copy
 import hashlib
 import sys
 
-from qmatalg import laurent, qalgebra, uqaction
+from qmatalg import invariants, laurent, qalgebra, uqaction
 from qmatalg.cli import main
 from qmatalg.invariants import (
     _context,
@@ -57,13 +57,14 @@ def _count_steps(monkeypatch, total):
     _patch_everywhere(monkeypatch, qalgebra, "normal_form_stats", counted)
 
 
-RETURNS_WATCHED = ("multiply", "normal_form", "act")
+RETURNS_WATCHED = ("multiply", "normal_form", "act", "_merge_product")
 
 
 def _watch_inputs(monkeypatch, changed, returned):
     """Record in changed the name of each call that wrote an argument (the
     agenda that _add_word_products fills is its output, not an input), and
-    in returned the (arguments, result) of each multiply, normal_form and act."""
+    in returned the (arguments, result) of each multiply, normal_form, act
+    and q = 1 merge product."""
     def watch(fn, name):
         def watched(*args):
             before = [_snapshot(a) for a in args]
@@ -78,7 +79,8 @@ def _watch_inputs(monkeypatch, changed, returned):
 
     for module, name in ((qalgebra, "multiply"), (qalgebra, "normal_form"),
                          (qalgebra, "_add_word_products"), (uqaction, "act"),
-                         (uqaction, "is_invariant"), (uqaction, "invariant_subspace")):
+                         (uqaction, "is_invariant"), (uqaction, "invariant_subspace"),
+                         (invariants, "_merge_product")):
         _patch_everywhere(monkeypatch, module, name, watch(getattr(module, name), name))
     monkeypatch.setattr(NCElement, "scaled", watch(NCElement.scaled, "scaled"))
 
@@ -155,14 +157,15 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
         assert _rule_table(ctx.mt) == _rule_table(presentation_Mtilde.__wrapped__(*t[:4]))
         if ctx._classical is not None:
             assert _rule_table(ctx.classical().p) == _rule_table(classical_presentation(fresh_p))
-    # fft + sft: recorded when ideal_dims began spanning each degree by the
-    # right multiples of a left-closed set H, and the (2,0,3,0,1,0) minor
-    # ideal joined the phase (392 without it), so that left products which
-    # join H are watched too; the X relations: recorded when each exchange
-    # relation became one normal form of its difference; classical: recorded
-    # when the supercommutation of the q = 1 X's became one normal form per
-    # pair
-    assert phase_steps == [1133, 1794, 678]
+    # fft + sft: recorded when sft_check began settling a degree from q = 1
+    # where the sandwich closes (1133 before), so that the generic psi
+    # images of those degrees are no longer built, with the (2,0,3,0,1,0)
+    # minor ideal in the phase so that left products which join H are
+    # watched too; the X relations: recorded when each exchange relation
+    # became one normal form of its difference; classical: recorded when
+    # classical_psi began multiplying by sorted merges (678 before), so
+    # that its homomorphism check no longer rewrites
+    assert phase_steps == [452, 1794, 568]
 
     # every later action on a presentation reads its letter tables, so a
     # second round of act must leave them as the first left them

@@ -24,10 +24,12 @@ from hypothesis import given, settings
 
 from qmatalg import exactla
 from qmatalg.exactla import (
+    _PRIME,
     CoeffMatrix,
     CoeffVector,
     _back_substitute,
     _echelon,
+    _rank_mod_p,
     _unit_phase,
     nullspace,
     pivot_columns,
@@ -262,6 +264,31 @@ def test_rank_matches_transpose(m):
 def test_rank_against_evaluation_oracle(m):
     lower = max(eval_rank(m, Fraction(p, r)) for p, r in [(7, 3), (13, 5), (101, 17)])
     assert rank(m) == lower
+
+
+def _q1_columns(m):
+    """The columns of m at q = 1, as sparse {row: int} mappings."""
+    return [{i: row[j].eval_q1() for i, row in enumerate(m.rows) if row[j].eval_q1()}
+            for j in range(m.ncols)]
+
+
+@settings(deadline=None)
+@given(st.one_of(matrices(), unit_rich_matrices))
+def test_rank_mod_p_at_q1_is_at_most_the_rank(m):
+    # q -> 1 and then mod p are ring maps, which cannot raise a rank; these
+    # matrices' minors at q = 1 are far below p, so it is the rank over Q
+    cols = _q1_columns(m)
+    assert _rank_mod_p(cols) == eval_rank(m, 1) <= rank(m)
+
+
+def test_rank_mod_p_drops_where_p_divides_a_minor():
+    # a lower bound only: the 1 x 1 minor p and the 2 x 2 minor p vanish mod p
+    assert _rank_mod_p([{0: _PRIME}]) == 0
+    assert _rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: 1 + _PRIME}]) == 1
+    assert _rank_mod_p([{0: 1, 1: 1}, {0: 1, 1: 2}]) == 2
+    # keys of any hashable kind, numbered as they are first seen
+    assert _rank_mod_p([{"b": 2, "a": 4}, {"a": 2, "b": 1}, {"c": -1}]) == 2
+    assert _rank_mod_p([]) == 0 and _rank_mod_p([{}, {}]) == 0
 
 
 @settings(deadline=None, max_examples=200)

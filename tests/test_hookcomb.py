@@ -204,6 +204,39 @@ def test_the_other_counters_reject_a_negative_alphabet():
     assert supermatrix_monomial_count(1, 1, 1, 1, -1) == 0
 
 
+# each public entry point with valid arguments and the name of each: an
+# alphabet size or rectangle side, the degree "size", or None for the shape
+ENTRY_POINTS = [
+    (enumerate_hook_partitions, (2, 1, 3), ("k", "l", "size")),
+    (hook_tableaux_dim, ((2, 1), 2, 1), (None, "k", "l")),
+    (howe_dim_sum, (1, 1, 1, 1, 2), ("k", "l", "r", "s", "size")),
+    (supermatrix_monomial_count, (1, 1, 1, 1, 2), ("k", "l", "r", "s", "size")),
+    (contains_rectangle, ((2, 1), 1, 1), (None, "height", "width")),
+    (kernel_dim_prediction, (2, 1, 2, 1, 1, 1, 4), ("k", "l", "r", "s", "m", "n", "size")),
+    (emit_dimension_table, (1, 1, 1, 1, 2), ("k", "l", "r", "s", "size")),
+]
+
+
+@pytest.mark.parametrize("fn, args, names", ENTRY_POINTS, ids=[e[0].__name__ for e in ENTRY_POINTS])
+def test_a_size_must_be_a_nonnegative_integer(fn, args, names):
+    fn(*args)
+    for i, name in enumerate(names):
+        if name is None:
+            continue
+        for bad in (True, False, 1.5, 2.0, "1", None, -1):
+            bent = args[:i] + (bad,) + args[i + 1:]
+            if name != "size":
+                want = f"^{name} must be a nonnegative integer, got {re.escape(repr(bad))}$"
+            elif bad == -1:
+                # a negative degree is an empty graded piece, not an error
+                fn(*bent)
+                continue
+            else:
+                want = f"^size must be an integer, got {re.escape(repr(bad))}$"
+            with pytest.raises(ValueError, match=want):
+                fn(*bent)
+
+
 # -------------------------------------------------------------- properties
 
 

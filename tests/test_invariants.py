@@ -6,7 +6,10 @@ twice: against hand-frozen values and against the independent hook-shape
 count from hookcomb; ideal dimensions come from a different matrix than the
 kernel dimensions they must match, and are checked against the brute-force
 span of every u*g*v.  The homomorphism property of psi and the
-well-definedness of the signed place action are property-tested.
+well-definedness of the signed place action are property-tested.  The
+degrees that sft_check settles at q = 1 are checked against the generic
+path they replace, and the q = 1 merge product against the rewriting
+engine over the q = 1 presentations.
 """
 
 import json
@@ -20,8 +23,10 @@ from qmatalg import invariants
 from qmatalg.exactla import CoeffMatrix, _span_matrix, nullspace, pivot_columns, rank
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
+    _Context,
     _context,
     _critical_minors,
+    _merge_product,
     _params,
     _psi_columns,
     _span_dim,
@@ -40,7 +45,7 @@ from qmatalg.invariants import (
     symmetric_group_action,
     verify_X_relations,
 )
-from qmatalg.laurent import ONE, Q, QINV, ZERO
+from qmatalg.laurent import ONE, Q, QINV, ZERO, LaurentInt
 from qmatalg.qalgebra import (
     AlgebraPresentation,
     NCElement,
@@ -258,7 +263,7 @@ def test_verify_X_relations_rejects_a_sign_flipped_X_term(monkeypatch):
     word = (p.gen_id("T", 1, 2), p.gen_id("Tb", 1, 2))
     flipped = x - NCElement.from_word(word, x.terms[word] * 2)
     assert flipped != x
-    fresh = invariants._Context(mt, p, [flipped])
+    fresh = invariants._Context(mt, p, [flipped], multiply)
     monkeypatch.setattr(invariants, "_context", lambda pt: fresh)
     assert verify_X_relations(params) is False
 
@@ -275,18 +280,23 @@ def test_verify_X_relations_rejects_an_inverted_same_row_q_power(monkeypatch):
         assert all(verify_X_relations(params) is False for params in tuples), inverted
 
 
+def _barred_tilde(mt):
+    """mt with the coefficient of one single-term rule barred (q -> q^-1)."""
+    rules = dict(mt.rules)
+    lhs = next(lhs for lhs, rhs in rules.items() if len(rhs) == 1 and rhs[0][0] != rhs[0][0].bar())
+    ((c, w),) = rules[lhs]
+    rules[lhs] = ((c.bar(), w),)
+    return AlgebraPresentation(mt.kind, mt.params, mt.generators, rules)
+
+
 def test_verify_X_relations_rejects_a_barred_tilde_rule(monkeypatch):
     # the X's are right, but one single-term rule of the tilde presentation
     # has its coefficient barred (q -> q^-1), so psi no longer respects it
     params = (2, 0, 2, 0, 1, 0)
     assert verify_X_relations(params) is True
     mt, p = pres_pair(params)
-    rules = dict(mt.rules)
-    lhs = next(lhs for lhs, rhs in rules.items() if len(rhs) == 1 and rhs[0][0] != rhs[0][0].bar())
-    ((c, w),) = rules[lhs]
-    rules[lhs] = ((c.bar(), w),)
-    barred = AlgebraPresentation(mt.kind, mt.params, mt.generators, rules)
-    fresh = invariants._Context(barred, p, _context(params).x_elements)
+    barred = _barred_tilde(mt)
+    fresh = invariants._Context(barred, p, _context(params).x_elements, multiply)
     assert invariants._rules_hold(mt.rules, fresh.word_image)
     assert not invariants._rules_hold(barred.rules, fresh.word_image)
     monkeypatch.setattr(invariants, "_context", lambda pt: fresh)
@@ -709,16 +719,137 @@ def test_a_kernel_off_the_prediction_fails_each_degree(monkeypatch):
         assert all(d["dim_pred"] == d["dim_ker"] + 1 for d in rep["degrees"])
         assert rep["overall_pass"] is False
 
+
+def _generic_sft(monkeypatch, *args, **kwargs):
+    """sft_check with every degree taken from the generic rank."""
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "_kernel_at_q1", lambda *a: None)
+        return sft_check(*args, **kwargs)
+
+
+def _watch_q1(monkeypatch):
+    """Record (N, lower, result) of every q = 1 attempt of sft_check."""
+    calls = []
+    original = invariants._kernel_at_q1
+
+    def watched(ctx, N, lower):
+        got = original(ctx, N, lower)
+        calls.append((N, lower, got))
+        return got
+
+    monkeypatch.setattr(invariants, "_kernel_at_q1", watched)
+    return calls
+
+
 def test_sft_check_requires_the_generators_in_the_kernel(monkeypatch):
     # Tt[1,1] Tt[2,2] spans an ideal of the kernel's dimensions, but psi
-    # does not kill it, so it is not the kernel
+    # does not kill it, so it is not the kernel; nor is its ideal a lower
+    # end at q = 1, so only the degrees predicted 0 try q = 1, against 0,
+    # and the others take the generic rank
     mt = presentation_Mtilde(2, 0, 2, 0)
     fake = multiply(mt.generator("Tt", 1, 1), mt.generator("Tt", 2, 2), mt)
     monkeypatch.setattr(invariants, "_critical_minors", lambda p: [fake])
+    calls = _watch_q1(monkeypatch)
     rep = sft_check(PM1, 7, minor_ideal=True)
+    assert calls == [(0, 0, 0), (1, 0, 0)]
+    assert rep == _generic_sft(monkeypatch, PM1, 7, minor_ideal=True)
     assert [rec["ideal_dim"] for rec in rep["degrees"]] == [0, 0, 1, 4, 10, 20, 35, 56]
     assert all(rec["ideal_dim"] == rec["dim_ker"] for rec in rep["degrees"])
+    assert all(rec["pass"] is False for rec in rep["degrees"])
     assert rep["overall_pass"] is False
+
+
+SANDWICH_GRID = [
+    (PM1, 6, True), ((3, 0, 2, 0, 1, 0), 4, True), ((2, 0, 3, 0, 1, 0), 4, True),
+    ((3, 0, 3, 0, 2, 0), 4, True), (PM1, 4, False), (P11, 3, False), ((1, 1, 1, 1, 1, 0), 4, False),
+    ((0, 2, 0, 2, 1, 0), 3, False), ((2, 1, 1, 1, 1, 1), 3, False), ((1, 2, 2, 1, 2, 1), 2, False),
+]
+
+
+@pytest.mark.parametrize("params, max_degree, minor_ideal", SANDWICH_GRID)
+def test_sft_reports_equal_the_generic_path(monkeypatch, params, max_degree, minor_ideal):
+    calls = _watch_q1(monkeypatch)
+    got = sft_check(params, max_degree, minor_ideal)
+    assert got == _generic_sft(monkeypatch, params, max_degree, minor_ideal)
+    assert got["overall_pass"] is True
+    # the minor ideal is tried in every degree, the prediction 0 elsewhere,
+    # and every attempt here closes
+    tried = [N for N, _, _ in calls]
+    pred = [rec["dim_pred"] for rec in got["degrees"]]
+    assert tried == [N for N in range(max_degree + 1) if minor_ideal or pred[N] == 0]
+    assert all(result == lower for _, lower, result in calls)
+
+
+def test_a_generating_set_missing_a_minor_falls_back(monkeypatch):
+    # eight of the nine 2-minors of (3,0,3,0,1,0) span less than the kernel
+    # from degree 2 on: the ends do not meet there, and dim_ker is the
+    # generic one
+    whole = sft_check((3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
+    monkeypatch.setattr(invariants, "_critical_minors", lambda p: _critical_minors(p)[1:])
+    calls = _watch_q1(monkeypatch)
+    rep = sft_check((3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
+    assert [got for _, _, got in calls] == [0, 0, None, None, None]
+    assert [rec["dim_ker"] for rec in rep["degrees"]] == [rec["dim_ker"] for rec in whole["degrees"]]
+    assert [rec["ideal_dim"] < rec["dim_ker"] for rec in rep["degrees"]] == [False, False, True, True, True]
+    assert rep == _generic_sft(monkeypatch, (3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
+    assert rep["overall_pass"] is False
+
+
+def test_a_map_that_breaks_a_tilde_rule_gives_no_lower_end(monkeypatch):
+    # psi still kills the minor, but it breaks a barred tilde rule, so it is
+    # no homomorphism there and the minor ideal need not lie in its kernel:
+    # only the degrees predicted 0 try q = 1
+    mt, p = pres_pair(PM1)
+    mutant = _Context(_barred_tilde(mt), p, _context(PM1).x_elements, multiply)
+    monkeypatch.setattr(invariants, "_context", lambda pt: mutant)
+    calls = _watch_q1(monkeypatch)
+    rep = sft_check(PM1, 4, minor_ideal=True)
+    assert calls == [(0, 0, 0), (1, 0, 0)]
+    assert rep == _generic_sft(monkeypatch, PM1, 4, minor_ideal=True)
+
+
+def test_a_rank_that_drops_at_q1_does_not_close(monkeypatch):
+    # X_11 times q - 1 keeps every generic rank, but its q = 1 limit is 0,
+    # so each degree from 1 on has a q = 1 kernel and falls back
+    ctx = _context(P11)
+    xs = [x.scaled(Q - ONE) if i == 0 else x for i, x in enumerate(ctx.x_elements)]
+    mutant = _Context(ctx.mt, ctx.p, xs, multiply)
+    assert mutant.classical().x_elements[0].is_zero()
+    want = sft_check(P11, 3)
+    monkeypatch.setattr(invariants, "_context", lambda p: mutant)
+    calls = _watch_q1(monkeypatch)
+    assert sft_check(P11, 3) == want
+    assert calls == [(0, 0, 0), (1, 0, None), (2, 0, None), (3, 0, None)]
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1, 1, 1, 1), (0, 2, 0, 2, 1, 0), (1, 0, 1, 0, 0, 2),
+                                   (2, 1, 1, 1, 1, 1), (1, 2, 2, 1)])
+def test_the_merge_product_equals_the_rewriting_engine(sizes):
+    # every product of normal words of total degree <= 3, odd letters
+    # repeated across the two factors included, with Laurent coefficients,
+    # in the q = 1 P of each six sizes and the q = 1 Mtilde of four
+    build = presentation_P if len(sizes) == 6 else presentation_Mtilde
+    cp = classical_presentation(build(*sizes))
+    if cp.kind == "P":
+        words = [w for N in range(4) for d in range(N + 1) for w in graded_basis(cp, (d, N - d))]
+    else:
+        words = [w for N in range(4) for w in graded_basis(cp, N)]
+    coeffs = [ONE, -ONE, Q + LaurentInt.from_int(2), QINV]
+    zero = 0
+    for i, u in enumerate(words):
+        a = NCElement.from_word(u, coeffs[i % 4])
+        for j, v in enumerate(words):
+            if len(u) + len(v) <= 3:
+                b = NCElement.from_word(v, coeffs[j % 3])
+                want = multiply(a, b, cp)
+                assert _merge_product(a, b, cp).terms == want.terms, (u, v)
+                zero += want.is_zero()
+    assert zero > 0 or not any(g.parity for g in cp.generators)
+    # sums of words, whose products merge and cancel
+    pairs = list(zip(words[1:], words[2:]))
+    for u, v in pairs[::7]:
+        a = NCElement.from_word(u) - NCElement.from_word(v, Q)
+        assert _merge_product(a, a, cp).terms == multiply(a, a, cp).terms, (u, v)
 
 
 def test_classical_limit():
@@ -764,6 +895,8 @@ def test_classical_X_elements_supercommute():
         (2, 1, 1, 1, 1, 1),
         (1, 1, 1, 1, 2, 1),
         (2, 1, 2, 1, 1, 1),
+        (1, 2, 1, 1, 1, 1),
+        (1, 1, 1, 1, 0, 2),
     ],
 )
 def test_classical_psi_is_the_q1_limit_of_psi(params):
