@@ -3,137 +3,8 @@
 Everything is computed over Z[q, q^-1] with arbitrary-precision integer
 coefficients; there is no floating point anywhere and no tolerance other
 than exact equality.
+
+The package root defines nothing: import each name from its module, e.g.
+``from qmatalg.invariants import fft_check``, so that importing a module
+loads only the modules it imports.
 """
-
-__version__ = "0.1.0"
-
-from .laurent import (
-    ExactDivisionError,
-    LaurentInt,
-    format_laurent,
-    lau_div_exact,
-    parse_laurent,
-)
-from .exactla import CoeffMatrix, CoeffVector, nullspace, pivot_columns, rank
-from .hookcomb import (
-    contains_rectangle,
-    emit_dimension_table,
-    enumerate_hook_partitions,
-    hook_tableaux_dim,
-    howe_dim_sum,
-    kernel_dim_prediction,
-    supermatrix_monomial_count,
-    verify_presentation_flatness,
-)
-from .qalgebra import (
-    AlgebraPresentation,
-    GenIndex,
-    NCElement,
-    format_element,
-    graded_basis,
-    multiply,
-    normal_form,
-    normal_form_stats,
-    parse_element,
-    presentation_M,
-    presentation_Mbar,
-    presentation_Mtilde,
-    presentation_P,
-)
-from .uqaction import (
-    act,
-    act_on_generator,
-    chevalley_generators,
-    invariant_subspace,
-    is_invariant,
-    verify_operator_relations,
-)
-from .invariants import (
-    build_X,
-    classical_limit,
-    classical_presentation,
-    classical_psi,
-    fft_check,
-    ideal_dims,
-    kernel_psi_basis,
-    psi,
-    quantum_minor,
-    sergeev_polynomial,
-    sft_check,
-    symmetric_group_action,
-    verify_X_relations,
-)
-from .rmat_hecke import (
-    hecke_act,
-    r_inverse_matrix,
-    r_matrix,
-    rcheck_operator,
-    sym_skew_bases,
-    tensor_index,
-    verify_braid,
-    verify_frt,
-    verify_hecke_quadratic,
-)
-
-__all__ = [
-    "__version__",
-    "ExactDivisionError",
-    "LaurentInt",
-    "format_laurent",
-    "lau_div_exact",
-    "parse_laurent",
-    "CoeffMatrix",
-    "CoeffVector",
-    "nullspace",
-    "pivot_columns",
-    "rank",
-    "contains_rectangle",
-    "emit_dimension_table",
-    "enumerate_hook_partitions",
-    "hook_tableaux_dim",
-    "howe_dim_sum",
-    "kernel_dim_prediction",
-    "supermatrix_monomial_count",
-    "AlgebraPresentation",
-    "GenIndex",
-    "NCElement",
-    "format_element",
-    "graded_basis",
-    "multiply",
-    "normal_form",
-    "normal_form_stats",
-    "parse_element",
-    "presentation_M",
-    "presentation_Mbar",
-    "presentation_Mtilde",
-    "presentation_P",
-    "verify_presentation_flatness",
-    "act",
-    "act_on_generator",
-    "chevalley_generators",
-    "invariant_subspace",
-    "is_invariant",
-    "verify_operator_relations",
-    "build_X",
-    "classical_limit",
-    "classical_presentation",
-    "classical_psi",
-    "fft_check",
-    "ideal_dims",
-    "kernel_psi_basis",
-    "psi",
-    "quantum_minor",
-    "sergeev_polynomial",
-    "sft_check",
-    "symmetric_group_action",
-    "verify_X_relations",
-    "hecke_act",
-    "r_inverse_matrix",
-    "r_matrix",
-    "rcheck_operator",
-    "sym_skew_bases",
-    "tensor_index",
-    "verify_braid",
-    "verify_frt",
-    "verify_hecke_quadratic",
-]

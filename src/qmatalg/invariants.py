@@ -55,6 +55,7 @@ from .qalgebra import (
     NCElement,
     _add_word_products,
     _index_parity,
+    _is_int,
     _map_coefficients,
     _nonnegative_int,
     _q_power_of_index,
@@ -527,7 +528,8 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     dimension of the degree-N piece of the ideal generated by the
     (m+1)-minors, which must equal the kernel dimension; and since that
     proves ideal = kernel only for an ideal inside the kernel, every degree
-    also requires psi to send each minor to zero.
+    also requires psi to send each minor to zero and to respect every tilde
+    rule.
 
     A degree is settled at q = 1 when a two-sided sandwich closes on it
     (`_kernel_at_q1`): a proven lower bound on dim_ker equals the upper
@@ -549,12 +551,13 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
         )
     ctx = _context(p)
     ideal = None
+    ideal_in_kernel = False
     if minor_ideal:
         minors = _critical_minors(p)
         ideal = ideal_dims(minors, ctx.mt, max_degree)
-        in_kernel = not any(ctx.image_of(g) for g in minors)
-    # psi kills the minors and is a homomorphism: their ideal is in its kernel
-    ideal_in_kernel = ideal is not None and in_kernel and _rules_hold(ctx.mt.rules, ctx.word_image)
+        # psi kills the minors and is a homomorphism: their ideal is in its kernel
+        ideal_in_kernel = (not any(ctx.image_of(g) for g in minors)
+                           and _rules_hold(ctx.mt.rules, ctx.word_image))
     q1 = _classical_rules_ok(ctx.classical().p)
     degrees = []
     for N in range(max_degree + 1):
@@ -565,7 +568,7 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
             dom, images = _psi_columns(ctx, N)
             dim_ker = len(dom) - _span_dim(images)
         ideal_dim = None if ideal is None else ideal[N]
-        ok = ideal is None or (in_kernel and ideal_dim == dim_ker)
+        ok = ideal is None or (ideal_in_kernel and ideal_dim == dim_ker)
         degrees.append(_degree_record(N, dim_ker, dim_pred, ok, ideal_dim=ideal_dim))
     return {
         "params": list(p),
@@ -698,17 +701,13 @@ def symmetric_group_action(perm, seq, even_count):
     as each adjacent swap of two odd letters does; the test suite checks
     the composition law directly.
     """
-    if sorted(perm) != list(range(1, len(seq) + 1)):
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, len(seq) + 1)):
         raise ValueError(f"{tuple(perm)} is not a permutation of 1..{len(seq)}")
+    _nonnegative_int(even_count, "even_count")
     out = list(seq)
-    odd_swaps = 0
-    for p, x in enumerate(seq):
-        out[perm[p] - 1] = x
-        if x > even_count:
-            odd_swaps += sum(
-                1 for p2 in range(p + 1, len(seq)) if perm[p] > perm[p2] and seq[p2] > even_count
-            )
-    return _sign(odd_swaps), tuple(out)
+    for a, x in zip(perm, seq):
+        out[a - 1] = x
+    return _sign(_inversions([perm[p] for p, x in enumerate(seq) if x > even_count])), tuple(out)
 
 
 def _permutations_fixing_blocks(blocks, size):
@@ -739,14 +738,15 @@ def sergeev_polynomial(tableau, I, J, K, L) -> NCElement:
         raise ValueError("tableau rows must be nonempty")
     if any(len(rows[i]) < len(rows[i + 1]) for i in range(len(rows) - 1)):
         raise ValueError("tableau shape must be a partition")
-    size = sum(len(row) for row in rows)
-    if sorted(x for row in rows for x in row) != list(range(1, size + 1)):
+    numbers = [x for row in rows for x in row]
+    size = len(numbers)
+    if not all(map(_is_int, numbers)) or sorted(numbers) != list(range(1, size + 1)):
         raise ValueError("tableau must contain each of 1..N exactly once")
     I = tuple(I)
     J = tuple(J)
     if len(I) != size or len(J) != size:
         raise ValueError("sequences must match the tableau size")
-    if any(not isinstance(x, int) or not 1 <= x <= K + L for x in I + J):
+    if any(not _is_int(x) or not 1 <= x <= K + L for x in I + J):
         raise ValueError(f"sequence entries must lie in 1..{K + L}")
     for name, seq in (("I", I), ("J", J)):
         filling = {(i, j): seq[x - 1] for i, row in enumerate(rows) for j, x in enumerate(row)}

@@ -24,6 +24,7 @@ from .qalgebra import (
     NCElement,
     _check_ranges,
     _index_parity,
+    _is_int,
     _q_power_of_index,
     _sign,
     normal_form,
@@ -35,8 +36,8 @@ def tensor_index(letters, dim):
     """Flatten a tuple of 1-based letters to its lexicographic position."""
     pos = 0
     for x in letters:
-        if not 1 <= x <= dim:
-            raise ValueError(f"letter {x} out of range 1..{dim}")
+        if not _is_int(x) or not 1 <= x <= dim:
+            raise ValueError(f"letter {x!r} is not an integer in 1..{dim}")
         pos = pos * dim + (x - 1)
     return pos
 
@@ -118,16 +119,16 @@ def hecke_act(word, vec, k, l, r) -> CoeffVector:
     the tensor basis is.
     """
     _check_ranges("V", ("letters", (k, l)))
-    if r < 1:
-        raise ValueError("tensor power must be at least 1")
+    if not _is_int(r) or r < 1:
+        raise ValueError(f"tensor power must be an integer of at least 1, got {r!r}")
     vec = CoeffVector(vec)
     d = k + l
     if len(vec) != d**r:
         raise ValueError(f"expected {d**r} coordinates, got {len(vec)}")
     rc = rcheck_operator(k, l)
     for i in word:
-        if not 1 <= i <= r - 1:
-            raise ValueError(f"slot index {i} out of range 1..{r - 1}")
+        if not _is_int(i) or not 1 <= i <= r - 1:
+            raise ValueError(f"slot index {i!r} is not an integer in 1..{r - 1}")
         op = CoeffMatrix.identity(d ** (i - 1)).kron(rc).kron(CoeffMatrix.identity(d ** (r - i - 1)))
         vec = op @ vec
     return vec
@@ -184,10 +185,12 @@ def verify_frt(k, l) -> bool:
     def par(x):
         return _index_parity(x, k)
 
-    def rentry(a, b, c, dd):
-        return rmat[tensor_index((a, b), d), tensor_index((c, dd), d)]
-
     letters = range(1, d + 1)
+    pos = {pair: tensor_index(pair, d) for pair in product(letters, repeat=2)}
+
+    def rentry(a, b, c, dd):
+        return rmat[pos[a, b], pos[c, dd]]
+
     for a, b, c, dd in product(letters, repeat=4):
         diff = []  # lhs - rhs
         for ap, bp in product(letters, repeat=2):

@@ -798,7 +798,8 @@ def test_a_generating_set_missing_a_minor_falls_back(monkeypatch):
 def test_a_map_that_breaks_a_tilde_rule_gives_no_lower_end(monkeypatch):
     # psi still kills the minor, but it breaks a barred tilde rule, so it is
     # no homomorphism there and the minor ideal need not lie in its kernel:
-    # only the degrees predicted 0 try q = 1
+    # only the degrees predicted 0 try q = 1, and no degree passes, since
+    # ideal = kernel is proven only for an ideal inside the kernel
     mt, p = pres_pair(PM1)
     mutant = _Context(_barred_tilde(mt), p, _context(PM1).x_elements, multiply)
     monkeypatch.setattr(invariants, "_context", lambda pt: mutant)
@@ -806,6 +807,8 @@ def test_a_map_that_breaks_a_tilde_rule_gives_no_lower_end(monkeypatch):
     rep = sft_check(PM1, 4, minor_ideal=True)
     assert calls == [(0, 0, 0), (1, 0, 0)]
     assert rep == _generic_sft(monkeypatch, PM1, 4, minor_ideal=True)
+    assert [rec["pass"] for rec in rep["degrees"]] == [False] * 5
+    assert rep["overall_pass"] is False
 
 
 def test_a_rank_that_drops_at_q1_does_not_close(monkeypatch):
@@ -930,6 +933,15 @@ def test_sergeev_polynomial_errors():
         sergeev_polynomial(((1,), (2, 3)), (1, 2, 2), (1, 2, 2), 2, 1)
     with pytest.raises(ValueError):
         sergeev_polynomial(((1,), (1,)), (1, 2), (1, 2), 2, 0)
+
+
+
+def test_sergeev_polynomial_rejects_an_index_that_is_not_an_int():
+    # True and 1.0 equal 1, but neither is a letter or a box number
+    for tableau, I, J in [(((1,),), (True,), (1,)), (((1,),), (1,), (1.0,)),
+                          (((True,),), (1,), (1,)), (((1.0,),), (1,), (1,))]:
+        with pytest.raises(ValueError):
+            sergeev_polynomial(tableau, I, J, 1, 0)
     with pytest.raises(ValueError):
         sergeev_polynomial(((1,),), (3,), (1,), 2, 0)
 
@@ -980,6 +992,12 @@ def test_symmetric_group_action_rejects_a_non_permutation():
     for perm in [(1, 1, 3), (2, 1), (1, 2, 4), (1, 2, 3, 4)]:
         with pytest.raises(ValueError):
             symmetric_group_action(perm, (1, 2, 3), 1)
+
+
+def test_symmetric_group_action_rejects_an_index_that_is_not_an_int():
+    for perm, even_count in [((True,), 1), ((1.0,), 1), ((2, True), 1), ((1,), True), ((1,), 1.0)]:
+        with pytest.raises(ValueError):
+            symmetric_group_action(perm, (1,) * len(perm), even_count)
 
 
 def test_params_accept_any_six_sequence():

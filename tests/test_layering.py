@@ -1,8 +1,9 @@
 """The package's modules form one chain of layers: each module imports only
 modules earlier in LAYERS, and only at its top level, so there is no import
-cycle and no import hidden inside a function.  The package itself loads
-no standard module that it does not use: neither dataclasses nor, through
-it, inspect."""
+cycle and no import hidden inside a function.  The package root imports
+nothing, so importing a module loads only that module and the modules below
+it that it imports, and the whole package loads no standard module that it
+does not use: neither dataclasses nor, through it, inspect."""
 
 import ast
 import os
@@ -63,9 +64,31 @@ def test_a_function_level_or_upward_import_is_caught():
     ]
 
 
-def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+def _probe(source):
+    """stdout of source run in a fresh interpreter that finds this package."""
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    probe = "import sys, qmatalg; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out == "[]\n"
+    return subprocess.run([sys.executable, "-c", source], env=env, capture_output=True,
+                          text=True, check=True).stdout
+
+
+def test_importing_the_package_loads_neither_dataclasses_nor_inspect():
+    probe = "import sys, qmatalg.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _probe(probe) == "[]\n"
+
+
+def test_importing_a_layer_loads_only_the_layers_it_imports():
+    below = {
+        "laurent": [],
+        "exactla": ["laurent"],
+        "qalgebra": ["laurent"],
+        "hookcomb": ["laurent", "qalgebra"],
+        "uqaction": ["laurent", "exactla", "qalgebra"],
+        "invariants": ["laurent", "exactla", "qalgebra", "hookcomb", "uqaction"],
+        "rmat_hecke": ["laurent", "exactla", "qalgebra", "hookcomb"],
+        "cli": LAYERS[:-1],
+    }
+    assert set(below) == set(LAYERS)
+    for module, imported in below.items():
+        probe = (f"import sys, qmatalg.{module}; "
+                 "print(sorted(n for n in sys.modules if n.startswith('qmatalg.')))")
+        assert _probe(probe) == f"{sorted('qmatalg.' + m for m in imported + [module])}\n", module

@@ -40,6 +40,13 @@ def test_tensor_index():
         tensor_index((3, 1), 2)
 
 
+@pytest.mark.parametrize("letters", [(True, 2), (1.0, 2), (2, "1")])
+def test_tensor_index_rejects_a_letter_that_is_not_an_int(letters):
+    # a bool is an int to Python, but True is no letter 1
+    with pytest.raises(ValueError, match="not an integer"):
+        tensor_index(letters, 2)
+
+
 def test_r_matrix_frozen():
     assert r_matrix(1, 0) == CoeffMatrix([[Q]])
     assert r_inverse_matrix(1, 0) == CoeffMatrix([[QINV]])
@@ -162,6 +169,16 @@ def test_hecke_act_errors():
         hecke_act([2], unit_vector(size, 0), 1, 1, 2)
     with pytest.raises(ValueError):
         hecke_act([], CoeffVector([]), 1, 1, 0)
+
+
+def test_hecke_act_rejects_a_slot_or_power_that_is_not_an_int():
+    vec = unit_vector(2**2, 0)
+    for word in ([True], [1.0]):
+        with pytest.raises(ValueError, match="slot index"):
+            hecke_act(word, vec, 1, 1, 2)
+    for r in (2.0, True):
+        with pytest.raises(ValueError, match="tensor power"):
+            hecke_act([], CoeffVector([ONE, ZERO]), 1, 1, r)
 
 
 def test_hecke_act_requires_laurent_coordinates():
