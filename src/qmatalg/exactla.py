@@ -39,9 +39,10 @@ A span matrix (columns that are sparse elements of one graded component)
 has one row per key its columns touch, in sorted order (_span_matrix): a
 row no column touches would be dropped by the unit phase anyway.
 
-One rank is not exact over Z[q, q^-1]: _rank_mod_p takes integer columns,
-such as a matrix at q = 1, and gives their rank over F_p, p = 2^61 - 1,
-which is only a lower bound on the rank over Q and over Q(q).
+One elimination is not exact over Z[q, q^-1]: _pivots_mod_p takes integer
+columns, such as a matrix at q = 1, and gives their pivot columns over F_p,
+p = 2^61 - 1; their count, the rank mod p, is only a lower bound on the
+rank over Q and over Q(q).
 """
 
 from __future__ import annotations
@@ -346,26 +347,32 @@ def pivot_columns(matrix: CoeffMatrix) -> list[int]:
 _PRIME = (1 << 61) - 1
 
 
-def _rank_mod_p(columns):
-    """Rank over F_p, p = 2^61 - 1, of the integer matrix whose column j is
-    the sparse mapping columns[j] ({key: int}).
+def _pivots_mod_p(columns):
+    """Pivot column indices, in column order, over F_p, p = 2^61 - 1, of the
+    integer matrix whose column j is the sparse mapping columns[j]
+    ({key: int}); their count is the rank mod p.
 
     Each column is reduced, leftmost entry first, by the stored rows with
-    the same leading position (each scaled to lead with 1); what is left,
-    if anything, is stored as a new row.  Keys are numbered in the order
-    they are first seen, which fixes the positions.
+    the same leading position (each scaled to lead with 1); if anything is
+    left, the column is a pivot and what is left is stored as a new row.
+    So a column is a pivot exactly when it is not a combination mod p of
+    the columns before it.  Keys are numbered in the order they are first
+    seen, which fixes the positions.
 
     Only a lower bound: reduction mod p is a ring map Z -> F_p that sends
     every minor to the same minor of the reduced matrix, so a minor that is
     nonzero mod p is nonzero over Z, and the rank mod p is at most the rank
     over Q.  For the q = 1 specialization of a matrix over Z[q, q^-1] it is
-    at most the rank over Q(q) in turn, for the same reason.
+    at most the rank over Q(q) in turn, for the same reason.  The pivots
+    themselves can differ from those over Q: a column that vanishes mod p
+    is never one here.
     """
     position = {}
     rows = {}
-    for col in columns:
+    pivots = []
+    for col, entries in enumerate(columns):
         vec = {}
-        for key, c in col.items():
+        for key, c in entries.items():
             c %= _PRIME
             if c:
                 vec[position.setdefault(key, len(position))] = c
@@ -375,6 +382,7 @@ def _rank_mod_p(columns):
             if row is None:
                 inv = pow(vec[lead], -1, _PRIME)
                 rows[lead] = {j: c * inv % _PRIME for j, c in vec.items()}
+                pivots.append(col)
                 break
             f = vec[lead]
             for j, c in row.items():
@@ -383,7 +391,7 @@ def _rank_mod_p(columns):
                     vec[j] = e
                 else:
                     del vec[j]
-    return len(rows)
+    return pivots
 
 
 def _normalize_kernel_vector(vec):

@@ -24,22 +24,27 @@ literally zero or the ranks literally agree.
 
 sft_check settles a degree N from q = 1 when a two-sided sandwich closes:
 lower <= dim_ker <= |M~_N| - rank_p phi(psi_N), with phi: q -> 1 and the
-rank taken mod p = 2^61 - 1 (exactla._rank_mod_p).  Specialization and
-reduction mod p cannot raise a rank, so the right end is an upper bound;
-the left end is the minor ideal's dimension when psi kills the minors and
-respects every tilde rule, or 0 where the prediction is 0.  Equal ends
-make dim_ker exact, and any other degree takes the generic rank.
+rank taken mod p = 2^61 - 1 (exactla._pivots_mod_p).  Specialization and
+reduction mod p cannot raise a rank, so the right end is an upper bound.
+When psi kills the minors and respects every tilde rule, the left end is
+first the minor ideal at q = 1 mod p, the same H-set loop over the merge
+product and the mod-p pivots, which is at most the generic ideal's
+dimension and so at most dim_ker; equal ends then make both dim_ker and
+the ideal's dimension exact.  Where they do not meet, the generic minor
+ideal (or 0 where the prediction is 0) is the left end, and any degree
+the sandwich leaves open takes the generic rank.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
-words, and the symmetrizer polynomials of `sergeev_polynomial`.  The q = 1
-psi is not written again there: it is the same substitution map,
-`_Context`, over the q = 1 degeneration of P and the q = 1 limits of the
-X's (`_Context.classical()`), whose product is a sorted merge of normal
-words with a sign (`_merge_product`) instead of the rewriting engine, and
-`classical_psi` sits next to `psi`; `classical_check` builds the `qmatalg
-classical` report on it, and checks the q = 1 rules and their overlaps with
-the engine.
+words, and the symmetrizer polynomials of `sergeev_polynomial`.  A q = 1
+element is a {normal word: int} dict (`_at_q1`).  The q = 1 psi is not
+written again there: it is the same substitution map, `_Context`, over the
+q = 1 degeneration of P and the q = 1 limits of the X's
+(`_Context.classical()`), whose product is a sorted merge of normal words
+with a sign (`_merge_product`) instead of the rewriting engine, and
+`classical_psi` sits next to `psi`, turning the ints into constants only
+in its result; `classical_check` builds the `qmatalg classical` report on
+it, and checks the q = 1 rules and their overlaps with the engine.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
-from .exactla import _rank_mod_p, _span_matrix, nullspace, pivot_columns, rank
+from .exactla import _pivots_mod_p, _span_matrix, nullspace, pivot_columns, rank
 from .hookcomb import _hook_cell_ok, kernel_dim_prediction
-from .laurent import Q_MINUS_QINV, LaurentInt, _add_scaled, _mul_into
+from .laurent import Q_MINUS_QINV, LaurentInt, _add_scaled, _add_term
 from .qalgebra import (
     AlgebraPresentation,
     NCElement,
@@ -120,15 +125,17 @@ class _Context:
     At generic q the images are the X elements, the product is `multiply`,
     and mt and p are the presentations that presentation_Mtilde and
     presentation_P return for the tuple, so a caller holding those holds
-    the same objects; `classical()` gives the same map at q = 1.
+    the same objects; `classical()` gives the same map at q = 1, on
+    {normal word: int} images whose unit, the image of the empty word, is
+    `one`.
     """
 
-    def __init__(self, mt, p, x_elements, product):
+    def __init__(self, mt, p, x_elements, product, one=NCElement.one()):
         self.mt = mt
         self.p = p
         self.x_elements = x_elements
         self.product = product
-        self._images = {(): NCElement.one()}
+        self._images = {(): one}
         self._images.update(((i,), x) for i, x in enumerate(x_elements))
         self._classical = None
 
@@ -148,27 +155,40 @@ class _Context:
 
     def classical(self):
         """psi at q = 1: a `_Context` over the q = 1 degeneration of P and
-        the q = 1 limits of the X elements, whose product is the sorted
-        merge `_merge_product`, built on first use."""
+        the q = 1 limits of the X elements as {normal word: int} dicts,
+        whose product is the sorted merge `_merge_product`, built on first
+        use."""
         if self._classical is None:
             self._classical = _Context(
                 self.mt,
                 classical_presentation(self.p),
-                [classical_limit(x) for x in self.x_elements],
+                [_at_q1(x) for x in self.x_elements],
                 _merge_product,
+                {(): 1},
             )
         return self._classical
+
+    def element(self, word):
+        """The image of a word as an NCElement; a q = 1 image's ints
+        become constants."""
+        image = self.word_image(word)
+        return image if isinstance(image, NCElement) else NCElement(image)
 
     def image_of(self, e):
         _validate_words(e, self.mt)
         total = {}
         for word, coeff in e.terms.items():
-            _add_scaled(total, self.word_image(word).terms, coeff)
+            _add_scaled(total, self.element(word).terms, coeff)
         return NCElement._raw(total)
 
 
+def _at_q1(e):
+    """An element at q = 1 as a {word: int} dict, its vanishing terms dropped."""
+    return {w: v for w, c in e.terms.items() if (v := c.eval_q1())}
+
+
 def _merge_product(a, b, pres):
-    """a*b for elements on normal words of pres, whose rules must be free
+    """a*b for {normal word: int} elements of pres, whose rules must be free
     supercommutation (`_classical_rules_ok`), as at q = 1.
 
     Sorting u + v by adjacent swaps reorders exactly the pairs of a letter
@@ -177,22 +197,19 @@ def _merge_product(a, b, pres):
     pairs; it is zero when an odd letter is in both (x x -> 0 for odd x).
     """
     odd = [g.parity for g in pres.generators]
-    right = [(v, [y for y in v if odd[y]], cv.terms, {e: -c for e, c in cv.terms.items()})
-             for v, cv in b.terms.items()]
+    right = [(v, [y for y in v if odd[y]], cv) for v, cv in b.items()]
     out = {}
-    for u, cu in a.terms.items():
+    for u, cu in a.items():
         u_odd = [x for x in u if odd[x]]
-        cu = cu.terms
-        for v, v_odd, plus, minus in right:
-            flips = 0
+        for v, v_odd, cv in right:
+            c = cu * cv
             if u_odd and v_odd:
                 if any(y in u_odd for y in v_odd):
                     continue
-                flips = sum(x > y for x in u_odd for y in v_odd)
-            w = tuple(sorted(u + v))
-            if not _mul_into(out.setdefault(w, {}), cu, minus if flips % 2 else plus):
-                del out[w]
-    return NCElement._raw({w: LaurentInt._raw(c) for w, c in out.items()})
+                if sum(x > y for x in u_odd for y in v_odd) % 2:
+                    c = -c
+            _add_term(out, tuple(sorted(u + v)), c)
+    return out
 
 
 @lru_cache(maxsize=1)
@@ -237,11 +254,12 @@ def classical_psi(e: NCElement, params) -> NCElement:
 
     This is the classical `_Context` of the parameters, the same memoized
     substitution map as psi over the q = 1 presentation, whose products are
-    sorted merges (`_merge_product`).  Words are read with the tilde
-    generator ids, which the presentations M and Mtilde of the same
-    (k,l,r,s) share.  That the q = 1 rules are free supercommutation, which
-    the merge needs, and that the map respects the q = 1 tilde rules are
-    checked by `qmatalg classical`, not assumed here.
+    sorted merges (`_merge_product`) of {normal word: int} images; the
+    result scales them by e's coefficients as an NCElement.  Words are read
+    with the tilde generator ids, which the presentations M and Mtilde of
+    the same (k,l,r,s) share.  That the q = 1 rules are free
+    supercommutation, which the merge needs, and that the map respects the
+    q = 1 tilde rules are checked by `qmatalg classical`, not assumed here.
     """
     return _context(_params(params)).classical().image_of(e)
 
@@ -293,13 +311,13 @@ def classical_check(params) -> dict:
         presentation_Mtilde(k, l, r, s))] + [cpsi.p]
     cmt, cp = classical[2:]
     # the q = 1 limit of X_ab with its parity, indexed like the tilde generator t~_ab
-    xs = [(x, g.parity) for x, g in zip(cpsi.x_elements, cmt.generators)]
+    xs = [(cpsi.element((i,)), g.parity) for i, g in enumerate(cmt.generators)]
     resolved = [_unresolved_overlaps(c) for c in classical]
     checks = {
         "rules_supercommute_at_q1": all(_classical_rules_ok(c) for c in classical),
         "classical_X_supercommute": all(_supercommute(cp, x, y) for x in xs for y in xs),
         "associativity": not any(bad for _, bad in resolved),
-        "homomorphism": _rules_hold(cmt.rules, cpsi.word_image),
+        "homomorphism": _rules_hold(cmt.rules, cpsi.element),
     }
     return {
         "params": list(p),
@@ -505,16 +523,16 @@ def _kernel_at_q1(ctx, N, lower):
     else None.
 
     lower must be a proven lower bound on dim_ker.  The upper end is
-    |M~_N| - rank_p phi(psi_N), with phi: q -> 1: the q = 1 images are phi of
-    the generic ones (normal forms commute with q -> 1 when the q = 1 rules
-    are free supercommutation), specialization cannot raise a rank, and the
-    rank mod p is at most the rank over Q.  When the ends are equal, dim_ker
-    is exact; otherwise the caller computes it generically.
+    |M~_N| - rank_p phi(psi_N), with phi: q -> 1: the q = 1 images, integer
+    columns as the classical context builds them, are phi of the generic
+    ones (normal forms commute with q -> 1 when the q = 1 rules are free
+    supercommutation), specialization cannot raise a rank, and the rank mod
+    p is at most the rank over Q.  When the ends are equal, dim_ker is
+    exact; otherwise the caller tries another lower end or computes dim_ker
+    generically.
     """
     dom = graded_basis(ctx.mt, N)
-    images = ctx.classical().word_image
-    columns = ({w: c.eval_q1() for w, c in images(word).terms.items()} for word in dom)
-    upper = len(dom) - _rank_mod_p(columns)
+    upper = len(dom) - len(_pivots_mod_p(map(ctx.classical().word_image, dom)))
     return upper if upper == lower else None
 
 
@@ -534,13 +552,18 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     A degree is settled at q = 1 when a two-sided sandwich closes on it
     (`_kernel_at_q1`): a proven lower bound on dim_ker equals the upper
     bound |M~_N| - rank_p phi(psi_N), from the mod-p rank of the q = 1 psi
-    matrix.  The lower bound is the minor ideal's
-    dimension when psi kills every minor and respects every tilde rule, so
-    that the ideal lies in the kernel, and otherwise 0, tried only where
-    dim_pred is 0.  Equal ends make dim_ker exact; every other degree, and
-    every degree when the q = 1 rules of P are not free supercommutation,
-    takes dim_ker from the generic rank, so the report is the same either
-    way and never rests on a bound alone.
+    matrix.  When psi kills every minor and respects every tilde rule, so
+    that the minor ideal lies in the kernel, and the q = 1 rules of M~ are
+    free supercommutation, the first lower bound is the minor ideal at
+    q = 1 mod p (`_ideal_dims_at_q1`): ideal_{q=1,p}(phi(G))_N <= ideal(G)_N
+    <= dim_ker(N), so equal ends give both dim_ker and ideal_dim exactly.
+    Where they do not meet, or a premise fails, the generic minor ideal
+    (`ideal_dims`, run once for all degrees on first need) is the lower
+    bound when it lies in the kernel, and otherwise 0, tried only where
+    dim_pred is 0.  Every degree the sandwich leaves open, and every degree
+    when the q = 1 rules of P are not free supercommutation, takes dim_ker
+    from the generic rank, so the report is the same either way and never
+    rests on a bound alone.
     """
     _nonnegative_int(max_degree, "max_degree")
     k, l, r, s, m, n = p = _params(params)
@@ -550,25 +573,35 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
             "(l = s = n = 0) and m < min(k, r)"
         )
     ctx = _context(p)
-    ideal = None
+    q1 = _classical_rules_ok(ctx.classical().p)
+    minors = ideal = q1_ideal = None
     ideal_in_kernel = False
     if minor_ideal:
         minors = _critical_minors(p)
-        ideal = ideal_dims(minors, ctx.mt, max_degree)
         # psi kills the minors and is a homomorphism: their ideal is in its kernel
         ideal_in_kernel = (not any(ctx.image_of(g) for g in minors)
                            and _rules_hold(ctx.mt.rules, ctx.word_image))
-    q1 = _classical_rules_ok(ctx.classical().p)
+        cmt = classical_presentation(ctx.mt)
+        if q1 and ideal_in_kernel and _classical_rules_ok(cmt):
+            q1_ideal = _ideal_dims_at_q1(minors, cmt, max_degree)
     degrees = []
     for N in range(max_degree + 1):
         dim_pred = kernel_dim_prediction(*p, N)
-        lower = ideal[N] if ideal_in_kernel else (0 if dim_pred == 0 else None)
-        dim_ker = None if not q1 or lower is None else _kernel_at_q1(ctx, N, lower)
+        # where the q = 1 minor ideal meets the upper end, it is exact too
+        dim_ker = ideal_dim = None if q1_ideal is None else _kernel_at_q1(ctx, N, q1_ideal[N])
         if dim_ker is None:
-            dom, images = _psi_columns(ctx, N)
-            dim_ker = len(dom) - _span_dim(images)
-        ideal_dim = None if ideal is None else ideal[N]
-        ok = ideal is None or (ideal_in_kernel and ideal_dim == dim_ker)
+            # the generic ideal, once for all degrees: the next lower end
+            # (the same bound again where it equals the q = 1 one) and the report
+            if minor_ideal and ideal is None:
+                ideal = ideal_dims(minors, ctx.mt, max_degree)
+            ideal_dim = None if ideal is None else ideal[N]
+            lower = ideal_dim if ideal_in_kernel else (0 if dim_pred == 0 else None)
+            if q1 and lower is not None and (q1_ideal is None or lower != q1_ideal[N]):
+                dim_ker = _kernel_at_q1(ctx, N, lower)
+            if dim_ker is None:
+                dom, images = _psi_columns(ctx, N)
+                dim_ker = len(dom) - _span_dim(images)
+        ok = not minor_ideal or (ideal_in_kernel and ideal_dim == dim_ker)
         degrees.append(_degree_record(N, dim_ker, dim_pred, ok, ideal_dim=ideal_dim))
     return {
         "params": list(p),
@@ -630,6 +663,8 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
     degree's h*w[:-1] by its last letter (a prefix of a normal word is
     normal).  Generators must be homogeneous (zero ones are skipped); only
     the single-family presentations carry the integer grading this uses.
+    The loop is `_h_set_dims`, here with `multiply` and the exact
+    `pivot_columns`; `_ideal_dims_at_q1` runs it at q = 1 mod p.
     """
     if pres.kind == "P":
         raise ValueError("ideal components are only computed in single-family presentations")
@@ -643,6 +678,34 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
         if degrees:
             spanning.append((degrees.pop(), g))
     letters = [NCElement.from_word((x,)) for x in range(pres.ngens)]
+    return _h_set_dims(spanning, letters, pres, max_degree, multiply,
+                      lambda cols: pivot_columns(_span_matrix([c.terms for c in cols])))
+
+
+def _ideal_dims_at_q1(generators, cpres, max_degree):
+    """ideal_dims at q = 1 with ranks mod p, for normalized homogeneous
+    generators and the q = 1 degeneration cpres of their presentation,
+    whose rules must be free supercommutation (`_classical_rules_ok`).
+
+    The same H-set loop runs on the {normal word: int} limits of the
+    generators, with `_merge_product` and the pivots mod p.  Each column is
+    phi of an element of the generic ideal, since the merge product is phi
+    of the generic one, so each dimension is at most ideal_dims' in the
+    same degree; it can be smaller where a generator or a rank drops at
+    q = 1 or mod p.
+    """
+    spanning = [(len(next(iter(g))), g) for g in map(_at_q1, generators) if g]
+    letters = [{(x,): 1} for x in range(cpres.ngens)]
+    return _h_set_dims(spanning, letters, cpres, max_degree, _merge_product, _pivots_mod_p)
+
+
+def _h_set_dims(spanning, letters, pres, max_degree, product, pivots):
+    """The H-set loop of the ideal dimensions 0..max_degree: spanning holds
+    (degree, h) for the generators, the start of H, and grows as H does;
+    letters[x] is the letter x as an element; product(a, b, pres) is a*b;
+    pivots(columns) gives, ascending, the indices of independent columns
+    among the given elements, which span them."""
+    basis = lru_cache(maxsize=None)(lambda d: graded_basis(pres, d))
     right = {}
     dims = []
     for N in range(max_degree + 1):
@@ -651,26 +714,26 @@ def ideal_dims(generators, pres, max_degree) -> list[int]:
             if d == N:
                 right[i, ()] = h
             elif d < N:
-                for w in graded_basis(pres, N - d):
-                    right[i, w] = multiply(previous[i, w[:-1]], letters[w[-1]], pres)
+                for w in basis(N - d):
+                    right[i, w] = product(previous[i, w[:-1]], letters[w[-1]], pres)
         # the left products follow the right multiples; a pivot among them
         # joins H, and its entry in right must not shift their offset
         offset = len(right)
         cols = list(right.values()) + [
-            multiply(x, h, pres) for d, h in spanning if d == N - 1 for x in letters
+            product(x, h, pres) for d, h in spanning if d == N - 1 for x in letters
         ]
-        pivots = pivot_columns(_span_matrix([c.terms for c in cols]))
-        for j in pivots:
+        got = pivots(cols)
+        for j in got:
             if j >= offset:
                 right[len(spanning), ()] = cols[j]
                 spanning.append((N, cols[j]))
-        dims.append(len(pivots))
+        dims.append(len(got))
     return dims
 
 
 def classical_limit(e: NCElement) -> NCElement:
     """Evaluate every coefficient at q = 1, dropping the terms that vanish."""
-    return NCElement((w, c.eval_q1()) for w, c in e.terms.items())
+    return NCElement(_at_q1(e))
 
 
 def classical_presentation(pres: AlgebraPresentation) -> AlgebraPresentation:

@@ -29,7 +29,7 @@ from qmatalg.exactla import (
     CoeffVector,
     _back_substitute,
     _echelon,
-    _rank_mod_p,
+    _pivots_mod_p,
     _unit_phase,
     nullspace,
     pivot_columns,
@@ -278,7 +278,15 @@ def test_rank_mod_p_at_q1_is_at_most_the_rank(m):
     # q -> 1 and then mod p are ring maps, which cannot raise a rank; these
     # matrices' minors at q = 1 are far below p, so it is the rank over Q
     cols = _q1_columns(m)
-    assert _rank_mod_p(cols) == eval_rank(m, 1) <= rank(m)
+    pivots = _pivots_mod_p(cols)
+    assert len(pivots) == eval_rank(m, 1) <= rank(m)
+    # in column order, each pivot independent of the columns before it
+    assert pivots == sorted(pivots)
+    assert all(len(_pivots_mod_p(cols[: j + 1])) == i + 1 for i, j in enumerate(pivots))
+
+
+def _rank_mod_p(columns):
+    return len(_pivots_mod_p(columns))
 
 
 def test_rank_mod_p_drops_where_p_divides_a_minor():
@@ -289,6 +297,19 @@ def test_rank_mod_p_drops_where_p_divides_a_minor():
     # keys of any hashable kind, numbered as they are first seen
     assert _rank_mod_p([{"b": 2, "a": 4}, {"a": 2, "b": 1}, {"c": -1}]) == 2
     assert _rank_mod_p([]) == 0 and _rank_mod_p([{}, {}]) == 0
+
+
+def test_pivots_mod_p_can_differ_from_the_pivots_over_Q():
+    # column 0 is p, nonzero over Q but zero mod p, so the first pivot mod p
+    # is column 1; over Q column 0 alone is independent
+    cols = [{0: _PRIME}, {0: 1}]
+    assert _pivots_mod_p(cols) == [1]
+    assert rank(CoeffMatrix.from_columns([{0: LaurentInt.from_int(_PRIME)}], [0])) == 1
+    # and pivot_columns takes both columns where mod p only the second counts
+    wide = [{0: _PRIME}, {1: 1}]
+    assert _pivots_mod_p(wide) == [1]
+    lifted = [{k: LaurentInt.from_int(c) for k, c in col.items()} for col in wide]
+    assert pivot_columns(CoeffMatrix.from_columns(lifted, [0, 1])) == [0, 1]
 
 
 @settings(deadline=None, max_examples=200)

@@ -24,8 +24,10 @@ from qmatalg.exactla import CoeffMatrix, _span_matrix, nullspace, pivot_columns,
 from qmatalg.hookcomb import kernel_dim_prediction
 from qmatalg.invariants import (
     _Context,
+    _classical_rules_ok,
     _context,
     _critical_minors,
+    _ideal_dims_at_q1,
     _merge_product,
     _params,
     _psi_columns,
@@ -607,6 +609,25 @@ def test_ideal_dims_of_random_mixed_degree_generators_match_the_ugv_span(build, 
         assert ideal_dims(gens, pres, 4) == [_ugv_span_dim(gens, pres, d) for d in range(5)]
 
 
+@pytest.mark.parametrize("build", [presentation_M, presentation_Mtilde, presentation_Mbar])
+@pytest.mark.parametrize("sizes", [(2, 1, 1, 1), (1, 2, 1, 1)])
+def test_the_q1_ideal_mod_p_never_exceeds_the_generic_ideal(build, sizes):
+    # the seeded generator sets of the ugv test above: every column of the
+    # q = 1 loop is the q = 1 limit of an element of the generic ideal
+    pres = build(*sizes)
+    cpres = classical_presentation(pres)
+    assert _classical_rules_ok(cpres)
+    rng = random.Random(f"{pres.kind}{sizes}")
+    for _ in range(3):
+        gens = [normal_form(g, pres) for g in _random_generators(pres, rng)]
+        generic = ideal_dims(gens, pres, 4)
+        assert all(a <= b for a, b in zip(_ideal_dims_at_q1(gens, cpres, 4), generic, strict=True))
+    # a generator that vanishes at q = 1 drops out there, not generically
+    gens = [normal_form(NCElement.from_word((0, 1), Q - QINV), pres)]
+    assert ideal_dims(gens, pres, 3)[2] == 1
+    assert _ideal_dims_at_q1(gens, cpres, 3) == [0, 0, 0, 0]
+
+
 def test_ideal_dims_with_mixed_degree_generators():
     # a generator inside the ideal of another, a zero one and a repeat
     mt, _ = pres_pair(PM1)
@@ -727,6 +748,19 @@ def _generic_sft(monkeypatch, *args, **kwargs):
         return sft_check(*args, **kwargs)
 
 
+def _watch_ideal_dims(monkeypatch):
+    """Record the arguments of every generic ideal_dims run of sft_check."""
+    runs = []
+    original = invariants.ideal_dims
+
+    def watched(*args):
+        runs.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(invariants, "ideal_dims", watched)
+    return runs
+
+
 def _watch_q1(monkeypatch):
     """Record (N, lower, result) of every q = 1 attempt of sft_check."""
     calls = []
@@ -769,15 +803,49 @@ SANDWICH_GRID = [
 @pytest.mark.parametrize("params, max_degree, minor_ideal", SANDWICH_GRID)
 def test_sft_reports_equal_the_generic_path(monkeypatch, params, max_degree, minor_ideal):
     calls = _watch_q1(monkeypatch)
+    runs = _watch_ideal_dims(monkeypatch)
     got = sft_check(params, max_degree, minor_ideal)
+    # the q = 1 minor ideal closes every degree, so the generic one never runs
+    assert runs == []
     assert got == _generic_sft(monkeypatch, params, max_degree, minor_ideal)
+    assert len(runs) == minor_ideal
     assert got["overall_pass"] is True
-    # the minor ideal is tried in every degree, the prediction 0 elsewhere,
-    # and every attempt here closes
+    # the q = 1 minor ideal is tried in every degree, the prediction 0
+    # elsewhere, and every attempt here closes
     tried = [N for N, _, _ in calls]
     pred = [rec["dim_pred"] for rec in got["degrees"]]
     assert tried == [N for N in range(max_degree + 1) if minor_ideal or pred[N] == 0]
     assert all(result == lower for _, lower, result in calls)
+
+
+@pytest.mark.parametrize("params, max_degree", [(p, d) for p, d, minor in SANDWICH_GRID if minor])
+def test_the_q1_minor_ideal_mod_p_equals_the_generic_one(params, max_degree):
+    mt = _context(params).mt
+    minors = _critical_minors(params)
+    cmt = classical_presentation(mt)
+    assert _ideal_dims_at_q1(minors, cmt, max_degree) == ideal_dims(minors, mt, max_degree)
+
+
+def test_a_minor_that_vanishes_at_q1_falls_back_to_the_generic_ideal(monkeypatch):
+    # one minor times q - q^-1 spans the same generic ideal and psi still
+    # kills it, but it vanishes at q = 1: the q = 1 end drops from degree 2
+    # on, where the generic ideal, run once for all degrees, closes instead
+    params = (3, 0, 3, 0, 1, 0)
+    whole = sft_check(params, 4, minor_ideal=True)
+    monkeypatch.setattr(invariants, "_critical_minors", lambda p: [
+        g.scaled(Q - QINV) if i == 0 else g for i, g in enumerate(_critical_minors(p))])
+    runs = _watch_ideal_dims(monkeypatch)
+    calls = _watch_q1(monkeypatch)
+    rep = sft_check(params, 4, minor_ideal=True)
+    assert rep == whole
+    assert rep["overall_pass"] is True
+    assert len(runs) == 1
+    ideal = [rec["ideal_dim"] for rec in whole["degrees"]]
+    assert calls[:2] == [(0, 0, 0), (1, 0, 0)]
+    for N in range(2, 5):
+        (n1, q1_end, got1), (n2, end, got2) = calls[2 * N - 2: 2 * N]
+        assert n1 == n2 == N and q1_end < end == got2 == ideal[N] and got1 is None
+    assert len(calls) == 8
 
 
 def test_a_generating_set_missing_a_minor_falls_back(monkeypatch):
@@ -787,8 +855,13 @@ def test_a_generating_set_missing_a_minor_falls_back(monkeypatch):
     whole = sft_check((3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
     monkeypatch.setattr(invariants, "_critical_minors", lambda p: _critical_minors(p)[1:])
     calls = _watch_q1(monkeypatch)
+    runs = _watch_ideal_dims(monkeypatch)
     rep = sft_check((3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
+    # the q = 1 minor ideal is the first lower end, and where it is short of
+    # the kernel the generic ideal, the same here, runs once and is not tried
+    # again
     assert [got for _, _, got in calls] == [0, 0, None, None, None]
+    assert len(runs) == 1
     assert [rec["dim_ker"] for rec in rep["degrees"]] == [rec["dim_ker"] for rec in whole["degrees"]]
     assert [rec["ideal_dim"] < rec["dim_ker"] for rec in rep["degrees"]] == [False, False, True, True, True]
     assert rep == _generic_sft(monkeypatch, (3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
@@ -804,8 +877,11 @@ def test_a_map_that_breaks_a_tilde_rule_gives_no_lower_end(monkeypatch):
     mutant = _Context(_barred_tilde(mt), p, _context(PM1).x_elements, multiply)
     monkeypatch.setattr(invariants, "_context", lambda pt: mutant)
     calls = _watch_q1(monkeypatch)
+    runs = _watch_ideal_dims(monkeypatch)
     rep = sft_check(PM1, 4, minor_ideal=True)
+    # no q = 1 minor ideal either: the generic ideal runs for its report
     assert calls == [(0, 0, 0), (1, 0, 0)]
+    assert len(runs) == 1
     assert rep == _generic_sft(monkeypatch, PM1, 4, minor_ideal=True)
     assert [rec["pass"] for rec in rep["degrees"]] == [False] * 5
     assert rep["overall_pass"] is False
@@ -817,7 +893,7 @@ def test_a_rank_that_drops_at_q1_does_not_close(monkeypatch):
     ctx = _context(P11)
     xs = [x.scaled(Q - ONE) if i == 0 else x for i, x in enumerate(ctx.x_elements)]
     mutant = _Context(ctx.mt, ctx.p, xs, multiply)
-    assert mutant.classical().x_elements[0].is_zero()
+    assert not mutant.classical().x_elements[0]
     want = sft_check(P11, 3)
     monkeypatch.setattr(invariants, "_context", lambda p: mutant)
     calls = _watch_q1(monkeypatch)
@@ -829,30 +905,36 @@ def test_a_rank_that_drops_at_q1_does_not_close(monkeypatch):
                                    (2, 1, 1, 1, 1, 1), (1, 2, 2, 1)])
 def test_the_merge_product_equals_the_rewriting_engine(sizes):
     # every product of normal words of total degree <= 3, odd letters
-    # repeated across the two factors included, with Laurent coefficients,
-    # in the q = 1 P of each six sizes and the q = 1 Mtilde of four
+    # repeated across the two factors included, with int coefficients, in
+    # the q = 1 P of each six sizes and the q = 1 Mtilde of four, against
+    # the engine's q = 1 normal form read through eval_q1
     build = presentation_P if len(sizes) == 6 else presentation_Mtilde
     cp = classical_presentation(build(*sizes))
     if cp.kind == "P":
         words = [w for N in range(4) for d in range(N + 1) for w in graded_basis(cp, (d, N - d))]
     else:
         words = [w for N in range(4) for w in graded_basis(cp, N)]
-    coeffs = [ONE, -ONE, Q + LaurentInt.from_int(2), QINV]
+    coeffs = [1, -1, 3, 2]
+
+    def engine(a, b):
+        want = multiply(NCElement(a), NCElement(b), cp)
+        return {w: c.eval_q1() for w, c in want.terms.items()}
+
     zero = 0
     for i, u in enumerate(words):
-        a = NCElement.from_word(u, coeffs[i % 4])
+        a = {u: coeffs[i % 4]}
         for j, v in enumerate(words):
             if len(u) + len(v) <= 3:
-                b = NCElement.from_word(v, coeffs[j % 3])
-                want = multiply(a, b, cp)
-                assert _merge_product(a, b, cp).terms == want.terms, (u, v)
-                zero += want.is_zero()
+                b = {v: coeffs[j % 3]}
+                want = engine(a, b)
+                assert _merge_product(a, b, cp) == want, (u, v)
+                zero += not want
     assert zero > 0 or not any(g.parity for g in cp.generators)
     # sums of words, whose products merge and cancel
     pairs = list(zip(words[1:], words[2:]))
     for u, v in pairs[::7]:
-        a = NCElement.from_word(u) - NCElement.from_word(v, Q)
-        assert _merge_product(a, a, cp).terms == multiply(a, a, cp).terms, (u, v)
+        a = {u: 1, v: -1}
+        assert _merge_product(a, a, cp) == engine(a, a), (u, v)
 
 
 def test_classical_limit():
