@@ -69,14 +69,21 @@ def _hook_cell_ok(filling, r, c, v, k: int) -> bool:
     return True
 
 
+def _partition(lam):
+    """lam as a tuple of positive integer parts (a bool is not one), weakly
+    decreasing."""
+    lam = tuple(lam)
+    if not all(_is_int(p) and p > 0 for p in lam) or any(
+        lam[i] < lam[i + 1] for i in range(len(lam) - 1)
+    ):
+        raise ValueError(f"not a partition: {lam}")
+    return lam
+
+
 def hook_tableaux_dim(lam, k: int, l: int) -> int:
     """Number of hook semistandard tableaux of shape lam over alphabet (k, l)."""
     _check_sizes(k=k, l=l)
-    lam = tuple(lam)
-    if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)) or any(
-        p <= 0 for p in lam
-    ):
-        raise ValueError(f"not a partition: {lam}")
+    lam = _partition(lam)
     if len(lam) > k and lam[k] > l:
         return 0
     nletters = k + l
@@ -144,7 +151,7 @@ def supermatrix_monomial_count(k: int, l: int, r: int, s: int, size: int) -> int
 def contains_rectangle(lam, height: int, width: int) -> bool:
     """Does the diagram of lam contain the height x width rectangle?"""
     _check_sizes(height=height, width=width)
-    lam = tuple(lam)
+    lam = _partition(lam)
     return len(lam) >= height and (height == 0 or lam[height - 1] >= width)
 
 

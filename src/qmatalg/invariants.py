@@ -26,20 +26,21 @@ sft_check settles a degree N from q = 1 when a two-sided sandwich closes:
 lower <= dim_ker <= |M~_N| - rank_p phi(psi_N), with phi: q -> 1 and the
 rank taken mod p = 2^61 - 1 (exactla._pivots_mod_p).  Specialization and
 reduction mod p cannot raise a rank, so the right end is an upper bound.
-When psi kills the minors and respects every tilde rule, the left end is
-first the minor ideal at q = 1 mod p, the same H-set loop over the merge
-product and the mod-p pivots, which is at most the generic ideal's
-dimension and so at most dim_ker; equal ends then make both dim_ker and
-the ideal's dimension exact.  Where they do not meet, the generic minor
-ideal (or 0 where the prediction is 0) is the left end, and any degree
-the sandwich leaves open takes the generic rank.
+The left end is the minor ideal at q = 1 mod p when psi kills the minors
+and respects every tilde rule, the same H-set loop over the merge product
+and the mod-p pivots, which is at most the generic ideal's dimension and
+so at most dim_ker; otherwise it is 0.  The sandwich is tried once, and
+only where the left end equals the prediction, since only there can it
+prove a passing degree; closed, it makes both dim_ker and the ideal's
+dimension exact.  Every other degree takes the generic rank, and the
+generic minor ideal only reports its exact dimension.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
 words, and the symmetrizer polynomials of `sergeev_polynomial`.  A q = 1
 element is a {normal word: int} dict (`_at_q1`).  The q = 1 psi is not
-written again there: it is the same substitution map, `_Context`, over the
-q = 1 degeneration of P and the q = 1 limits of the X's
+written again there: it is the same substitution map, `_Context`, from the
+q = 1 degeneration of M~ to that of P, on the q = 1 limits of the X's
 (`_Context.classical()`), whose product is a sorted merge of normal words
 with a sign (`_merge_product`) instead of the rewriting engine, and
 `classical_psi` sits next to `psi`, turning the ints into constants only
@@ -154,13 +155,14 @@ class _Context:
         return acc
 
     def classical(self):
-        """psi at q = 1: a `_Context` over the q = 1 degeneration of P and
-        the q = 1 limits of the X elements as {normal word: int} dicts,
-        whose product is the sorted merge `_merge_product`, built on first
-        use."""
+        """psi at q = 1: a `_Context` from the q = 1 degeneration of M~ to
+        that of P, the two q = 1 presentations every q = 1 caller reads,
+        with the q = 1 limits of the X elements as {normal word: int}
+        dicts, whose product is the sorted merge `_merge_product`, built on
+        first use."""
         if self._classical is None:
             self._classical = _Context(
-                self.mt,
+                classical_presentation(self.mt),
                 classical_presentation(self.p),
                 [_at_q1(x) for x in self.x_elements],
                 _merge_product,
@@ -196,7 +198,7 @@ def _merge_product(a, b, pres):
     u*v is the normal word sorted(u + v) times -1 to the number of odd such
     pairs; it is zero when an odd letter is in both (x x -> 0 for odd x).
     """
-    odd = [g.parity for g in pres.generators]
+    odd = pres.parities
     right = [(v, [y for y in v if odd[y]], cv) for v, cv in b.items()]
     out = {}
     for u, cu in a.items():
@@ -284,7 +286,7 @@ def _rules_hold(rules, image):
 def _classical_rules_ok(cp):
     """True when the q = 1 rules are exactly free supercommutation: x_i x_j
     -> (-1)^{p_i p_j} x_j x_i for i > j, and x_i x_i -> 0 for odd i."""
-    par = [g.parity for g in cp.generators]
+    par = cp.parities
     table = {
         (i, j): ((LaurentInt.from_int(_sign(par[i] * par[j])), (j, i)),)
         for i in range(len(par))
@@ -304,12 +306,11 @@ def classical_check(params) -> dict:
     """
     p = _params(params)
     k, l, r, s = p[:4]
-    # classical psi's context holds the q = 1 degeneration of P
+    # classical psi's context holds the q = 1 degenerations of Mtilde and P
     cpsi = _context(p).classical()
-    classical = [classical_presentation(pres) for pres in (
-        presentation_M(k, l, r, s), presentation_Mbar(k, l, r, s),
-        presentation_Mtilde(k, l, r, s))] + [cpsi.p]
-    cmt, cp = classical[2:]
+    cmt, cp = cpsi.mt, cpsi.p
+    classical = [classical_presentation(presentation_M(k, l, r, s)),
+                 classical_presentation(presentation_Mbar(k, l, r, s)), cmt, cp]
     # the q = 1 limit of X_ab with its parity, indexed like the tilde generator t~_ab
     xs = [(cpsi.element((i,)), g.parity) for i, g in enumerate(cmt.generators)]
     resolved = [_unresolved_overlaps(c) for c in classical]
@@ -528,8 +529,7 @@ def _kernel_at_q1(ctx, N, lower):
     ones (normal forms commute with q -> 1 when the q = 1 rules are free
     supercommutation), specialization cannot raise a rank, and the rank mod
     p is at most the rank over Q.  When the ends are equal, dim_ker is
-    exact; otherwise the caller tries another lower end or computes dim_ker
-    generically.
+    exact; otherwise the caller computes dim_ker generically.
     """
     dom = graded_basis(ctx.mt, N)
     upper = len(dom) - len(_pivots_mod_p(map(ctx.classical().word_image, dom)))
@@ -549,21 +549,21 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
     also requires psi to send each minor to zero and to respect every tilde
     rule.
 
-    A degree is settled at q = 1 when a two-sided sandwich closes on it
-    (`_kernel_at_q1`): a proven lower bound on dim_ker equals the upper
-    bound |M~_N| - rank_p phi(psi_N), from the mod-p rank of the q = 1 psi
-    matrix.  When psi kills every minor and respects every tilde rule, so
-    that the minor ideal lies in the kernel, and the q = 1 rules of M~ are
-    free supercommutation, the first lower bound is the minor ideal at
-    q = 1 mod p (`_ideal_dims_at_q1`): ideal_{q=1,p}(phi(G))_N <= ideal(G)_N
-    <= dim_ker(N), so equal ends give both dim_ker and ideal_dim exactly.
-    Where they do not meet, or a premise fails, the generic minor ideal
-    (`ideal_dims`, run once for all degrees on first need) is the lower
-    bound when it lies in the kernel, and otherwise 0, tried only where
-    dim_pred is 0.  Every degree the sandwich leaves open, and every degree
-    when the q = 1 rules of P are not free supercommutation, takes dim_ker
-    from the generic rank, so the report is the same either way and never
-    rests on a bound alone.
+    A degree is settled at q = 1 by one rule.  Its lower end is the minor
+    ideal at q = 1 mod p (`_ideal_dims_at_q1`) when psi kills every minor
+    and respects every tilde rule, so that the minor ideal lies in the
+    kernel, and 0 otherwise; both are proven lower bounds on dim_ker:
+    ideal_{q=1,p}(phi(G))_N <= ideal(G)_N <= dim_ker(N).  Only where the
+    lower end equals dim_pred is the two-sided sandwich tried, once
+    (`_kernel_at_q1`), against the upper bound |M~_N| - rank_p phi(psi_N):
+    a degree passes only if dim_ker equals dim_pred, and a closed sandwich
+    gives dim_ker equal to the lower end, so elsewhere it could only prove
+    a failing degree.  All of this needs the q = 1 rules of M~ and P to be
+    free supercommutation.  A closed sandwich gives dim_ker and ideal_dim
+    exactly; every other degree takes dim_ker from the generic rank, and
+    its ideal_dim from the generic minor ideal (`ideal_dims`, run once for
+    all degrees on first need, only to report), so the report is the same
+    either way and never rests on a bound alone.
     """
     _nonnegative_int(max_degree, "max_degree")
     k, l, r, s, m, n = p = _params(params)
@@ -573,7 +573,10 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
             "(l = s = n = 0) and m < min(k, r)"
         )
     ctx = _context(p)
-    q1 = _classical_rules_ok(ctx.classical().p)
+    cctx = ctx.classical()
+    # the premise of every q = 1 bound: the merge product and the q = 1 psi
+    # images are phi of the generic ones
+    q1 = _classical_rules_ok(cctx.p) and _classical_rules_ok(cctx.mt)
     minors = ideal = q1_ideal = None
     ideal_in_kernel = False
     if minor_ideal:
@@ -581,26 +584,23 @@ def sft_check(params, max_degree, minor_ideal=False) -> dict:
         # psi kills the minors and is a homomorphism: their ideal is in its kernel
         ideal_in_kernel = (not any(ctx.image_of(g) for g in minors)
                            and _rules_hold(ctx.mt.rules, ctx.word_image))
-        cmt = classical_presentation(ctx.mt)
-        if q1 and ideal_in_kernel and _classical_rules_ok(cmt):
-            q1_ideal = _ideal_dims_at_q1(minors, cmt, max_degree)
+        if q1 and ideal_in_kernel:
+            q1_ideal = _ideal_dims_at_q1(minors, cctx.mt, max_degree)
     degrees = []
     for N in range(max_degree + 1):
         dim_pred = kernel_dim_prediction(*p, N)
-        # where the q = 1 minor ideal meets the upper end, it is exact too
-        dim_ker = ideal_dim = None if q1_ideal is None else _kernel_at_q1(ctx, N, q1_ideal[N])
-        if dim_ker is None:
-            # the generic ideal, once for all degrees: the next lower end
-            # (the same bound again where it equals the q = 1 one) and the report
-            if minor_ideal and ideal is None:
+        lower = 0 if q1_ideal is None else q1_ideal[N]
+        dim_ker = _kernel_at_q1(ctx, N, lower) if q1 and lower == dim_pred else None
+        ideal_dim = None
+        if q1_ideal is not None and dim_ker is not None:
+            ideal_dim = lower  # the closed sandwich makes the q = 1 ideal exact
+        elif minor_ideal:
+            if ideal is None:
                 ideal = ideal_dims(minors, ctx.mt, max_degree)
-            ideal_dim = None if ideal is None else ideal[N]
-            lower = ideal_dim if ideal_in_kernel else (0 if dim_pred == 0 else None)
-            if q1 and lower is not None and (q1_ideal is None or lower != q1_ideal[N]):
-                dim_ker = _kernel_at_q1(ctx, N, lower)
-            if dim_ker is None:
-                dom, images = _psi_columns(ctx, N)
-                dim_ker = len(dom) - _span_dim(images)
+            ideal_dim = ideal[N]
+        if dim_ker is None:
+            dom, images = _psi_columns(ctx, N)
+            dim_ker = len(dom) - _span_dim(images)
         ok = not minor_ideal or (ideal_in_kernel and ideal_dim == dim_ker)
         degrees.append(_degree_record(N, dim_ker, dim_pred, ok, ideal_dim=ideal_dim))
     return {
@@ -620,6 +620,8 @@ def quantum_minor(rows, cols, target, params) -> NCElement:
     k, l, r, s = _params(params)[:4]
     rows = tuple(rows)
     cols = tuple(cols)
+    if not all(map(_is_int, rows + cols)):
+        raise ValueError(f"minor indices must be integers, got rows {rows!r} and cols {cols!r}")
     if target == "M":
         pres = presentation_M(k, l, r, s)
         tag = "T"

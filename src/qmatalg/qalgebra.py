@@ -156,18 +156,20 @@ def _sign(exponent):
 class AlgebraPresentation:
     """Immutable generator table plus oriented rewrite rules.
 
-    _letter_images belongs to uqaction: the parts of letters and half-words
+    parities[i] is the parity of generator i, the one table that the
+    basis enumeration and the q = 1 merge product read.  _letter_images belongs to uqaction: the parts of letters and half-words
     (what each Chevalley generator does to them), built on first use and
     kept as long as the presentation is.
     """
 
-    __slots__ = ("kind", "params", "generators", "rules", "_grid", "_swaps", "_by_index",
-                 "_letter_images")
+    __slots__ = ("kind", "params", "generators", "parities", "rules", "_grid", "_swaps",
+                 "_by_index", "_letter_images")
 
     def __init__(self, kind, params, generators, rules):
         self.kind = kind
         self.params = params
         self.generators = tuple(generators)
+        self.parities = tuple(g.parity for g in self.generators)
         self._by_index = {(g.family, g.row, g.col): i for i, g in enumerate(self.generators)}
         self.rules = rules
         n = len(self.generators)
@@ -504,11 +506,10 @@ def _half_bases(pres, bidegree):
             and all(_is_int(d) and d >= 0 for d in bidegree)):
         raise ValueError(f"bidegree must be a pair of nonnegative integers, got {bidegree!r}")
     d1, d2 = bidegree
-    parities = [g.parity for g in pres.generators]
     nt = sum(1 for g in pres.generators if g.family == "T")
     return (
-        _normal_words_in(range(nt), parities, d1),
-        _normal_words_in(range(nt, pres.ngens), parities, d2),
+        _normal_words_in(range(nt), pres.parities, d1),
+        _normal_words_in(range(nt, pres.ngens), pres.parities, d2),
     )
 
 
@@ -518,9 +519,8 @@ def graded_basis(pres, degree):
     if pres.kind == "P":
         twords, bwords = _half_bases(pres, degree)
         return [tw + bw for tw in twords for bw in bwords]
-    parities = [g.parity for g in pres.generators]
     _nonnegative_int(degree, "degree")
-    return _normal_words_in(range(pres.ngens), parities, degree)
+    return _normal_words_in(range(pres.ngens), pres.parities, degree)
 
 
 # ------------------------------------------------------------ text format

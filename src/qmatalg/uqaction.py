@@ -33,6 +33,7 @@ from .exactla import CoeffMatrix, _span_matrix, nullspace
 from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _mul_into
 from .qalgebra import (
     NCElement,
+    _check_ranges,
     _half_bases,
     _index_parity,
     _sign,
@@ -78,7 +79,11 @@ def _validate_gen(x, m, n):
 
 
 def chevalley_generators(m, n):
-    """All generators, raising first, then lowering, then K, then K^-1."""
+    """All generators, raising first, then lowering, then K, then K^-1.
+
+    m and n are the even and odd column counts, integers summing to >= 1.
+    """
+    _check_ranges("U_q(gl(m|n))", ("cols", (m, n)))
     sz = m + n
     out = [ChevalleyGen(ERAISE, b, _expected_parity(ERAISE, b, m)) for b in range(1, sz)]
     out += [ChevalleyGen(ELOWER, b, _expected_parity(ELOWER, b, m)) for b in range(1, sz)]

@@ -198,10 +198,10 @@ def _flip_classical_rule(kind, index, monkeypatch):
     """Make invariants.classical_presentation flip the sign of the index-th
     nonempty q = 1 rule of the `kind` presentation.
 
-    The report's q = 1 P is the one the memoized q = 1 psi runs over, so a
-    flipped P rule reaches the report only through a `_context` built under
-    the flip; the flip of any other kind reaches only the presentations the
-    report builds itself."""
+    The report's q = 1 Mtilde and P are the ones the memoized q = 1 psi
+    runs between, so a flipped rule of either reaches the report only
+    through a `_context` built under the flip; the flip of M or Mbar
+    reaches only the presentations the report builds itself."""
     def flipped(pres):
         cp = classical_presentation(pres)
         if pres.kind != kind:
@@ -237,9 +237,16 @@ def test_a_flipped_classical_P_rule_is_not_supercommutation(monkeypatch, capsys)
 
 @pytest.mark.parametrize("index", range(6))
 def test_a_flipped_classical_Mtilde_rule_breaks_the_homomorphism(index, monkeypatch, capsys):
-    # Mtilde(1,1,1,1) has six rules with a nonempty right side
-    _flip_classical_rule("Mtilde", index, monkeypatch)
-    code, out, _ = run(CLASSICAL_1S, capsys)
+    # Mtilde(1,1,1,1) has six rules with a nonempty right side; the report's
+    # q = 1 Mtilde is classical psi's own, so the flip reaches it only
+    # through a `_context` built under the flip, dropped again afterwards
+    invariants._context.cache_clear()
+    try:
+        with monkeypatch.context() as flip:
+            _flip_classical_rule("Mtilde", index, flip)
+            code, out, _ = run(CLASSICAL_1S, capsys)
+    finally:
+        invariants._context.cache_clear()
     assert code == 1
     assert json.loads(out)["checks"]["homomorphism"] is False
     assert _cached_classical_P_is_unflipped()

@@ -168,6 +168,15 @@ def test_contains_rectangle_rejects_a_negative_side():
         contains_rectangle((2, 1), 1, -1)
 
 
+def test_a_part_that_is_not_a_positive_int_is_not_a_partition():
+    # a bool part counted as 1 and a float part as its value
+    for lam in ((True,), (1.5,), (2, True), (0,)):
+        with pytest.raises(ValueError, match="not a partition"):
+            hook_tableaux_dim(lam, 2, 0)
+        with pytest.raises(ValueError, match="not a partition"):
+            contains_rectangle(lam, 1, 1)
+
+
 def test_howe_dim_sum_rejects_a_negative_alphabet():
     with pytest.raises(ValueError):
         howe_dim_sum(-1, 0, 1, 0, 2)

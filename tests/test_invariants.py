@@ -363,6 +363,12 @@ def test_quantum_minor_errors():
         quantum_minor((1, 2), (1, 2), "Mbar", PM1)
     with pytest.raises(ValueError):
         quantum_minor((1, 3), (2, 1), "Mtilde", PM1)
+    # a bool or a float index would otherwise be read as the int it equals
+    for rows in ((True, 2), (1.0, 2)):
+        with pytest.raises(ValueError, match="minor indices must be integers"):
+            quantum_minor(rows, (2, 1), "Mtilde", PM1)
+    with pytest.raises(ValueError, match="minor indices must be integers"):
+        quantum_minor((1, 2), (2, True), "Mtilde", PM1)
 
 
 def test_minors_lie_in_kernel_of_psi():
@@ -732,13 +738,17 @@ def test_sft_check_rejects_bad_requests():
 
 def test_a_kernel_off_the_prediction_fails_each_degree(monkeypatch):
     # one more predicted kernel vector than exists fails every degree of
-    # both reports, through the one record that compares them
+    # both reports, through the one record that compares them; no lower end
+    # meets the prediction, so sft_check makes no q = 1 attempt, which
+    # could only prove a failing degree
     original = invariants.kernel_dim_prediction
     monkeypatch.setattr(invariants, "kernel_dim_prediction", lambda *a: original(*a) + 1)
+    calls = _watch_q1(monkeypatch)
     for rep in (fft_check(P11, 1), sft_check(PM1, 2, minor_ideal=True)):
         assert [d["pass"] for d in rep["degrees"]] == [False] * len(rep["degrees"])
         assert all(d["dim_pred"] == d["dim_ker"] + 1 for d in rep["degrees"])
         assert rep["overall_pass"] is False
+    assert calls == []
 
 
 def _generic_sft(monkeypatch, *args, **kwargs):
@@ -828,8 +838,10 @@ def test_the_q1_minor_ideal_mod_p_equals_the_generic_one(params, max_degree):
 
 def test_a_minor_that_vanishes_at_q1_falls_back_to_the_generic_ideal(monkeypatch):
     # one minor times q - q^-1 spans the same generic ideal and psi still
-    # kills it, but it vanishes at q = 1: the q = 1 end drops from degree 2
-    # on, where the generic ideal, run once for all degrees, closes instead
+    # kills it, but it vanishes at q = 1: the q = 1 end drops below the
+    # prediction from degree 2 on, where no q = 1 attempt is made, the
+    # generic rank gives dim_ker and the generic ideal, run once for all
+    # degrees, gives ideal_dim
     params = (3, 0, 3, 0, 1, 0)
     whole = sft_check(params, 4, minor_ideal=True)
     monkeypatch.setattr(invariants, "_critical_minors", lambda p: [
@@ -840,12 +852,7 @@ def test_a_minor_that_vanishes_at_q1_falls_back_to_the_generic_ideal(monkeypatch
     assert rep == whole
     assert rep["overall_pass"] is True
     assert len(runs) == 1
-    ideal = [rec["ideal_dim"] for rec in whole["degrees"]]
-    assert calls[:2] == [(0, 0, 0), (1, 0, 0)]
-    for N in range(2, 5):
-        (n1, q1_end, got1), (n2, end, got2) = calls[2 * N - 2: 2 * N]
-        assert n1 == n2 == N and q1_end < end == got2 == ideal[N] and got1 is None
-    assert len(calls) == 8
+    assert calls == [(0, 0, 0), (1, 0, 0)]
 
 
 def test_a_generating_set_missing_a_minor_falls_back(monkeypatch):
@@ -857,10 +864,10 @@ def test_a_generating_set_missing_a_minor_falls_back(monkeypatch):
     calls = _watch_q1(monkeypatch)
     runs = _watch_ideal_dims(monkeypatch)
     rep = sft_check((3, 0, 3, 0, 1, 0), 4, minor_ideal=True)
-    # the q = 1 minor ideal is the first lower end, and where it is short of
-    # the kernel the generic ideal, the same here, runs once and is not tried
-    # again
-    assert [got for _, _, got in calls] == [0, 0, None, None, None]
+    # the q = 1 minor ideal is the lower end; where it is short of the
+    # prediction no q = 1 attempt is made, and the generic ideal, the same
+    # here, runs once for ideal_dim
+    assert calls == [(0, 0, 0), (1, 0, 0)]
     assert len(runs) == 1
     assert [rec["dim_ker"] for rec in rep["degrees"]] == [rec["dim_ker"] for rec in whole["degrees"]]
     assert [rec["ideal_dim"] < rec["dim_ker"] for rec in rep["degrees"]] == [False, False, True, True, True]
@@ -899,6 +906,38 @@ def test_a_rank_that_drops_at_q1_does_not_close(monkeypatch):
     calls = _watch_q1(monkeypatch)
     assert sft_check(P11, 3) == want
     assert calls == [(0, 0, 0), (1, 0, None), (2, 0, None), (3, 0, None)]
+
+
+def test_a_q1_tilde_rule_that_is_not_supercommutation_makes_no_q1_attempt(monkeypatch):
+    # the q = 1 premise reads the classical context's q = 1 Mtilde as well
+    # as its q = 1 P: with one sign of a q = 1 tilde rule flipped, the merge
+    # product is not phi of the generic one there, so no degree tries
+    # q = 1, and every value is the generic one
+    want = sft_check(PM1, 5, minor_ideal=True)
+    original = invariants.classical_presentation
+
+    def flipped(pres):
+        cp = original(pres)
+        if pres.kind != "Mtilde":
+            return cp
+        rules = dict(cp.rules)
+        lhs = next(lhs for lhs, rhs in rules.items() if rhs)
+        (c, w), = rules[lhs]
+        rules[lhs] = ((-c, w),)
+        return AlgebraPresentation(cp.kind, cp.params, cp.generators, rules)
+
+    _context.cache_clear()
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(invariants, "classical_presentation", flipped)
+            calls = _watch_q1(patch)
+            runs = _watch_ideal_dims(patch)
+            assert not _classical_rules_ok(_context(PM1).classical().mt)
+            assert sft_check(PM1, 5, minor_ideal=True) == want
+    finally:
+        _context.cache_clear()
+    assert calls == []
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1, 1, 1, 1), (0, 2, 0, 2, 1, 0), (1, 0, 1, 0, 0, 2),

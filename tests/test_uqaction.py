@@ -682,3 +682,13 @@ def test_action_matrix_matches_act_on_each_basis_word():
                 assert _action_matrix(x, pres, bidegree) == want, (params, x, bidegree)
                 dims += want.nrows
     assert odd and dims
+
+
+def test_chevalley_generators_reject_bad_column_counts():
+    # an empty column alphabet gave no generators, and a bool count was an int
+    for m, n, message in ((-1, 0, "must be nonempty, got (-1,0)"), (0, 0, "must be nonempty, got (0,0)"),
+                          (True, 1, "must be two integers, got (True,1)"),
+                          (1, 0.5, "must be two integers, got (1,0.5)")):
+        with pytest.raises(ValueError, match=re.escape(f"U_q(gl(m|n)): index range cols {message}")):
+            chevalley_generators(m, n)
+    assert len(chevalley_generators(1, 0)) == 2
