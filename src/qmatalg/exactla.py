@@ -121,10 +121,6 @@ class CoeffMatrix:
         return cls._raw([{i: ONE} for i in range(n)], n)
 
     @classmethod
-    def zeros(cls, nrows, ncols):
-        return cls._raw([{} for _ in range(nrows)], ncols)
-
-    @classmethod
     def from_columns(cls, columns, keys):
         """Matrix whose column j holds the sparse mapping columns[j].
 
@@ -183,9 +179,6 @@ class CoeffMatrix:
                 _add_scaled(row, brows[k], a)
             out.append(row)
         return CoeffMatrix._raw(out, other.ncols)
-
-    def transpose(self):
-        return CoeffMatrix.from_columns(self._rows, range(self.ncols))
 
     def kron(self, other):
         """Kronecker product, row index (i1, i2), column index (j1, j2)."""

@@ -124,12 +124,6 @@ def _howe_shapes(k: int, l: int, r: int, s: int, size: int, rect=None):
         yield lam, dl, dl if (r, s) == (k, l) else hook_tableaux_dim(lam, r, s)
 
 
-def howe_dim_sum(k: int, l: int, r: int, s: int, size: int) -> int:
-    """Sum of dim(k,l) * dim(r,s) over shapes hook for both alphabets."""
-    _check_sizes(size, k=k, l=l, r=r, s=s)
-    return sum(dl * dr for _, dl, dr in _howe_shapes(k, l, r, s, size))
-
-
 def supermatrix_monomial_count(k: int, l: int, r: int, s: int, size: int) -> int:
     """Number of exponent grids of total degree `size` on a (k+l) x (r+s)
     matrix whose (a, b) cell is odd (multiplicity 0 or 1) iff the parities

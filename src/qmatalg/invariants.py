@@ -35,6 +35,15 @@ prove a passing degree; closed, it makes both dim_ker and the ideal's
 dimension exact.  Every other degree takes the generic rank, and the
 generic minor ideal only reports its exact dimension.
 
+fft_check settles a degree N from q = 1 the same way: rank_p phi(psi_N) <=
+dim_img <= dim_inv <= sum_S (|S| - rank_p phi(E_S)), where E_S is the
+stacked E-matrix of the zero-weight row sector S, built directly at q = 1
+(`uqaction._sector_columns`).  The middle inequality, psi landing in the
+invariants, is proven once per tuple and structurally: the action respects
+every rule of P, and every X is invariant.  Where the ends meet, dim_img =
+dim_inv exactly; elsewhere the degree takes the exact invariant basis and
+ranks.
+
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
 words, and the symmetrizer polynomials of `sergeev_polynomial`.  A q = 1
@@ -77,7 +86,16 @@ from .qalgebra import (
     presentation_Mtilde,
     presentation_P,
 )
-from .uqaction import invariant_subspace
+from .uqaction import (
+    ELOWER,
+    ERAISE,
+    _sector_columns,
+    _word_weight,
+    act,
+    chevalley_generators,
+    invariant_subspace,
+    is_invariant,
+)
 
 
 def _params(params) -> tuple:
@@ -441,6 +459,78 @@ def _degree_record(N, dim_ker, dim_pred, ok, dim_inv=None, dim_img=None, ideal_d
             "dim_pred": dim_pred, "ideal_dim": ideal_dim, "pass": ok and dim_ker == dim_pred}
 
 
+def _psi_rank_at_q1(ctx, N):
+    """(|M~_N|, rank_p phi(psi_N)), with phi: q -> 1: the size of the
+    degree-N basis of the tilde presentation and the rank mod p of its
+    q = 1 psi images, integer columns as the classical context builds them.
+    Those are phi of the generic images, since normal forms commute with
+    q -> 1 when the q = 1 rules are free supercommutation; specialization
+    cannot raise a rank, and the rank mod p is at most the rank over Q, so
+    this rank is at most that of psi_N."""
+    dom = graded_basis(ctx.mt, N)
+    return len(dom), len(_pivots_mod_p(map(ctx.classical().word_image, dom)))
+
+
+def _invariant_dim_bound_at_q1(cp, N):
+    """sum_S (|S| - rank_p phi(E_S)) over the row sectors S of the zero-weight
+    words of bidegree (N,N), an upper bound on dim_inv: E_S is the stacked
+    raising and lowering matrix of S that invariant_subspace takes the
+    kernel of, and phi(E_S) is built directly at q = 1 on cp, the q = 1
+    degeneration of P, whose rules must be free supercommutation
+    (`_sector_columns` with at_q1).  Its rank mod p is at most that of E_S,
+    so each sector's term is at least its number of invariants."""
+    return sum(len(domain) - len(_pivots_mod_p(cols))
+               for domain, cols in _sector_columns(cp, (N, N), at_q1=True))
+
+
+def _psi_lands_in_invariants(ctx):
+    """True when every product of X's is invariant, by a structural check of
+    the tuple that covers every degree at once.
+
+    The action on words follows the coproduct, so it is a module-superalgebra
+    action on the free algebra.  It descends to P when it maps the two sides
+    of every rule to the same element: for the E's that is checked
+    exhaustively, one `act` on lhs - rhs per rule and E; a K scales a word
+    by q to its column weight, so it respects a rule whose words all have
+    one weight.  When every X is invariant as well (`is_invariant`), an E on
+    X_1 ... X_N is a sum of terms each with one factor E(X_j) = 0, and each
+    K fixes the product, so psi maps into the invariants.
+    """
+    pres = ctx.p
+    m, n = pres.params[4:]
+    egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
+    for lhs, rhs in pres.rules.items():
+        weight = _word_weight(lhs, pres, m, n)
+        if any(_word_weight(w, pres, m, n) != weight for _, w in rhs):
+            return False
+        difference = NCElement.from_word(lhs) - NCElement([(w, c) for c, w in rhs])
+        if any(act(x, difference, pres) for x in egens):
+            return False
+    return all(is_invariant(x, pres) for x in ctx.x_elements)
+
+
+def _fft_degree(ctx, N, q1):
+    """(|M~_N|, dim_inv, dim_img, contained) of degree N.
+
+    With q1, the premises of the q = 1 sandwich, it is tried first:
+
+        rank_p phi(psi_N) <= dim_img <= dim_inv <= sum_S (|S| - rank_p phi(E_S)),
+
+    where the middle inequality is the containment that q1 proves once for
+    the tuple (`_psi_lands_in_invariants`).  When the ends meet, dim_img =
+    dim_inv exactly.  Otherwise the degree takes the exact path: the
+    invariant basis, the rank of the psi images and the rank of both
+    together, which must equal dim_inv.
+    """
+    if q1:
+        size, lower = _psi_rank_at_q1(ctx, N)
+        if lower == _invariant_dim_bound_at_q1(ctx.classical().p, N):
+            return size, lower, lower, True
+    dom, images = _psi_columns(ctx, N)
+    inv = [v.terms for v in invariant_subspace(ctx.p, (N, N))]
+    return len(dom), len(inv), _span_dim(images), _span_dim(images + inv) == len(inv)
+
+
 def fft_check(params, max_degree) -> dict:
     """Degree-by-degree surjectivity report for psi onto the invariants.
 
@@ -450,6 +540,17 @@ def fft_check(params, max_degree) -> dict:
     presentation, the resulting kernel dimension, and the hook-shape
     prediction for it.  A degree passes when the image span lies inside the
     invariants with equal dimension and the kernel matches the prediction.
+
+    Each degree is first tried at q = 1 (`_fft_degree`), where the mod-p
+    rank of the q = 1 psi images and the q = 1 E-matrices of the
+    zero-weight sectors bound dim_img from below and dim_inv from above;
+    where the two meet, both are exact.  That needs the q = 1 rules of M~
+    and P to be free supercommutation and psi to map into the invariants,
+    which is proven once for the tuple, structurally: the action respects
+    every rule of P and every X is invariant (`_psi_lands_in_invariants`).
+    Without these premises, or where the ends differ, the degree takes the
+    exact path over Z[q, q^-1], so the report is the same either way.
+
     Since every X has bidegree (1,1), invariants can only live in balanced
     bidegrees.  The report also lists the unbalanced components up to total
     degree max_degree + 1 with their invariant dimensions, which must be 0.
@@ -461,14 +562,13 @@ def fft_check(params, max_degree) -> dict:
     _nonnegative_int(max_degree, "max_degree")
     p = _params(params)
     ctx = _context(p)
+    cctx = ctx.classical()
+    q1 = (_classical_rules_ok(cctx.p) and _classical_rules_ok(cctx.mt)
+          and _psi_lands_in_invariants(ctx))
     degrees = []
     for N in range(max_degree + 1):
-        dom, images = _psi_columns(ctx, N)
-        inv = [v.terms for v in invariant_subspace(ctx.p, (N, N))]
-        dim_inv = len(inv)
-        dim_img = _span_dim(images)
-        contained = _span_dim(images + inv) == dim_inv
-        degrees.append(_degree_record(N, len(dom) - dim_img, kernel_dim_prediction(*p, N),
+        size, dim_inv, dim_img, contained = _fft_degree(ctx, N, q1)
+        degrees.append(_degree_record(N, size - dim_img, kernel_dim_prediction(*p, N),
                                       contained and dim_img == dim_inv,
                                       dim_inv=dim_inv, dim_img=dim_img))
     unbalanced = []
@@ -524,15 +624,12 @@ def _kernel_at_q1(ctx, N, lower):
     else None.
 
     lower must be a proven lower bound on dim_ker.  The upper end is
-    |M~_N| - rank_p phi(psi_N), with phi: q -> 1: the q = 1 images, integer
-    columns as the classical context builds them, are phi of the generic
-    ones (normal forms commute with q -> 1 when the q = 1 rules are free
-    supercommutation), specialization cannot raise a rank, and the rank mod
-    p is at most the rank over Q.  When the ends are equal, dim_ker is
-    exact; otherwise the caller computes dim_ker generically.
+    |M~_N| - rank_p phi(psi_N) (`_psi_rank_at_q1`), since the rank is at
+    most that of psi_N.  When the ends are equal, dim_ker is exact;
+    otherwise the caller computes dim_ker generically.
     """
-    dom = graded_basis(ctx.mt, N)
-    upper = len(dom) - len(_pivots_mod_p(map(ctx.classical().word_image, dom)))
+    size, rank_p = _psi_rank_at_q1(ctx, N)
+    upper = size - rank_p
     return upper if upper == lower else None
 
 

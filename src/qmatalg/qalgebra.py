@@ -453,11 +453,6 @@ def _unresolved_overlaps(pres):
     return count, bad
 
 
-def is_normal(word, pres):
-    grid = pres._grid
-    return all(grid[word[p]][word[p + 1]] is None for p in range(len(word) - 1))
-
-
 def _add_word_products(agenda, u, v, c=ONE):
     """agenda += c*u*v, word by word, with no rewriting; returns agenda.
 

@@ -62,11 +62,6 @@ def r_matrix(m, n) -> CoeffMatrix:
     return CoeffMatrix(rows)
 
 
-def r_inverse_matrix(m, n) -> CoeffMatrix:
-    """Inverse of r_matrix, which is its bar (q -> q^-1) taken entrywise."""
-    return CoeffMatrix([[e.bar() for e in row] for row in r_matrix(m, n).rows])
-
-
 def rcheck_operator(k, l) -> CoeffMatrix:
     """The braided swap on V x V.
 

@@ -14,19 +14,25 @@ act_on_generator is its public reader, act on the one-letter element.
 _part gives what a generator does to a normal word of one family, a letter
 or a half-word of P, as a part for _unroll, the one place the coproduct is
 written out.  The parts live in one table per presentation, kept in its
-private _letter_images slot: _part builds each on first use, and the table
-lives and dies with its presentation.  Every action of one generator reads
-it: _act_word, the one word-action helper of act and so of is_invariant,
-unrolls over its letters' parts; _image, for invariant_subspace and the
-operator matrices of verify_operator_relations, unrolls a normal word u.v
-of a graded component over the parts of its two halves, which those
-callers read through _part once per half-word and generator.
-invariant_subspace returns the invariants of a graded component as sparse
-NCElements, each on the zero-weight words of one row sector.
+private _letter_images slot and keyed by generator and mode (generic or
+q = 1): _part builds each on first use, and the table lives and dies with
+its presentation.  Every action of one generator reads it: _act_word,
+the one word-action helper of act and so of is_invariant, unrolls over
+its letters' parts; _image, for the E-matrices of
+_sector_columns and the operator matrices of verify_operator_relations,
+unrolls a normal word u.v of a graded component over the parts of its two
+halves, which those callers read through _part once per half-word and
+generator.  _sector_columns is the one place the zero-weight words of a
+graded component are paired by weight and grouped by row sector:
+invariant_subspace returns the kernels of its E-matrices as sparse
+NCElements, each on the zero-weight words of one row sector, and at q = 1,
+on the q = 1 degeneration of P, its integer E-matrices give the FFT's
+upper bound on their dimension.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactla import CoeffMatrix, _span_matrix, nullspace
@@ -177,41 +183,49 @@ def _unroll(x, word, parts):
     return out
 
 
-def _part(x, h, pres):
+def _part(x, h, pres, at_q1=False):
     """What x does to h, a normal word of one family, as a part for
     _unroll: (length, q-exponent of its K-part, parity, image as (word,
     {exponent: int}) pairs).  A letter (gid,) reads _letter_rule; a longer
     word is unrolled over its letters' parts and normalized.  Each part is
-    read from pres's table of x's parts and built into it on first use; the
-    table is dropped with pres."""
+    read from pres's table of x's parts in that mode, keyed (x, at_q1), and
+    built into it on first use; the table is dropped with pres.
+
+    at_q1 gives the part at q = 1, for pres the q = 1 degeneration of P:
+    every K acts by 1, so the K-exponent is 0, and a letter's coefficient,
+    a unit +-q^e, is its value +-1 at q = 1, as {0: +-1}; a longer word is
+    normalized in pres, so its coefficients stay {0: int}."""
     try:
-        return pres._letter_images[x][h]
+        return pres._letter_images[x, at_q1][h]
     except KeyError:
         pass
     if len(h) == 1:
         g = pres.generators[h[0]]
         exp, image = _letter_rule(x, g, pres.params[4])
-        img = () if image is None else (((pres.gen_id(g.family, g.row, image[0]),), image[1].terms),)
-        part = 1, exp, g.parity, img
+        img = ()
+        if image is not None:
+            coeff = {0: image[1].eval_q1()} if at_q1 else image[1].terms
+            img = (((pres.gen_id(g.family, g.row, image[0]),), coeff),)
+        part = 1, 0 if at_q1 else exp, g.parity, img
     else:
-        letters = [_part(x, (gid,), pres) for gid in h]
+        letters = [_part(x, (gid,), pres, at_q1) for gid in h]
         img = normal_form(_unroll(x, h, letters), pres).terms
         part = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
                 tuple((w, c.terms) for w, c in img.items()))
-    pres._letter_images.setdefault(x, {})[h] = part
+    pres._letter_images.setdefault((x, at_q1), {})[h] = part
     return part
 
 
-def _image(x, u, v, parts):
+def _image(x, u, v, parts, entry=LaurentInt._raw):
     """x on the normal word u.v of P, a T-word u times a Tb-word v, as
-    {word: LaurentInt}: _unroll over the parts of its halves, looked up in
-    parts, the {half: part} map of x that the caller read through _part
-    once per half-word.  It is normal as it stands: no rule rewrites a T
-    before a Tb, and each family's rules stay in that family, so
-    NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) = u.NF(E(v)), the normal forms
-    that a half's part holds."""
+    {word: entry(coefficient)}, a LaurentInt by default: _unroll over the
+    parts of its halves, looked up in parts, the {half: part} map of x that
+    the caller read through _part once per half-word.  It is normal as it
+    stands: no rule rewrites a T before a Tb, and each family's rules stay
+    in that family, so NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) = u.NF(E(v)),
+    the normal forms that a half's part holds."""
     img = _unroll(x, u + v, (parts[u], parts[v]))
-    return {w: LaurentInt._raw(c) for w, c in img.items()}
+    return {w: entry(c) for w, c in img.items()}
 
 
 def _act_word(x, word, pres):
@@ -261,19 +275,22 @@ def _row_sector(word, pres):
     return tuple(trows), tuple(brows)
 
 
-def invariant_subspace(pres, bidegree):
-    """Basis of the invariants inside one graded component, as NCElements.
+def _sector_columns(pres, bidegree, at_q1=False):
+    """The E-matrix of each row sector of the zero-weight words of one
+    graded component of P, sectors in sorted order, as (domain, columns).
 
-    K-invariance forces zero column weight, so the kernel is computed on the
-    zero-weight words only, sector by sector (sorted): the E's never change
-    row indices or families, hence they preserve the (T rows, Tb rows)
-    multiset pair.  Each invariant lives on the words of one sector, in
-    graded_basis order.
-
-    A zero-weight word is a normal T-word u times a normal Tb-word v of
-    opposite column weight, so the words come from pairing the T-words and
-    the Tb-words of the bidegree by weight; an unbalanced bidegree pairs
-    none.  A column stacks the _image of u.v under each E.
+    K-invariance forces zero column weight.  A zero-weight word is a normal
+    T-word u times a normal Tb-word v of opposite column weight, so the
+    words come from pairing the T-words and the Tb-words of the bidegree by
+    weight; an unbalanced bidegree pairs none.  The E's never change row
+    indices or families, hence they preserve the (T rows, Tb rows) multiset
+    pair: each sector's words, its domain of (u, v) pairs in graded_basis
+    order, are mapped among themselves.  Column j stacks the images of
+    domain[j] under each E, keyed (E index, word), unrolled over the parts
+    of u and v; only words hit by the action give rows, so a sector with
+    none (no E's, or nothing hit) has columns with no entries.  Entries are
+    LaurentInts, or with at_q1 the ints of the q = 1 parts (`_part`), for
+    pres the q = 1 degeneration of P.
     """
     k, l, r, s, m, n = _require_P(pres)
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
@@ -288,23 +305,31 @@ def invariant_subspace(pres, bidegree):
         for v in by_weight.get(tuple(-c for c in wt), ()):
             sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
             halves.update((u, v))
-    parts = [{h: _part(x, h, pres) for h in halves} for x in egens]
-    out = []
+    parts = [{h: _part(x, h, pres, at_q1) for h in halves} for x in egens]
+    # a q = 1 part has K-exponent 0, so every coefficient is a {0: int}
+    entry = itemgetter(0) if at_q1 else LaurentInt._raw
     for key in sorted(sectors):
         domain = sectors[key]
-        # column j stacks the E-images of domain[j], keyed (E index, word);
-        # only words hit by the action give rows, so a sector with none (no
-        # E's, or nothing hit) is a matrix with no rows: all of it invariant
         cols = []
         for u, v in domain:
             col = {}
             for e, x in enumerate(egens):
-                for w, c in _image(x, u, v, parts[e]).items():
+                for w, c in _image(x, u, v, parts[e], entry).items():
                     col[e, w] = c
             cols.append(col)
-        for vec in nullspace(_span_matrix(cols)):
-            out.append(NCElement._raw({u + v: e for (u, v), e in zip(domain, vec) if e}))
-    return out
+        yield domain, cols
+
+
+def invariant_subspace(pres, bidegree):
+    """Basis of the invariants inside one graded component, as NCElements:
+    the kernel of each row sector's E-matrix (`_sector_columns`), on the
+    zero-weight words of that sector, in graded_basis order, sectors in
+    sorted order."""
+    return [
+        NCElement._raw({u + v: e for (u, v), e in zip(domain, vec) if e})
+        for domain, cols in _sector_columns(pres, bidegree)
+        for vec in nullspace(_span_matrix(cols))
+    ]
 
 
 def _action_matrix(x, pres, bidegree):

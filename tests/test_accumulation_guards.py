@@ -177,8 +177,12 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     # that its homomorphism check no longer rewrites; fft + sft again when
     # the minor ideal at q = 1 became the sandwich's lower end, so that
     # sft_check no longer builds the generic minor ideals, and the
-    # (2,0,3,0,1,0) one runs directly (452 before)
-    assert phase_steps == [428, 1794, 568]
+    # (2,0,3,0,1,0) one runs directly (452 before); fft + sft again when
+    # fft_check began settling each degree at q = 1, so that its
+    # containment premise (one act per rule of P and E) and the q = 1
+    # half-word parts normalize, and the generic psi images and parts no
+    # longer do (428 before)
+    assert phase_steps == [466, 1794, 568]
 
     # every later action on a presentation reads its letter tables, so a
     # second round of act must leave them as the first left them

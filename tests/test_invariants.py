@@ -31,6 +31,7 @@ from qmatalg.invariants import (
     _merge_product,
     _params,
     _psi_columns,
+    _psi_lands_in_invariants,
     _span_dim,
     build_X,
     classical_check,
@@ -75,6 +76,8 @@ from qmatalg.uqaction import (
 P11 = (1, 1, 1, 1, 1, 1)
 P22 = (1, 1, 1, 1, 2, 2)
 PM1 = (2, 0, 2, 0, 1, 0)
+PAIRS = [(a, b) for a in range(3) for b in range(3) if a + b >= 1]
+PARAM_GRID = [(k, l, r, s, m, n) for (k, l) in PAIRS for (r, s) in PAIRS for (m, n) in PAIRS]
 
 
 def pres_pair(params):
@@ -461,10 +464,8 @@ def test_sorted_touched_words_keep_graded_basis_order():
 
 def test_psi_and_the_E_action_keep_the_row_sector():
     # blocking the psi and E matrices by (T rows, Tb rows) rests on this
-    pairs = [(a, b) for a in range(3) for b in range(3) if a + b >= 1]
-    grid = [(k, l, r, s, m, n) for (k, l) in pairs for (r, s) in pairs for (m, n) in pairs]
     psi_terms = e_terms = 0
-    for params in grid[::23]:
+    for params in PARAM_GRID[::23]:
         ctx = _context(params)
         m, n = params[4:]
         egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
@@ -738,13 +739,18 @@ def test_sft_check_rejects_bad_requests():
 
 def test_a_kernel_off_the_prediction_fails_each_degree(monkeypatch):
     # one more predicted kernel vector than exists fails every degree of
-    # both reports, through the one record that compares them; no lower end
-    # meets the prediction, so sft_check makes no q = 1 attempt, which
-    # could only prove a failing degree
+    # both reports, through the one record that compares them.  The FFT
+    # sandwich settles dim_img and dim_inv, not the prediction, so fft_check
+    # still settles every degree at q = 1; in sft_check no lower end meets
+    # the prediction, so it makes no q = 1 attempt, which could only prove
+    # a failing degree
     original = invariants.kernel_dim_prediction
     monkeypatch.setattr(invariants, "kernel_dim_prediction", lambda *a: original(*a) + 1)
     calls = _watch_q1(monkeypatch)
-    for rep in (fft_check(P11, 1), sft_check(PM1, 2, minor_ideal=True)):
+    exact = _watch_exact_fft(monkeypatch)
+    fft = fft_check(P11, 1)
+    assert exact == []
+    for rep in (fft, sft_check(PM1, 2, minor_ideal=True)):
         assert [d["pass"] for d in rep["degrees"]] == [False] * len(rep["degrees"])
         assert all(d["dim_pred"] == d["dim_ker"] + 1 for d in rep["degrees"])
         assert rep["overall_pass"] is False
@@ -783,6 +789,150 @@ def _watch_q1(monkeypatch):
 
     monkeypatch.setattr(invariants, "_kernel_at_q1", watched)
     return calls
+
+
+def _exact_fft(monkeypatch, *args):
+    """fft_check with the q = 1 sandwich off: every degree takes the exact
+    path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "_psi_lands_in_invariants", lambda ctx: False)
+        return fft_check(*args)
+
+
+def _watch_exact_fft(monkeypatch):
+    """Record the degree N of every exact-path invariant basis that
+    fft_check computes, the balanced bidegree (N, N)."""
+    degrees = []
+    original = invariants.invariant_subspace
+
+    def watched(pres, bidegree):
+        if bidegree[0] == bidegree[1]:
+            degrees.append(bidegree[0])
+        return original(pres, bidegree)
+
+    monkeypatch.setattr(invariants, "invariant_subspace", watched)
+    return degrees
+
+
+@pytest.mark.parametrize("params, max_degree", [(p, 2) for p in PARAM_GRID[::7]]
+                         + [((2, 1, 2, 1, 2, 1), 3)])
+def test_fft_reports_settled_at_q1_equal_the_exact_path(monkeypatch, params, max_degree):
+    # every degree of these tuples closes at q = 1, and the report is the
+    # one the exact path gives
+    exact = _watch_exact_fft(monkeypatch)
+    got = fft_check(params, max_degree)
+    assert exact == []
+    assert got == _exact_fft(monkeypatch, params, max_degree)
+    assert exact == list(range(max_degree + 1))
+    assert got["overall_pass"] is True
+
+
+def test_fft_ends_forced_apart_take_the_exact_path(monkeypatch):
+    # with the lower end one short in every degree the sandwich never
+    # closes: every degree takes the exact path, and the report is unchanged
+    params = (1, 1, 1, 1, 2, 1)
+    want = fft_check(params, 3)
+    original = invariants._psi_rank_at_q1
+
+    def one_short(ctx, N):
+        size, rank_p = original(ctx, N)
+        return size, rank_p - 1
+
+    monkeypatch.setattr(invariants, "_psi_rank_at_q1", one_short)
+    exact = _watch_exact_fft(monkeypatch)
+    assert fft_check(params, 3) == want
+    assert exact == [0, 1, 2, 3]
+
+
+def _watch_sandwich(monkeypatch):
+    """Record the degree of every q = 1 upper end fft_check computes."""
+    degrees = []
+    original = invariants._invariant_dim_bound_at_q1
+
+    def watched(cp, N):
+        degrees.append(N)
+        return original(cp, N)
+
+    monkeypatch.setattr(invariants, "_invariant_dim_bound_at_q1", watched)
+    return degrees
+
+
+def _negated_tail(p):
+    """p with the q - q^-1 tail coefficient of its first multi-term rule
+    negated; the rule is unchanged at q = 1, where the tail vanishes."""
+    rules = dict(p.rules)
+    lhs = next(lhs for lhs, rhs in rules.items() if len(rhs) > 1)
+    head, *tail = rules[lhs]
+    rules[lhs] = (head, *((-c, w) for c, w in tail))
+    return AlgebraPresentation(p.kind, p.params, p.generators, rules)
+
+
+def test_a_negated_tail_of_P_fails_the_containment_premise(monkeypatch):
+    # the action no longer respects the mutated rule, so psi is not proven
+    # to land in the invariants and no degree is settled at q = 1, though
+    # the q = 1 rules are still free supercommutation
+    ctx = _context(P11)
+    mutant = _Context(ctx.mt, _negated_tail(ctx.p), ctx.x_elements, multiply)
+    assert _classical_rules_ok(mutant.classical().p)
+    assert _psi_lands_in_invariants(ctx)
+    assert not _psi_lands_in_invariants(mutant)
+    monkeypatch.setattr(invariants, "_context", lambda pt: mutant)
+    tried = _watch_sandwich(monkeypatch)
+    exact = _watch_exact_fft(monkeypatch)
+    rep = fft_check(P11, 2)
+    assert tried == [] and exact == [0, 1, 2]
+    assert rep == _exact_fft(monkeypatch, P11, 2)
+
+
+def test_a_non_invariant_X_fails_the_containment_premise(monkeypatch):
+    # X_11 replaced by the word T[1,1] Tb[1,1], of weight zero but moved by
+    # the E's: psi no longer lands in the invariants, which only the
+    # structural premise sees, since the two ends of the sandwich still
+    # meet in degree 1; so every degree takes the exact path, which fails
+    # from degree 1 on
+    ctx = _context(P11)
+    p = ctx.p
+    word = NCElement.from_word((p.gen_id("T", 1, 1), p.gen_id("Tb", 1, 1)))
+    xs = [word if i == 0 else x for i, x in enumerate(ctx.x_elements)]
+    mutant = _Context(ctx.mt, p, xs, multiply)
+    assert not is_invariant(word, p)
+    assert not _psi_lands_in_invariants(mutant)
+    # trusted without the premise, the closed sandwich would pass degree 1
+    assert invariants._fft_degree(mutant, 1, True) == (4, 4, 4, True)
+    monkeypatch.setattr(invariants, "_context", lambda pt: mutant)
+    tried = _watch_sandwich(monkeypatch)
+    exact = _watch_exact_fft(monkeypatch)
+    rep = fft_check(P11, 2)
+    assert tried == [] and exact == [0, 1, 2]
+    assert rep == _exact_fft(monkeypatch, P11, 2)
+    assert [d["pass"] for d in rep["degrees"]] == [True, False, False]
+
+
+def test_a_rule_that_mixes_column_weights_fails_the_containment_premise(monkeypatch):
+    # gl(1|0) has no raising or lowering E, so the E's respect any rule and
+    # every X, of weight zero, is invariant: only the column-weight check,
+    # the K's half of the premise, sees a q - q^-1 tail of another weight
+    # on a rule of P, which vanishes at q = 1
+    ctx = _context(PM1)
+    p = ctx.p
+    rules = dict(p.rules)
+    lhs = next(iter(rules))
+    rules[lhs] += ((Q - QINV, lhs[:1]),)
+    mutant = _Context(ctx.mt, AlgebraPresentation(p.kind, p.params, p.generators, rules),
+                      ctx.x_elements, multiply)
+    assert _word_weight(lhs, p, 1, 0) != _word_weight(lhs[:1], p, 1, 0)
+    assert not any(x.kind in (ERAISE, ELOWER) for x in chevalley_generators(1, 0))
+    assert _classical_rules_ok(mutant.classical().p)
+    assert all(is_invariant(x, mutant.p) for x in mutant.x_elements)
+    assert not _psi_lands_in_invariants(mutant)
+    # trusted without the premise, the closed sandwich would pass degree 2
+    assert invariants._fft_degree(mutant, 2, True) == (10, 9, 9, True)
+    monkeypatch.setattr(invariants, "_context", lambda pt: mutant)
+    tried = _watch_sandwich(monkeypatch)
+    exact = _watch_exact_fft(monkeypatch)
+    rep = fft_check(PM1, 3)
+    assert tried == [] and exact == [0, 1, 2, 3]
+    assert [d["pass"] for d in rep["degrees"]] == [True, True, False, False]
 
 
 def test_sft_check_requires_the_generators_in_the_kernel(monkeypatch):

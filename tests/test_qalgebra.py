@@ -31,7 +31,6 @@ from qmatalg.qalgebra import (
     _unresolved_overlaps,
     format_element,
     graded_basis,
-    is_normal,
     multiply,
     normal_form,
     normal_form_stats,
@@ -351,6 +350,11 @@ def test_graded_basis_frozen():
         assert graded_basis(one_row, n) == [(0,) * n]
     assert graded_basis(P1011, (1, 1)) == [(0, 2), (0, 3), (1, 2), (1, 3)]
     assert graded_basis(P1011, (0, 0)) == [()]
+
+
+def is_normal(word, pres):
+    """No two adjacent letters of word are the left side of a rule."""
+    return all(word[p:p + 2] not in pres.rules for p in range(len(word) - 1))
 
 
 def test_graded_basis_words_are_normal():

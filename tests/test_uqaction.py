@@ -23,6 +23,7 @@ from hypothesis import given, settings
 
 from qmatalg import uqaction
 from qmatalg.exactla import CoeffMatrix, nullspace
+from qmatalg.invariants import classical_presentation
 from qmatalg.laurent import ONE, ZERO, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
@@ -45,9 +46,11 @@ from qmatalg.uqaction import (
     ChevalleyGen,
     _act_word,
     _action_matrix,
+    _image,
     _part,
     _require_P,
     _row_sector,
+    _sector_columns,
     _unroll,
     _validate_gen,
     _word_weight,
@@ -536,6 +539,50 @@ def test_unrolling_over_two_parts_matches_the_letter_by_letter_action():
                 assert _unroll(x, w, (part(x, w[:cut]), part(x, w[cut:]))) == whole, (x, w, cut)
 
 
+@pytest.mark.parametrize("params, bidegree", [
+    ((1, 1, 1, 1, 1, 1), (2, 2)), ((1, 1, 1, 1, 2, 1), (3, 3)), ((2, 1, 2, 1, 2, 1), (2, 2)),
+    ((0, 2, 1, 1, 1, 2), (2, 2)), ((1, 1, 1, 1, 2, 2), (2, 2)),
+])
+def test_the_q1_E_columns_are_phi_of_the_generic_image_columns(params, bidegree):
+    # each sector's q = 1 E-matrix, built on the q = 1 degeneration of P
+    # from integer parts, is the generic one, read from _image on the
+    # generic parts, evaluated at q = 1: same sectors, same domains in the
+    # same order, and the same integer entries, a vanishing one dropped
+    pres = presentation_P(*params)
+    cpres = classical_presentation(pres)
+    egens = [x for x in chevalley_generators(*params[4:]) if x.kind in (ERAISE, ELOWER)]
+    sectors = list(_sector_columns(cpres, bidegree, at_q1=True))
+    assert [domain for domain, _ in sectors] == [domain for domain, _ in _sector_columns(pres, bidegree)]
+    entries = 0
+    for domain, cols in sectors:
+        for (u, v), col in zip(domain, cols):
+            want = {}
+            for e, x in enumerate(egens):
+                image = _image(x, u, v, {h: _part(x, h, pres) for h in (u, v)})
+                want.update(((e, w), c.eval_q1()) for w, c in image.items() if c.eval_q1())
+            assert col == want, (u, v)
+            assert all(type(c) is int for c in col.values())
+            entries += len(col)
+    assert entries > 50
+
+
+def test_generic_parts_built_first_are_not_read_as_q1_parts():
+    # a generic part on the q = 1 degeneration of P keeps its K-exponent;
+    # the q = 1 parts of the same presentation, built after it, equal
+    # those of a copy that never built a generic one, and the q = 1 upper
+    # end on that presentation is unchanged
+    first, second = (classical_presentation(presentation_P.__wrapped__(1, 1, 1, 1, 2, 2))
+                     for _ in range(2))
+    egens = [x for x in chevalley_generators(2, 2) if x.kind in (ERAISE, ELOWER)]
+    halves = [h for d in (1, 2) for h in graded_basis(first, (d, 0)) + graded_basis(first, (0, d))]
+    generic = [_part(x, h, first) for x in egens for h in halves]
+    assert any(part[1] for part in generic)
+    assert ([_part(x, h, first, True) for x in egens for h in halves]
+            == [_part(x, h, second, True) for x in egens for h in halves])
+    assert all(part[1] == 0 for x in egens for h in halves for part in [_part(x, h, first, True)])
+    assert list(_sector_columns(first, (2, 2), at_q1=True)) == list(_sector_columns(second, (2, 2), at_q1=True))
+
+
 def test_an_unbalanced_bidegree_has_no_invariants():
     # T-words weigh +d1 in total and Tb-words -d2, so no word of (3, 1) has zero weight
     assert invariant_subspace(P22, (3, 1)) == []
@@ -628,10 +675,10 @@ def test_each_part_is_built_once_per_presentation(monkeypatch):
     built = Counter()
     original = uqaction._part
 
-    def counted(x, h, pres):
-        if h not in pres._letter_images.get(x, {}):
+    def counted(x, h, pres, at_q1=False):
+        if h not in pres._letter_images.get((x, at_q1), {}):
             built[x, h, id(pres)] += 1
-        return original(x, h, pres)
+        return original(x, h, pres, at_q1)
 
     monkeypatch.setattr(uqaction, "_part", counted)
     fresh = [presentation_P.__wrapped__(1, 1, 1, 1, 2, 2) for _ in range(2)]
@@ -648,7 +695,7 @@ def test_each_part_is_built_once_per_presentation(monkeypatch):
         assert verify_operator_relations(pres, (2, 1))["pass"]
         assert parts(pres) == ({(x, h) for x in egens for h in bwords}
                            | {(x, h) for x in gens for h in letters + twords})
-        assert parts(pres) == {(x, h) for x, table in pres._letter_images.items() for h in table}
+        assert parts(pres) == {(x, h) for (x, _), table in pres._letter_images.items() for h in table}
     assert set(built.values()) == {1}
 
 
