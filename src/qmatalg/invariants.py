@@ -37,12 +37,12 @@ generic minor ideal only reports its exact dimension.
 
 fft_check settles a degree N from q = 1 the same way: rank_p phi(psi_N) <=
 dim_img <= dim_inv <= sum_S (|S| - rank_p phi(E_S)), where E_S is the
-stacked E-matrix of the zero-weight row sector S, built directly at q = 1
-(`uqaction._sector_columns`).  The middle inequality, psi landing in the
-invariants, is proven once per tuple and structurally: the action respects
-every rule of P, and every X is invariant.  Where the ends meet, dim_img =
-dim_inv exactly; elsewhere the degree takes the exact invariant basis and
-ranks.
+stacked E-matrix of the zero-weight row sector S, built directly at q = 1,
+each E a super-derivation there (`uqaction._sector_columns`).  The middle
+inequality, psi landing in the invariants, is proven once per tuple and
+structurally: the action respects every rule of P, and every X is
+invariant.  Where the ends meet, dim_img = dim_inv exactly; elsewhere the
+degree takes the exact invariant basis and ranks.
 
 The classical q = 1 layer sits at the bottom: `classical_limit`,
 `classical_presentation`, the signed place permutation action on tensor
@@ -476,9 +476,10 @@ def _invariant_dim_bound_at_q1(cp, N):
     words of bidegree (N,N), an upper bound on dim_inv: E_S is the stacked
     raising and lowering matrix of S that invariant_subspace takes the
     kernel of, and phi(E_S) is built directly at q = 1 on cp, the q = 1
-    degeneration of P, whose rules must be free supercommutation
-    (`_sector_columns` with at_q1).  Its rank mod p is at most that of E_S,
-    so each sector's term is at least its number of invariants."""
+    degeneration of P, whose rules must be free supercommutation, where
+    each E is a super-derivation, E(u.v) = E(u).v + (-1)^([E][u]) u.E(v),
+    on half-words u and v (`_sector_columns` with at_q1).  Its rank mod p
+    is at most that of E_S, so each sector's term bounds its invariants."""
     return sum(len(domain) - len(_pivots_mod_p(cols))
                for domain, cols in _sector_columns(cp, (N, N), at_q1=True))
 

@@ -14,9 +14,9 @@ act_on_generator is its public reader, act on the one-letter element.
 _part gives what a generator does to a normal word of one family, a letter
 or a half-word of P, as a part for _unroll, the one place the coproduct is
 written out.  The parts live in one table per presentation, kept in its
-private _letter_images slot and keyed by generator and mode (generic or
-q = 1): _part builds each on first use, and the table lives and dies with
-its presentation.  Every action of one generator reads it: _act_word,
+private _letter_images slot and keyed by generator: _part builds each on
+first use, and the table lives and dies with its presentation.  Every
+action of one generator reads it: _act_word,
 the one word-action helper of act and so of is_invariant, unrolls over
 its letters' parts; _image, for the E-matrices of
 _sector_columns and the operator matrices of verify_operator_relations,
@@ -25,18 +25,19 @@ halves, which those callers read through _part once per half-word and
 generator.  _sector_columns is the one place the zero-weight words of a
 graded component are paired by weight and grouped by row sector:
 invariant_subspace returns the kernels of its E-matrices as sparse
-NCElements, each on the zero-weight words of one row sector, and at q = 1,
-on the q = 1 degeneration of P, its integer E-matrices give the FFT's
-upper bound on their dimension.
+NCElements, each on the zero-weight words of one row sector.  On the q = 1
+degeneration of P an E is a super-derivation: _derivation_at_q1 gives its
+integer image of a half-word, with no part, and the integer E-matrices that
+_sector_columns joins from them bound the FFT's invariants from above.
 """
 
 from __future__ import annotations
 
-from operator import itemgetter
+from bisect import bisect_left
 from typing import NamedTuple
 
 from .exactla import CoeffMatrix, _span_matrix, nullspace
-from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _mul_into
+from .laurent import ONE, Q_MINUS_QINV, LaurentInt, _add_term, _mul_into
 from .qalgebra import (
     NCElement,
     _check_ranges,
@@ -183,20 +184,15 @@ def _unroll(x, word, parts):
     return out
 
 
-def _part(x, h, pres, at_q1=False):
+def _part(x, h, pres):
     """What x does to h, a normal word of one family, as a part for
     _unroll: (length, q-exponent of its K-part, parity, image as (word,
     {exponent: int}) pairs).  A letter (gid,) reads _letter_rule; a longer
     word is unrolled over its letters' parts and normalized.  Each part is
-    read from pres's table of x's parts in that mode, keyed (x, at_q1), and
-    built into it on first use; the table is dropped with pres.
-
-    at_q1 gives the part at q = 1, for pres the q = 1 degeneration of P:
-    every K acts by 1, so the K-exponent is 0, and a letter's coefficient,
-    a unit +-q^e, is its value +-1 at q = 1, as {0: +-1}; a longer word is
-    normalized in pres, so its coefficients stay {0: int}."""
+    read from pres's table of x's parts, keyed by x, and built into it on
+    first use; the table is dropped with pres."""
     try:
-        return pres._letter_images[x, at_q1][h]
+        return pres._letter_images[x][h]
     except KeyError:
         pass
     if len(h) == 1:
@@ -204,28 +200,54 @@ def _part(x, h, pres, at_q1=False):
         exp, image = _letter_rule(x, g, pres.params[4])
         img = ()
         if image is not None:
-            coeff = {0: image[1].eval_q1()} if at_q1 else image[1].terms
-            img = (((pres.gen_id(g.family, g.row, image[0]),), coeff),)
-        part = 1, 0 if at_q1 else exp, g.parity, img
+            img = (((pres.gen_id(g.family, g.row, image[0]),), image[1].terms),)
+        part = 1, exp, g.parity, img
     else:
-        letters = [_part(x, (gid,), pres, at_q1) for gid in h]
+        letters = [_part(x, (gid,), pres) for gid in h]
         img = normal_form(_unroll(x, h, letters), pres).terms
         part = (len(h), sum(t[1] for t in letters), sum(t[2] for t in letters),
                 tuple((w, c.terms) for w, c in img.items()))
-    pres._letter_images.setdefault((x, at_q1), {})[h] = part
+    pres._letter_images.setdefault(x, {})[h] = part
     return part
 
 
-def _image(x, u, v, parts, entry=LaurentInt._raw):
+def _image(x, u, v, parts):
     """x on the normal word u.v of P, a T-word u times a Tb-word v, as
-    {word: entry(coefficient)}, a LaurentInt by default: _unroll over the
-    parts of its halves, looked up in parts, the {half: part} map of x that
-    the caller read through _part once per half-word.  It is normal as it
-    stands: no rule rewrites a T before a Tb, and each family's rules stay
-    in that family, so NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) = u.NF(E(v)),
-    the normal forms that a half's part holds."""
+    {word: LaurentInt}: _unroll over the parts of its halves, looked up in
+    parts, the {half: part} map of x that the caller read through _part
+    once per half-word.  It is normal as it stands: no rule rewrites a T
+    before a Tb, and each family's rules stay in that family, so
+    NF(E(u).v) = NF(E(u)).v and NF(u.E(v)) = u.NF(E(v)), the normal forms
+    that a half's part holds."""
     img = _unroll(x, u + v, (parts[u], parts[v]))
-    return {w: entry(c) for w, c in img.items()}
+    return {w: LaurentInt._raw(c) for w, c in img.items()}
+
+
+def _derivation_at_q1(x, h, pres):
+    """x on the normal word h at q = 1, for pres the q = 1 degeneration of
+    P, as {normal word: int}.  Every K acts by 1 there, so an E acts as a
+    super-derivation of the free supercommutative algebra,
+
+        E(h) = sum_j (-1)^([E][h_1 ... h_{j-1}]) h_1 ... E(h_j) ... h_k,
+
+    with E(h_j) the letter image of _letter_rule at q = 1, put back into
+    sorted position by invariants._merge_product's rule, with no rewriting:
+    -1 for each odd letter an odd one passes, and 0 if it is already in h."""
+    odd, m = pres.parities, pres.params[4]
+    out, prefix = {}, 0
+    for j, gid in enumerate(h):
+        g = pres.generators[gid]
+        image = _letter_rule(x, g, m)[1]
+        if image is not None:
+            new = pres.gen_id(g.family, g.row, image[0])
+            rest = h[:j] + h[j + 1:]
+            i = bisect_left(rest, new)
+            if not odd[new] or rest[i:i + 1] != (new,):
+                passed = odd[new] and sum(odd[y] for y in rest[min(i, j):max(i, j)])
+                c = _sign(x.parity * prefix + passed) * image[1].eval_q1()
+                _add_term(out, rest[:i] + (new,) + rest[i:], c)
+        prefix += odd[gid]
+    return out
 
 
 def _act_word(x, word, pres):
@@ -284,38 +306,48 @@ def _sector_columns(pres, bidegree, at_q1=False):
     words come from pairing the T-words and the Tb-words of the bidegree by
     weight; an unbalanced bidegree pairs none.  The E's never change row
     indices or families, hence they preserve the (T rows, Tb rows) multiset
-    pair: each sector's words, its domain of (u, v) pairs in graded_basis
-    order, are mapped among themselves.  Column j stacks the images of
-    domain[j] under each E, keyed (E index, word), unrolled over the parts
-    of u and v; only words hit by the action give rows, so a sector with
-    none (no E's, or nothing hit) has columns with no entries.  Entries are
-    LaurentInts, or with at_q1 the ints of the q = 1 parts (`_part`), for
-    pres the q = 1 degeneration of P.
+    pair, the rows of u and of v, read once per half-word like its weight:
+    each sector's words, its domain of (u, v) pairs in graded_basis order,
+    are mapped among themselves.  Column j stacks the images of domain[j]
+    under each E, keyed (E index, word); only words hit by the action give
+    rows, so a sector with none (no E's, or nothing hit) has columns with
+    no entries.  Entries are the LaurentInts of `_image`, or with at_q1,
+    for pres the q = 1 degeneration of P, the ints of the halves'
+    `_derivation_at_q1` images, E(u.v) = E(u).v + (-1)^([E][u]) u.E(v).
     """
     k, l, r, s, m, n = _require_P(pres)
     egens = [x for x in chevalley_generators(m, n) if x.kind in (ERAISE, ELOWER)]
     twords, bwords = _half_bases(pres, bidegree)
     by_weight = {}
     for v in bwords:
-        by_weight.setdefault(_word_weight(v, pres, m, n), []).append(v)
+        by_weight.setdefault(_word_weight(v, pres, m, n), []).append((v, _row_sector(v, pres)[1]))
     sectors = {}
     halves = set()
     for u in twords:
-        wt = _word_weight(u, pres, m, n)
-        for v in by_weight.get(tuple(-c for c in wt), ()):
-            sectors.setdefault(_row_sector(u + v, pres), []).append((u, v))
+        urows = _row_sector(u, pres)[0]
+        for v, vrows in by_weight.get(tuple(-c for c in _word_weight(u, pres, m, n)), ()):
+            sectors.setdefault((urows, vrows), []).append((u, v))
             halves.update((u, v))
-    parts = [{h: _part(x, h, pres, at_q1) for h in halves} for x in egens]
-    # a q = 1 part has K-exponent 0, so every coefficient is a {0: int}
-    entry = itemgetter(0) if at_q1 else LaurentInt._raw
+    if at_q1:
+        images = [{h: _derivation_at_q1(x, h, pres) for h in halves} for x in egens]
+        signs = {h: _sign(sum(pres.parities[g] for g in h)) for h in halves}
+    else:
+        parts = [{h: _part(x, h, pres) for h in halves} for x in egens]
     for key in sorted(sectors):
         domain = sectors[key]
         cols = []
         for u, v in domain:
             col = {}
             for e, x in enumerate(egens):
-                for w, c in _image(x, u, v, parts[e], entry).items():
-                    col[e, w] = c
+                if at_q1:
+                    for w, c in images[e][u].items():
+                        col[e, w + v] = c
+                    sign = signs[u] if x.parity else 1
+                    for w, c in images[e][v].items():
+                        col[e, u + w] = sign * c
+                else:
+                    for w, c in _image(x, u, v, parts[e]).items():
+                        col[e, w] = c
             cols.append(col)
         yield domain, cols
 

@@ -181,8 +181,10 @@ def test_no_shared_coefficient_or_input_is_written(monkeypatch, capsys):
     # fft_check began settling each degree at q = 1, so that its
     # containment premise (one act per rule of P and E) and the q = 1
     # half-word parts normalize, and the generic psi images and parts no
-    # longer do (428 before)
-    assert phase_steps == [466, 1794, 568]
+    # longer do (428 before); fft + sft again when the q = 1 E-columns
+    # became the half-words' super-derivations, so that no q = 1 half-word
+    # part normalizes (466 before)
+    assert phase_steps == [434, 1794, 568]
 
     # every later action on a presentation reads its letter tables, so a
     # second round of act must leave them as the first left them

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 
 from qmatalg import uqaction
 from qmatalg.exactla import CoeffMatrix, nullspace
-from qmatalg.invariants import classical_presentation
+from qmatalg.invariants import _context, _invariant_dim_bound_at_q1, classical_presentation, fft_check
 from qmatalg.laurent import ONE, ZERO, LaurentInt, Q, QINV
 from qmatalg.qalgebra import (
     NCElement,
@@ -46,7 +46,9 @@ from qmatalg.uqaction import (
     ChevalleyGen,
     _act_word,
     _action_matrix,
+    _derivation_at_q1,
     _image,
+    _letter_rule,
     _part,
     _require_P,
     _row_sector,
@@ -566,21 +568,44 @@ def test_the_q1_E_columns_are_phi_of_the_generic_image_columns(params, bidegree)
     assert entries > 50
 
 
-def test_generic_parts_built_first_are_not_read_as_q1_parts():
-    # a generic part on the q = 1 degeneration of P keeps its K-exponent;
-    # the q = 1 parts of the same presentation, built after it, equal
-    # those of a copy that never built a generic one, and the q = 1 upper
-    # end on that presentation is unchanged
-    first, second = (classical_presentation(presentation_P.__wrapped__(1, 1, 1, 1, 2, 2))
-                     for _ in range(2))
-    egens = [x for x in chevalley_generators(2, 2) if x.kind in (ERAISE, ELOWER)]
-    halves = [h for d in (1, 2) for h in graded_basis(first, (d, 0)) + graded_basis(first, (0, d))]
-    generic = [_part(x, h, first) for x in egens for h in halves]
-    assert any(part[1] for part in generic)
-    assert ([_part(x, h, first, True) for x in egens for h in halves]
-            == [_part(x, h, second, True) for x in egens for h in halves])
-    assert all(part[1] == 0 for x in egens for h in halves for part in [_part(x, h, first, True)])
-    assert list(_sector_columns(first, (2, 2), at_q1=True)) == list(_sector_columns(second, (2, 2), at_q1=True))
+@pytest.mark.parametrize("params", [(0, 2, 1, 1, 1, 2), (1, 1, 1, 1, 2, 2), (2, 1, 2, 1, 2, 1)])
+def test_the_q1_half_word_derivation_equals_the_generic_part_at_q1(params):
+    # every E on every normal half-word up to degree 3: the super-derivation
+    # on the q = 1 degeneration of P equals the generic part, unrolled
+    # through the coproduct and normalized by the rewriting engine, at
+    # q = 1, a vanishing term dropped.  The cases must contain a new odd
+    # letter already in the word (its term is 0) and one whose sign flips
+    # for the odd letters it passes back into sorted position
+    pres = presentation_P(*params)
+    cpres = classical_presentation(pres)
+    egens = [x for x in chevalley_generators(*params[4:]) if x.kind in (ERAISE, ELOWER)]
+    halves = [h for d in (1, 2, 3) for hs in _half_bases(pres, (d, d)) for h in hs]
+    odd = pres.parities
+    repeats = flips = 0
+    for x in egens:
+        for h in halves:
+            want = {w: v for w, c in _part(x, h, pres)[3] if (v := LaurentInt._raw(c).eval_q1())}
+            assert _derivation_at_q1(x, h, cpres) == want, (x, h)
+            for j, gid in enumerate(h):
+                g = pres.generators[gid]
+                image = _letter_rule(x, g, params[4])[1]
+                new = image and pres.gen_id(g.family, g.row, image[0])
+                if image and odd[new] and new in h[:j] + h[j + 1:]:
+                    repeats += 1
+                elif image and odd[new]:
+                    flips += sum(odd[y] for y in h if min(new, gid) < y < max(new, gid)) % 2
+    assert repeats and flips
+
+
+def test_the_q1_E_columns_build_no_part_table():
+    # the q = 1 E-matrices read no part: the q = 1 P's part table stays
+    # empty through the FFT's upper end, and through a whole fft_check
+    cpres = classical_presentation(presentation_P.__wrapped__(1, 1, 1, 1, 2, 2))
+    assert _invariant_dim_bound_at_q1(cpres, 2) == 8
+    assert cpres._letter_images == {}
+    params = (2, 1, 2, 1, 2, 1)
+    assert fft_check(params, 2)["overall_pass"]
+    assert _context(params).classical().p._letter_images == {}
 
 
 def test_an_unbalanced_bidegree_has_no_invariants():
@@ -675,10 +700,10 @@ def test_each_part_is_built_once_per_presentation(monkeypatch):
     built = Counter()
     original = uqaction._part
 
-    def counted(x, h, pres, at_q1=False):
-        if h not in pres._letter_images.get((x, at_q1), {}):
+    def counted(x, h, pres):
+        if h not in pres._letter_images.get(x, {}):
             built[x, h, id(pres)] += 1
-        return original(x, h, pres, at_q1)
+        return original(x, h, pres)
 
     monkeypatch.setattr(uqaction, "_part", counted)
     fresh = [presentation_P.__wrapped__(1, 1, 1, 1, 2, 2) for _ in range(2)]
@@ -695,7 +720,7 @@ def test_each_part_is_built_once_per_presentation(monkeypatch):
         assert verify_operator_relations(pres, (2, 1))["pass"]
         assert parts(pres) == ({(x, h) for x in egens for h in bwords}
                            | {(x, h) for x in gens for h in letters + twords})
-        assert parts(pres) == {(x, h) for (x, _), table in pres._letter_images.items() for h in table}
+        assert parts(pres) == {(x, h) for x, table in pres._letter_images.items() for h in table}
     assert set(built.values()) == {1}
 
 
